@@ -1,7 +1,8 @@
 """Command-line driver: compute correlators, verify identities, analyze
 denominators.  Exact rationals print as `num/den`; exit codes separate
-usage errors (2), engine disagreement (1) and a falsified proven
-identity (3) so scripts can tell them apart.
+usage errors (2), engine disagreement (1), a falsified proven
+identity (3) and an unreadable cache file (4) so scripts can tell them
+apart.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .core import MultiIndex
+from .core import MultiIndex, partitions
 from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
@@ -134,7 +135,7 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
                 budget -= shift
                 if budget < 0:
                     continue
-                for d in _partitions(budget, n):
+                for d in partitions(budget, n):
                     res = residual_fn(g, d, b, eng)
                     count += 1
                     status = "holds" if res == 0 else "fails"
@@ -150,18 +151,6 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
                         print(f"{which} g={g} d={list(d)} b={b}: {status}")
     print(f"# {which}: {count} checked, {count - failures} hold")
     return 3 if failures else 0
-
-
-def _partitions(total, slots):
-    def rec(rem, slots_left, cap):
-        if slots_left == 0:
-            if rem == 0:
-                yield ()
-            return
-        for v in range(min(rem, cap), -1, -1):
-            for rest in rec(rem - v, slots_left - 1, v):
-                yield (v,) + rest
-    yield from rec(total, slots, total if total else 1)
 
 
 def _verify_virasoro(args, eng) -> int:
@@ -233,7 +222,7 @@ def _verify_engines(args, eng) -> int:
             dim = 3 * g - 3 + n
             if dim < 0 or dim > dmax or 2 * g - 2 + n <= 0:
                 continue
-            for d in _partitions(dim, n):
+            for d in partitions(dim, n):
                 a = eng.value(g, d)
                 b = npe.correlator(g, d, "normalized")
                 c = npe.correlator(g, d, "direct") if n >= 2 else b
@@ -382,7 +371,13 @@ def main(argv=None) -> int:
     eng = RecursionEngine()     # fresh per invocation, warmed from the cache
     try:
         if args.cache:
-            eng.table.load(args.cache)
+            try:
+                eng.table.load(args.cache)
+            except ValueError as exc:
+                # a torn or malformed file is left as it is, never appended to
+                print(f"error: unreadable cache {args.cache}: {exc}",
+                      file=sys.stderr)
+                return 4
         if args.command == "compute":
             code = _cmd_compute(args, eng)
         elif args.command == "verify":

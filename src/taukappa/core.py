@@ -20,6 +20,7 @@ __all__ = [
     "enumerate_sub_multiindices",
     "enumerate_triple_splits",
     "multiindex_multinomial",
+    "partitions",
     "invert_coefficient_family",
     "CoefficientFamilyInverse",
 ]
@@ -41,9 +42,11 @@ class MultiIndex:
 
     Immutable and hashable; used as the exponent vector of a kappa
     monomial and as the summation variable of all coefficient families.
+    `weight` is |m| = sum_i i*m_i and `size` is ||m|| = sum_i m_i, both
+    computed once at construction.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "weight", "size")
 
     def __init__(self, entries=()):
         if isinstance(entries, dict):
@@ -51,6 +54,7 @@ class MultiIndex:
         else:
             items = entries
         cleaned = {}
+        weight = size = 0
         for i, m in items:
             if i < 1:
                 raise ValueError(f"multi-index positions start at 1, got {i}")
@@ -58,20 +62,14 @@ class MultiIndex:
                 raise ValueError(f"negative multiplicity {m} at position {i}")
             if m:
                 cleaned[i] = cleaned.get(i, 0) + m
+                weight += i * m
+                size += m
         object.__setattr__(self, "entries", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "size", size)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")
-
-    @property
-    def weight(self) -> int:
-        """|m| = sum_i i*m_i."""
-        return sum(i * m for i, m in self.entries)
-
-    @property
-    def size(self) -> int:
-        """||m|| = sum_i m_i."""
-        return sum(m for _, m in self.entries)
 
     def __bool__(self):
         return bool(self.entries)
@@ -123,7 +121,7 @@ class MultiIndex:
         """Parse the CLI syntax 'i:mult,i:mult'; '' or '-' is the empty index."""
         text = text.strip()
         if text in ("", "-"):
-            return cls()
+            return EMPTY
         pairs = []
         for chunk in text.split(","):
             i, _, m = chunk.partition(":")
@@ -170,6 +168,10 @@ def enumerate_sub_multiindices(b: MultiIndex):
     Yields exactly prod_i (b_i + 1) pairs; the order is deterministic so
     that memo tables fill identically across runs.
     """
+    if not b:
+        # the shared EMPTY lets table lookups match keys by identity
+        yield EMPTY, EMPTY
+        return
     positions = [i for i, _ in b.entries]
     ranges = [range(m + 1) for _, m in b.entries]
     for choice in product(*ranges):
@@ -184,6 +186,19 @@ def enumerate_triple_splits(b: MultiIndex):
     for left, rest in enumerate_sub_multiindices(b):
         for e, f in enumerate_sub_multiindices(rest):
             yield left, e, f
+
+
+def partitions(total: int, slots: int):
+    """Sorted-desc tuples of length `slots`, entries >= 0, summing to total."""
+    def rec(rem, slots_left, cap):
+        if slots_left == 0:
+            if rem == 0:
+                yield ()
+            return
+        for v in range(min(rem, cap), -1, -1):
+            for rest in rec(rem - v, slots_left - 1, v):
+                yield (v,) + rest
+    yield from rec(total, slots, total if total else 1)
 
 
 def multiindices_of_weight(w: int) -> list[MultiIndex]:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
-from .core import multiindices_of_weight
+from .core import multiindices_of_weight, partitions
 from .recursion import RecursionEngine, default_engine
 
 __all__ = [
@@ -58,19 +58,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _partitions_exact(total: int, slots: int):
-    """Sorted-desc tuples of length `slots`, entries >= 0, summing to total."""
-    def rec(rem, slots_left, cap):
-        if slots_left == 0:
-            if rem == 0:
-                yield ()
-            return
-        for v in range(min(rem, cap), -1, -1):
-            for rest in rec(rem - v, slots_left - 1, v):
-                yield (v,) + rest
-    yield from rec(total, slots, total if total else 1)
-
-
 def compute_D(g: int, n: int, engine: RecursionEngine | None = None
               ) -> DenominatorReport:
     """lcm of denominators over all <prod tau_d>_g with sum d = 3g-3+n."""
@@ -80,7 +67,7 @@ def compute_D(g: int, n: int, engine: RecursionEngine | None = None
     dim = 3 * g - 3 + n
     value = 1
     count = 0
-    for d in _partitions_exact(dim, n):
+    for d in partitions(dim, n):
         val = eng.value(g, d)
         count += 1
         value = lcm(value, val.denominator)

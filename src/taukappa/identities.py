@@ -18,7 +18,7 @@ from math import factorial
 
 from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, multiindex_binomial,
-                   multiindices_up_to_weight)
+                   multiindices_up_to_weight, partitions)
 from .recursion import RecursionEngine, default_engine
 
 __all__ = [
@@ -284,19 +284,6 @@ def check_conjecture13(g: int, d, engine: RecursionEngine | None = None
 IDENTITY_NAMES = ("thm7", "thm8", "prop9", "thm10", "prop11", "thm12", "conj13")
 
 
-def _partitions_padded(total: int, slots: int):
-    """Sorted-desc tuples of length `slots` with entries >= 0 summing to total."""
-    def rec(rem, slots_left, cap):
-        if slots_left == 0:
-            if rem == 0:
-                yield ()
-            return
-        for v in range(min(rem, cap), -1, -1):
-            for rest in rec(rem - v, slots_left - 1, v):
-                yield (v,) + rest
-    yield from rec(total, slots, total if total else 1)
-
-
 _kappa_indices_up_to = multiindices_up_to_weight
 
 
@@ -306,29 +293,29 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
         for g in range(gmax + 1):
             for n in range(1, nmax + 1):
                 for k in range(2 * g + 1, 3 * g + n + 1):
-                    for d in _partitions_padded(3 * g + n - k, n):
+                    for d in partitions(3 * g + n - k, n):
                         yield {"g": g, "d": d, "k": k}
-                for e in _partitions_padded(g, n):   # part 2: d_j >= 1
+                for e in partitions(g, n):   # part 2: d_j >= 1
                     yield {"g": g, "d": tuple(x + 1 for x in e), "k": 2 * g}
     elif name == "thm8":
         for g in range(gmax + 1):
             for n in range(1, nmax + 1):
                 for k in range(2 * g + 1, 3 * g + n):
-                    for d in _partitions_padded(3 * g + n - k - 1, n):
+                    for d in partitions(3 * g + n - k - 1, n):
                         yield {"g": g, "d": d, "k": k}
                 if g >= 1:
-                    for e in _partitions_padded(g - 1, n):
+                    for e in partitions(g - 1, n):
                         yield {"g": g, "d": tuple(x + 1 for x in e), "k": 2 * g}
     elif name == "prop9":
         for g in range(gmax + 1):
             for n in range(1, nmax + 1):
-                for d in _partitions_padded(g + n, n):
+                for d in partitions(g + n, n):
                     yield {"g": g, "d": d}
     elif name == "thm10":
         for g in range(gmax + 1):
             for n in range(nmax + 1):
                 for k in range(max(2 * g, 2), 3 * g + n - 1, 2):
-                    for d in _partitions_padded(3 * g + n - k - 2, n):
+                    for d in partitions(3 * g + n - k - 2, n):
                         yield {"g": g, "d": d, "k": k}
     elif name == "prop11":
         for g in range(gmax + 1):
@@ -337,7 +324,7 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
                     budget = g + n - 1 - b.weight
                     if budget < 0:
                         continue
-                    for d in _partitions_padded(budget, n):
+                    for d in partitions(budget, n):
                         yield {"g": g, "d": d, "b": b}
     elif name == "thm12":
         for g in range(gmax + 1):
@@ -347,12 +334,12 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
                         budget = 3 * g + n - 2 - M - b.weight
                         if budget < 0:
                             continue
-                        for d in _partitions_padded(budget, n):
+                        for d in partitions(budget, n):
                             yield {"g": g, "d": d, "b": b, "M": M}
     elif name == "conj13":
         for g in range(2, gmax + 1):
             for n in range(1, nmax + 1):
-                for e in _partitions_padded(g, n):
+                for e in partitions(g, n):
                     yield {"g": g, "d": tuple(x + 1 for x in e)}
     else:
         raise ValueError(f"unknown identity {name!r}")

@@ -9,6 +9,15 @@ the classical pure-psi recursion (base cases <tau_0^3>_0 = 1 and
 <tau_1>_1 = 1/24); any correlator violating the dimension constraint
 sum(d) + |b| = 3g - 3 + n or stability contributes zero inside every sum.
 
+The sums are accumulated exactly in integers.  Once the common factor 1/2
+is pulled out, every coefficient is an integer: multiplicities, binomials
+and multinomials, products of odd double factorials, and the pair-merge
+ratio (2(|L|+d_1+v)-1)!!/(2v-1)!!.  Within one kappa group L each term adds
+coefficient times numerator to a bucket keyed by the denominator of the
+table value (the product of the two denominators for a split term); a
+single lcm pass collapses each group, alpha_L scales it once, and one
+Fraction per correlator is built from the groups over 2 (2d_1+1)!!.
+
 An independent reduction oracle trades one kappa index at a time for a
 psi power at a new point (inclusion-exclusion over sub-multi-indices)
 and is used only to cross-check the recursion.
@@ -19,7 +28,8 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, lcm
 
 from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, enumerate_triple_splits,
@@ -135,7 +145,10 @@ class CorrelatorTable:
                 g = int(m.group(1))
                 d = tuple(int(x) for x in m.group(2).split(",") if x)
                 b = MultiIndex.parse(m.group(3))
-                val = Fraction(int(m.group(4)), int(m.group(5)))
+                num, den = int(m.group(4)), int(m.group(5))
+                if den == 0:
+                    raise ValueError(f"zero denominator in cache line: {line!r}")
+                val = Fraction(num, den)
                 self.record(g, d, b, val, "cache")
                 self._persisted.add(corr_key(g, d, b))
                 count += 1
@@ -191,6 +204,23 @@ def genus0_psi_oracle(d) -> Fraction:
     return Fraction(factorial(n - 3), denom)
 
 
+_ZERO = Fraction(0)
+
+
+def _bucket_total(buckets: dict) -> tuple[int, int]:
+    """(num, den), not reduced, with num/den = sum of n/k over {k: n}."""
+    common = lcm(*buckets)
+    return sum(n * (common // k) for k, n in buckets.items()), common
+
+
+def _bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
+    """The reduced Fraction sum of n/k over {k: n}, divided by scale."""
+    if not buckets:
+        return _ZERO
+    num, den = _bucket_total(buckets)
+    return Fraction(num, den * scale)
+
+
 def _multiset_splits(values: tuple):
     """Ordered splits of a multiset into (part, rest) with multiplicities.
 
@@ -199,20 +229,15 @@ def _multiset_splits(values: tuple):
     """
     distinct = sorted(set(values), reverse=True)
     counts = [values.count(v) for v in distinct]
-
-    def rec(i, part, ways):
-        if i == len(distinct):
-            chosen = tuple(part)
-            rest = list(values)
-            for x in chosen:
-                rest.remove(x)
-            yield chosen, tuple(rest), ways
-            return
-        v, c = distinct[i], counts[i]
-        for k in range(c + 1):
-            yield from rec(i + 1, part + [v] * k, ways * comb(c, k))
-
-    yield from rec(0, [], 1)
+    for choice in product(*(range(c + 1) for c in counts)):
+        part = ()
+        rest = ()
+        ways = 1
+        for v, c, k in zip(distinct, counts, choice):
+            part += (v,) * k
+            rest += (v,) * (c - k)
+            ways *= comb(c, k)
+        yield part, rest, ways
 
 
 class RecursionEngine:
@@ -229,19 +254,21 @@ class RecursionEngine:
         d = tuple(sorted(d, reverse=True))
         n = len(d)
         if g < 0 or n < 1 or (d and d[-1] < 0):
-            return Fraction(0)
+            return _ZERO
         if sum(d) + b.weight != 3 * g - 3 + n:
-            return Fraction(0)
+            return _ZERO
         if 2 * g - 2 + n <= 0:
-            return Fraction(0)
+            return _ZERO
+        # base cases go through record() first, so a wrong cached value
+        # for them raises instead of being served
+        if g == 0 and d == (0, 0, 0):   # b is empty here by dimension
+            return self.table.record(g, d, b, Fraction(1), "wk")
+        if g == 1 and d == (1,) and not b:
+            return self.table.record(g, d, b, Fraction(1, 24), "wk")
         hit = self.table.get(g, d, b)
         if hit is not None:
             return hit
-        if g == 0 and d == (0, 0, 0):
-            val = Fraction(1)           # b is empty here by dimension
-        elif g == 1 and d == (1,) and not b:
-            val = Fraction(1, 24)
-        elif d[0] == 0 and n == 1:
+        if d[0] == 0 and n == 1:
             val = self._string_reduce(g, b)
         else:
             val = self._three_sums(g, d, b)
@@ -251,18 +278,29 @@ class RecursionEngine:
     def _string_reduce(self, g: int, b: MultiIndex) -> Fraction:
         # <tau_0 kappa(b)>_g: the displayed recursion is empty at this
         # shape; one generalized-string step trades b for a positive pivot.
-        acc = Fraction(0)
+        acc = {}
         for left, right in enumerate_sub_multiindices(b):
             if not left:
                 continue
-            acc += ((-1) ** left.size * multiindex_binomial(b, left)
-                    * self.value(g, (left.weight,), right))
-        return -acc
+            val = self.value(g, (left.weight,), right)
+            if val:
+                coef = (-1) ** left.size * multiindex_binomial(b, left)
+                den = val.denominator
+                acc[den] = acc.get(den, 0) - coef * val.numerator
+        return _bucket_sum(acc)
 
     def _three_sums(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
         d1 = d[0]
         rest = d[1:]
-        total = Fraction(0)
+        value = self.value
+        # {left: {denominator: integer numerator}}; with 1/2 pulled out every
+        # coefficient is an integer, and alpha_L and 1/(2 (2d_1+1)!!) are
+        # applied once at the end
+        groups = {}
+        # odd[k] = (2k+1)!! for every k the genus-lowering and split terms use
+        odd = [1]
+        for k in range(1, b.weight + d1 - 1):
+            odd.append(odd[-1] * (2 * k + 1))
 
         # distinct values of the remaining insertions, with multiplicities
         rest_counts = {}
@@ -270,56 +308,70 @@ class RecursionEngine:
             rest_counts[v] = rest_counts.get(v, 0) + 1
 
         for left, right in enumerate_sub_multiindices(b):
-            a_l = alpha_constant(left)
+            acc = groups[left] = {}
             bin_l = multiindex_binomial(b, left)
             w = left.weight
 
             # pair merge: pivot absorbs one other insertion
             for v, mult in rest_counts.items():
-                idx = w + d1 + v - 1
-                if idx < 0:
+                top = w + d1 + v
+                if top < 1:
                     continue
-                coef = Fraction(double_factorial(2 * (w + d1 + v) - 1),
-                                double_factorial(2 * v - 1))
                 newd = list(rest)
                 newd.remove(v)
-                newd.append(idx)
-                total += mult * a_l * bin_l * coef * self.value(g, newd, right)
+                newd.append(top - 1)
+                val = value(g, newd, right)
+                if val:
+                    # (2 top - 1)!!/(2v - 1)!! is an integer since top >= v
+                    coef = (2 * mult * bin_l * double_factorial(2 * top - 1)
+                            // double_factorial(2 * v - 1))
+                    den = val.denominator
+                    acc[den] = acc.get(den, 0) + coef * val.numerator
 
             # genus lowering
             m = w + d1 - 2
             if m >= 0 and g >= 1:
                 for r in range(m + 1):
                     s = m - r
-                    coef = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
-                    total += (Fraction(1, 2) * a_l * bin_l * coef
-                              * self.value(g - 1, rest + (r, s), right))
+                    val = value(g - 1, rest + (r, s), right)
+                    if val:
+                        coef = bin_l * odd[r] * odd[s]
+                        den = val.denominator
+                        acc[den] = acc.get(den, 0) + coef * val.numerator
 
         # stable splits: kappa index splits three ways, insertions two ways
         for left, e, f in enumerate_triple_splits(b):
             m = left.weight + d1 - 2
             if m < 0:
                 continue
-            a_l = alpha_constant(left)
+            acc = groups[left]
             tri = multiindex_multinomial(b, (left, e, f))
             for part, other, ways in _multiset_splits(rest):
+                # genus of the first factor is fixed by its dimension
+                base = sum(part) + e.weight - len(part) + 2
                 for r in range(m + 1):
-                    s = m - r
-                    # genus of the first factor is fixed by its dimension
-                    num = r + sum(part) + e.weight - len(part) + 2
-                    gp, remdr = divmod(num, 3)
+                    gp, remdr = divmod(base + r, 3)
                     if remdr or gp < 0 or gp > g:
                         continue
-                    v1 = self.value(gp, part + (r,), e)
+                    s = m - r
+                    v1 = value(gp, part + (r,), e)
                     if not v1:
                         continue
-                    v2 = self.value(g - gp, other + (s,), f)
+                    v2 = value(g - gp, other + (s,), f)
                     if not v2:
                         continue
-                    coef = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
-                    total += Fraction(1, 2) * a_l * tri * ways * coef * v1 * v2
+                    coef = tri * ways * odd[r] * odd[s]
+                    den = v1.denominator * v2.denominator
+                    acc[den] = acc.get(den, 0) + coef * v1.numerator * v2.numerator
 
-        return total / double_factorial(2 * d1 + 1)
+        outer = {}
+        for left, acc in groups.items():
+            if acc:
+                num, den = _bucket_total(acc)
+                a_l = alpha_constant(left)
+                den *= a_l.denominator
+                outer[den] = outer.get(den, 0) + num * a_l.numerator
+        return _bucket_sum(outer, 2 * double_factorial(2 * d1 + 1))
 
     # -- derived quantities --------------------------------------------------
 
@@ -328,13 +380,16 @@ class RecursionEngine:
         if g < 2:
             raise ValueError("pure kappa volumes need g >= 2")
         if b.weight != 3 * g - 3:
-            return Fraction(0)
-        acc = Fraction(0)
+            return _ZERO
+        acc = {}
         for left, right in enumerate_sub_multiindices(b):
-            acc += ((-1) ** left.size * multiindex_binomial(b, left)
-                    * self.value(g, (left.weight + 1,), right))
-        val = acc / (2 * g - 2)
-        return self.table.record(g, (), b, val, "mixed")
+            val = self.value(g, (left.weight + 1,), right)
+            if val:
+                coef = (-1) ** left.size * multiindex_binomial(b, left)
+                den = val.denominator
+                acc[den] = acc.get(den, 0) + coef * val.numerator
+        return self.table.record(g, (), b, _bucket_sum(acc, 2 * g - 2),
+                                 "mixed")
 
     def reduction_oracle(self, g: int, d, b: MultiIndex) -> Fraction:
         """Trade kappa indices for psi powers one at a time (test oracle).

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,3 +154,51 @@ def test_engine_disagreement_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "engine disagreement" in err
+
+
+@pytest.mark.parametrize("text", [
+    "1|1||1/24\n3|4,3|",          # last line cut off by a kill
+    "1|1||1/0\n",                 # zero denominator
+    "1|1|0:1|1/24\n",             # kappa positions start at 1
+])
+def test_unreadable_cache_exit_code(tmp_path, capsys, text):
+    cache = tmp_path / "torn.cache"
+    cache.write_text(text)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: unreadable cache ")
+    assert len(captured.err.splitlines()) == 1
+    assert cache.read_text() == text        # never appended to
+
+
+@pytest.mark.parametrize("record,d", [
+    ("1|1||1/25", "1"),
+    ("0|0,0,0||2/1", "0,0,0"),
+    ("0|0,0,0||2/1", "1,0,0,0"),
+])
+def test_poisoned_base_case_exit_code(tmp_path, capsys, record, d):
+    genus = record.split("|")[0]
+    cache = tmp_path / "poisoned.cache"
+    cache.write_text(record + "\n")
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", genus,
+                 "--d", d])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "engine disagreement" in captured.err
+
+
+def test_denom_cache_file_is_pinned(tmp_path, capsys):
+    """The records script-D(3) writes from an empty cache, byte for byte."""
+    cache = tmp_path / "g3.cache"
+    code = main(["--cache", str(cache), "denom", "--genus", "3",
+                 "--script-d"])
+    capsys.readouterr()
+    assert code == 0
+    data = cache.read_bytes()
+    assert data.count(b"\n") == 424
+    assert hashlib.sha256(data).hexdigest() == \
+        "a3681a6c58ce1b4a1db0f01c0ad34668b276922e4815973bb91107a25fd5d34d"

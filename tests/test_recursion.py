@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
-                           enumerate_sub_multiindices, multiindices_of_weight,
-                           multiindices_up_to_weight)
+                           enumerate_sub_multiindices, enumerate_triple_splits,
+                           multiindex_binomial, multiindex_multinomial,
+                           multiindices_of_weight, multiindices_up_to_weight)
 from taukappa.recursion import (CorrelatorKey, CorrelatorTable,
                                 EngineDisagreement, RecursionEngine,
                                 alpha_constant, dilaton_identity_residual,
@@ -245,6 +247,118 @@ def test_wk_equals_npoint_engines_small():
                 continue
             for d in _partitions(dim, n):
                 assert psi_correlator_wk(g, d) == psi_correlator_npoint(g, d)
+
+
+# -- the integer kernel against a term-by-term Fraction reference ----------
+
+
+def _reference_multiset_splits(values):
+    distinct = sorted(set(values), reverse=True)
+    counts = [values.count(v) for v in distinct]
+
+    def rec(i, part, ways):
+        if i == len(distinct):
+            chosen = tuple(part)
+            rest = list(values)
+            for x in chosen:
+                rest.remove(x)
+            yield chosen, tuple(rest), ways
+            return
+        v, c = distinct[i], counts[i]
+        for k in range(c + 1):
+            yield from rec(i + 1, part + [v] * k, ways * comb(c, k))
+
+    yield from rec(0, [], 1)
+
+
+def _reference_three_sums(eng, g, d, b):
+    """The three sums with one Fraction product per term."""
+    d1 = d[0]
+    rest = d[1:]
+    total = Fraction(0)
+    rest_counts = {}
+    for v in rest:
+        rest_counts[v] = rest_counts.get(v, 0) + 1
+    for left, right in enumerate_sub_multiindices(b):
+        a_l = alpha_constant(left)
+        bin_l = multiindex_binomial(b, left)
+        w = left.weight
+        for v, mult in rest_counts.items():
+            idx = w + d1 + v - 1
+            if idx < 0:
+                continue
+            coef = Fraction(double_factorial(2 * (w + d1 + v) - 1),
+                            double_factorial(2 * v - 1))
+            newd = list(rest)
+            newd.remove(v)
+            newd.append(idx)
+            total += mult * a_l * bin_l * coef * eng.value(g, newd, right)
+        m = w + d1 - 2
+        if m >= 0 and g >= 1:
+            for r in range(m + 1):
+                s = m - r
+                coef = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
+                total += (Fraction(1, 2) * a_l * bin_l * coef
+                          * eng.value(g - 1, rest + (r, s), right))
+    for left, e, f in enumerate_triple_splits(b):
+        m = left.weight + d1 - 2
+        if m < 0:
+            continue
+        a_l = alpha_constant(left)
+        tri = multiindex_multinomial(b, (left, e, f))
+        for part, other, ways in _reference_multiset_splits(rest):
+            for r in range(m + 1):
+                s = m - r
+                num = r + sum(part) + e.weight - len(part) + 2
+                gp, remdr = divmod(num, 3)
+                if remdr or gp < 0 or gp > g:
+                    continue
+                v1 = eng.value(gp, part + (r,), e)
+                if not v1:
+                    continue
+                v2 = eng.value(g - gp, other + (s,), f)
+                if not v2:
+                    continue
+                coef = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
+                total += Fraction(1, 2) * a_l * tri * ways * coef * v1 * v2
+    return total / double_factorial(2 * d1 + 1)
+
+
+def _reference_string_sum(eng, g, b, shift):
+    """sum over L + L' = b of (-1)^||L|| binom(b, L) <tau_{|L|+shift} kappa(L')>_g."""
+    acc = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        if shift == 0 and not left:
+            continue
+        acc += ((-1) ** left.size * multiindex_binomial(b, left)
+                * eng.value(g, (left.weight + shift,), right))
+    return acc
+
+
+def test_integer_kernel_matches_fraction_reference():
+    """Every shape with g <= 3, n <= 4, |b| <= 3, mixed b included, where
+    the exact-integer sums must equal the term-by-term Fraction sums."""
+    eng = RecursionEngine()
+    checked = 0
+    for g in range(4):
+        for bw in range(4):
+            for b in multiindices_of_weight(bw):
+                if g >= 2 and bw == 3 * g - 3:
+                    assert eng.pure_kappa_volume(g, b) == \
+                        _reference_string_sum(eng, g, b, 1) / (2 * g - 2), (g, b)
+                for n in range(1, 5):
+                    budget = 3 * g - 3 + n - bw
+                    if budget < 0 or 2 * g - 2 + n <= 0:
+                        continue
+                    for d in _partitions(budget, n):
+                        if d == (0,):
+                            assert eng._string_reduce(g, b) == \
+                                -_reference_string_sum(eng, g, b, 0), (g, b)
+                        elif d not in ((0, 0, 0), (1,)):
+                            assert eng._three_sums(g, d, b) == \
+                                _reference_three_sums(eng, g, d, b), (g, d, b)
+                        checked += 1
+    assert checked > 300
 
 
 # -- the correlator table -------------------------------------------------
