@@ -1,8 +1,8 @@
 """Command-line driver: compute correlators, verify identities, analyze
 denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
-identity (3) and an unreadable cache file (4) so scripts can tell them
-apart.
+identity (3) and a cache file that is unreadable or cannot be opened (4)
+so scripts can tell them apart.
 """
 
 from __future__ import annotations
@@ -373,8 +373,9 @@ def main(argv=None) -> int:
         if args.cache:
             try:
                 eng.table.load(args.cache)
-            except ValueError as exc:
-                # a torn or malformed file is left as it is, never appended to
+            except (ValueError, OSError) as exc:
+                # a torn, malformed or unopenable file is left as it is,
+                # never appended to
                 print(f"error: unreadable cache {args.cache}: {exc}",
                       file=sys.stderr)
                 return 4

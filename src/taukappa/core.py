@@ -71,6 +71,10 @@ class MultiIndex:
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")
 
+    def __reduce__(self):
+        # pickle would restore the slots through the blocked __setattr__
+        return (MultiIndex, (self.entries,))
+
     def __bool__(self):
         return bool(self.entries)
 

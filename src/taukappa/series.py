@@ -8,17 +8,27 @@ is exact (a polynomial: every absent coefficient is a true zero).
 Arithmetic intersects admission conservatively; a product coefficient is
 admitted only when every factorization of the monomial stays admitted in
 both factors.
+
+`exp` is graded: with deg = t-count + s-count, the Euler operator
+E = sum_v v d/dv multiplies a degree-N monomial by N, and E exp(G) =
+E(G) exp(G) gives, for Z = exp(G),
+
+    deg(m) Z[m] = sum over d | m, d != 1 of deg(d) G[d] Z[m/d],  Z[1] = 1.
+
+Walking the output monomials in increasing degree, each coefficient needs
+only coefficients already computed at its divisors, so the output set must
+be divisor-closed; no product outside it is ever formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 from math import factorial
 
 __all__ = [
-    "Monomial", "mono_mul", "mono_t_count", "mono_s_weight", "mono_t_degree",
-    "mono_divisors", "genus_of_monomial", "format_monomial", "TruncatedSeries",
+    "Monomial", "merge_exponents", "mono_mul", "mono_t_count",
+    "mono_s_weight", "mono_t_degree", "mono_divisors", "genus_of_monomial",
+    "format_monomial", "TruncatedSeries",
 ]
 
 Monomial = tuple   # ((t_idx, exp), ...), ((s_idx, exp), ...)
@@ -26,7 +36,9 @@ Monomial = tuple   # ((t_idx, exp), ...), ((s_idx, exp), ...)
 EMPTY_MONO: Monomial = ((), ())
 
 
-def _merge(a, b, sign=1):
+def merge_exponents(a, b, sign=1):
+    """Exponent tuple a + sign * b (b may hold negative entries); raises
+    ValueError when an exponent goes negative, i.e. a divisor does not divide."""
     out = dict(a)
     for i, e in b:
         out[i] = out.get(i, 0) + sign * e
@@ -35,8 +47,10 @@ def _merge(a, b, sign=1):
     return tuple(sorted((i, e) for i, e in out.items() if e))
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (_merge(m1[0], m2[0]), _merge(m1[1], m2[1]))
+def mono_mul(m1: Monomial, m2: Monomial, sign=1) -> Monomial:
+    """m1 * m2, or m1 / m2 with sign = -1 (ValueError if m2 does not divide)."""
+    return (merge_exponents(m1[0], m2[0], sign),
+            merge_exponents(m1[1], m2[1], sign))
 
 
 def mono_t_count(m: Monomial) -> int:
@@ -51,10 +65,6 @@ def mono_s_weight(m: Monomial) -> int:
     return sum(i * e for i, e in m[1])
 
 
-def mono_max_t_index(m: Monomial) -> int:
-    return max((i for i, _ in m[0]), default=-1)
-
-
 def genus_of_monomial(m: Monomial):
     """Genus forced by the dimension constraint, or None if fractional."""
     num = mono_t_degree(m) + mono_s_weight(m) - mono_t_count(m) + 3
@@ -66,19 +76,40 @@ def is_stable_shape(g: int, n: int) -> bool:
     return 2 * g - 2 + n > 0
 
 
+def _part_splits(part):
+    """(divisor, quotient) pairs of one exponent tuple, trivial divisor first."""
+    splits = [((), ())]
+    for i, e in part:
+        splits = [(d + ((i, a),) if a else d, q + ((i, e - a),) if a < e else q)
+                  for d, q in splits for a in range(e + 1)]
+    return splits
+
+
+def mono_splits(m: Monomial):
+    """(d, m/d) for every monomial d dividing m, starting with d = 1."""
+    ssplits = _part_splits(m[1])
+    for dt, qt in _part_splits(m[0]):
+        for ds, qs in ssplits:
+            yield (dt, ds), (qt, qs)
+
+
 def mono_divisors(m: Monomial):
     """All monomials dividing m, the trivial one included."""
-    tpart, spart = m
-    tvars = [(("t", i), e) for i, e in tpart] + [(("s", i), e) for i, e in spart]
-    ranges = [range(e + 1) for _, e in tvars]
-    for choice in iproduct(*ranges):
-        tsel = []
-        ssel = []
-        for (kind, i), e in zip((v for v, _ in tvars), choice):
-            if not e:
-                continue
-            (tsel if kind == "t" else ssel).append((i, e))
-        yield (tuple(tsel), tuple(ssel))
+    return (d for d, _ in mono_splits(m))
+
+
+def _degree(m: Monomial) -> int:
+    """The grading of `exp`: t-count + s-count."""
+    return sum(e for _, e in m[0]) + sum(e for _, e in m[1])
+
+
+def _unit_quotients(m: Monomial):
+    """m divided by each of its variables once."""
+    for slot in (0, 1):
+        part = m[slot]
+        for k, (i, e) in enumerate(part):
+            lower = part[:k] + (((i, e - 1),) if e > 1 else ()) + part[k + 1:]
+            yield (lower, m[1]) if slot == 0 else (m[0], lower)
 
 
 def format_monomial(m: Monomial) -> str:
@@ -168,74 +199,55 @@ class TruncatedSeries:
             cands = set(terms) if region is None else set(region)
             adm = set()
             for m in cands:
-                if all(self.is_admitted(d) and other.is_admitted(
-                        (_merge(m[0], d[0], -1), _merge(m[1], d[1], -1)))
-                        for d in mono_divisors(m)):
+                if all(self.is_admitted(d) and other.is_admitted(q)
+                       for d, q in mono_splits(m)):
                     adm.add(m)
         return TruncatedSeries(terms, adm)
 
-    def exp(self, keep, region=None) -> "TruncatedSeries":
-        """exp of a series with no constant term, filtered by `keep`.
-
-        The admission of an output monomial requires every divisor to be
-        admitted in the input: any multiplicative partition of the output
-        draws on exactly those coefficients.  `region` supplies the
-        candidate monomials when the input is truncated.
-        """
+    def exp(self) -> "TruncatedSeries":
+        """exp of a truncated series with no constant term, by the graded
+        recurrence of the module docstring.  It is computed and admitted
+        exactly on the admitted monomials whose divisors other than 1 are
+        all admitted (a divisor-closed set): every factorization of such a
+        monomial draws only on admitted input coefficients."""
         if EMPTY_MONO in self.terms:
             raise ValueError("exp needs a series with zero constant term")
-        acc = {EMPTY_MONO: Fraction(1)}
-        power = {EMPTY_MONO: Fraction(1)}
-        k = 0
-        while power:
-            k += 1
-            nxt: dict[Monomial, Fraction] = {}
-            for m1, c1 in power.items():
-                for m2, c2 in self.terms.items():
-                    m = mono_mul(m1, m2)
-                    if not keep(m):
-                        continue
-                    s = nxt.get(m, Fraction(0)) + c1 * c2
-                    if s:
-                        nxt[m] = s
-                    else:
-                        nxt.pop(m, None)
-            power = nxt
-            for m, c in power.items():
-                s = acc.get(m, Fraction(0)) + c / factorial(k)
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
         if self.admitted is None:
-            adm = None
-        else:
-            cands = set(acc) if region is None else set(region)
-            adm = set()
-            for m in cands:
-                if all(d in self.admitted for d in mono_divisors(m)
-                       if d != EMPTY_MONO):
-                    adm.add(m)
-        return TruncatedSeries(acc, adm)
+            raise ValueError("exp needs a truncated series")
+        # m joins once m/v has joined for every variable v of m; by
+        # induction on degree, all divisors of m have then joined
+        order = []
+        closed = {EMPTY_MONO}
+        for m in sorted(self.admitted, key=_degree):
+            if all(q in closed for q in _unit_quotients(m)):
+                order.append(m)
+                closed.add(m)
+        weighted = {d: _degree(d) * c for d, c in self.terms.items()}
+        z = {EMPTY_MONO: Fraction(1)}
+        for m in order:
+            acc = 0
+            for d, q in mono_splits(m):
+                c = weighted.get(d)
+                if c is not None:
+                    zq = z.get(q)
+                    if zq is not None:
+                        acc += c * zq
+            if acc:
+                z[m] = acc / _degree(m)
+        return TruncatedSeries(z, order)
 
     def derivative(self, idx: int, kind: str = "t") -> "TruncatedSeries":
         """d/dt_idx (or d/ds_idx); admission shifts along the derivative."""
         slot = 0 if kind == "t" else 1
+        unit = (((idx, 1),), ()) if slot == 0 else ((), ((idx, 1),))
         terms = {}
         for m, c in self.terms.items():
-            part = dict(m[slot])
-            e = part.get(idx, 0)
-            if not e:
-                continue
-            part[idx] = e - 1
-            new = tuple(sorted((i, v) for i, v in part.items() if v))
-            mm = (new, m[1]) if slot == 0 else (m[0], new)
-            terms[mm] = terms.get(mm, Fraction(0)) + c * e
-        if self.admitted is None:
-            adm = None
-        else:
-            unit = (((idx, 1),), ()) if slot == 0 else ((), ((idx, 1),))
-            adm = {m for m in _shifted_down(self.admitted, unit)}
+            e = dict(m[slot]).get(idx, 0)
+            if e:
+                mm = mono_mul(m, unit, -1)
+                terms[mm] = terms.get(mm, Fraction(0)) + c * e
+        adm = (None if self.admitted is None
+               else set(_shifted_down(self.admitted, unit)))
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
@@ -269,6 +281,6 @@ def _intersect(a, b):
 def _shifted_down(admitted, unit):
     for m in admitted:
         try:
-            yield (_merge(m[0], unit[0], -1), _merge(m[1], unit[1], -1))
+            yield mono_mul(m, unit, -1)
         except ValueError:
             continue

@@ -23,8 +23,8 @@ from .core import (MultiIndex, double_factorial,
                    multiindices_up_to_weight)
 from .recursion import RecursionEngine, default_engine
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
-                     genus_of_monomial, is_stable_shape, mono_s_weight,
-                     mono_t_count, symmetry_factor)
+                     genus_of_monomial, is_stable_shape, merge_exponents,
+                     mono_mul, mono_s_weight, mono_t_count, symmetry_factor)
 
 __all__ = [
     "gamma_constant", "VirasoroOperator", "apply_virasoro",
@@ -42,28 +42,16 @@ def gamma_constant(L: MultiIndex) -> Fraction:
                     L.factorial() * double_factorial(2 * L.weight + 1))
 
 
-def _t_shift(m: Monomial, idx: int, delta: int) -> Monomial:
-    part = dict(m[0])
-    part[idx] = part.get(idx, 0) + delta
-    if part[idx] < 0:
-        raise ValueError("negative t exponent")
-    return (tuple(sorted((i, e) for i, e in part.items() if e)), m[1])
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) on first lookup."""
 
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
 
-def _s_mult(m: Monomial, L: MultiIndex) -> Monomial:
-    part = dict(m[1])
-    for i, e in L.entries:
-        part[i] = part.get(i, 0) + e
-    return (m[0], tuple(sorted((i, e) for i, e in part.items() if e)))
-
-
-def _s_div(m: Monomial, L: MultiIndex) -> Monomial:
-    part = dict(m[1])
-    for i, e in L.entries:
-        part[i] = part.get(i, 0) - e
-        if part[i] < 0:
-            raise ValueError("s part does not divide")
-    return (m[0], tuple(sorted((i, e) for i, e in part.items() if e)))
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class VirasoroOperator:
@@ -73,33 +61,47 @@ class VirasoroOperator:
     (b) 1/2 (2(j+k)+1)!!/(2j-1)!! t_j d/dt_{j+k}; (c) for k >= 1,
     1/4 (2d1+1)!!(2d2+1)!! d^2/dt_{d1}dt_{d2} over d1+d2 = k-1;
     (d) the constants t_0^2/4 at k = -1 and 1/16 at k = 0.
+
+    The coefficient tables the action reads are filled on first use and
+    kept on the instance, so one operator applied to a long series builds
+    each gamma_L, each s-part product and each s-part split once.
     """
 
     def __init__(self, k: int):
         if k < -1:
             raise ValueError("Virasoro index starts at -1")
         self.k = k
+        # w -> [(L, gamma_L)] over |L| = w
+        self._gammas = _Memo(lambda w: [(L, gamma_constant(L))
+                                        for L in multiindices_of_weight(w)])
+        # (s-part, i) -> [(s-part * s^L, group (a) coefficient of d/dt_i)]
+        self._raised = _Memo(lambda key: [
+            (merge_exponents(key[0], L.entries),
+             Fraction(-double_factorial(2 * key[1] + 1), 2) * gamma)
+            for L, gamma in self._gammas[key[1] - k - 1]])
+        # i -> group (b) coefficient of t_{i-k} d/dt_i
+        self._scale = _Memo(lambda i: Fraction(
+            double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
+        # s-part -> [(s-part / s^L, t-part delta t_{|L|+k+1})] over L <= s-part
+        self._lowered = _Memo(lambda s: [
+            (rest.entries, ((L.weight + k + 1, 1),))
+            for L, rest in enumerate_sub_multiindices(MultiIndex(s))])
+        # group (c): (t-part delta 1/(t_d1 t_d2), coefficient)
+        self._pairs = [(((d1, -1), (k - 1 - d1, -1)),
+                        Fraction(double_factorial(2 * d1 + 1)
+                                 * double_factorial(2 * k - 2 * d1 - 1), 4))
+                       for d1 in range(max(k, 0))]
 
     def term_list(self, s_weight_bound: int, j_bound: int):
         """Explicit symbolic terms with the s-sum cut at the given weight."""
         k = self.k
-        terms = []
-        for w in range(s_weight_bound + 1):
-            for L in multiindices_of_weight(w):
-                terms.append(("s_shift",
-                              Fraction(-1, 2) * double_factorial(2 * (w + k) + 3)
-                              * gamma_constant(L), L, w + k + 1))
-        for j in range(j_bound + 1):
-            if j + k >= 0:
-                terms.append(("scale",
-                              Fraction(1, 2)
-                              * Fraction(double_factorial(2 * (j + k) + 1),
-                                         double_factorial(2 * j - 1)), j, j + k))
-        for d1 in range(max(k, 0)):
-            d2 = k - 1 - d1
-            terms.append(("second",
-                          Fraction(1, 4) * double_factorial(2 * d1 + 1)
-                          * double_factorial(2 * d2 + 1), d1, d2))
+        terms = [("s_shift", coef, MultiIndex(sp), w + k + 1)
+                 for w in range(s_weight_bound + 1)
+                 for sp, coef in self._raised[((), w + k + 1)]]
+        terms += [("scale", self._scale[j + k], j, j + k)
+                  for j in range(j_bound + 1) if j + k >= 0]
+        terms += [("second", coef, d1, d2)
+                  for ((d1, _), (d2, _)), coef in self._pairs]
         if k == -1:
             terms.append(("const_t0sq", Fraction(1, 4)))
         if k == 0:
@@ -109,77 +111,67 @@ class VirasoroOperator:
     # -- forward action ----------------------------------------------------
 
     def _images(self, m: Monomial):
-        """(output monomial, coefficient) pairs of V_k applied to m."""
+        """(output monomial, multiplicity, coefficient) for every term of
+        V_k acting on m; the term adds multiplicity * coefficient times m's
+        coefficient to the output."""
         k = self.k
-        for it, e in m[0]:
-            # group (a): derivative at t_it, s^L with |L| = it - k - 1
-            w = it - k - 1
-            if w >= 0:
-                base = _t_shift(m, it, -1)
-                pref = Fraction(-e, 2) * double_factorial(2 * it + 1)
-                for L in multiindices_of_weight(w):
-                    yield _s_mult(base, L), pref * gamma_constant(L)
-            # group (b): t_j d/dt_{j+k} with j + k = it
-            j = it - k
-            if j >= 0:
-                out = _t_shift(_t_shift(m, it, -1), j, 1)
-                coef = (Fraction(e, 2)
-                        * Fraction(double_factorial(2 * it + 1),
-                                   double_factorial(2 * j - 1)))
-                yield out, coef
-        texp = dict(m[0])
-        for d1 in range(max(self.k, 0)):
-            d2 = self.k - 1 - d1
-            if d1 == d2:
-                fac = texp.get(d1, 0) * (texp.get(d1, 0) - 1)
-            else:
-                fac = texp.get(d1, 0) * texp.get(d2, 0)
-            if fac:
-                out = _t_shift(_t_shift(m, d1, -1), d2, -1)
-                yield out, (Fraction(fac, 4) * double_factorial(2 * d1 + 1)
-                            * double_factorial(2 * d2 + 1))
-        if self.k == -1:
-            yield _t_shift(_t_shift(m, 0, 1), 0, 1), Fraction(1, 4)
-        if self.k == 0:
-            yield m, V0_CONSTANT
+        t, s = m
+        for i, e in t:
+            lowered = merge_exponents(t, ((i, -1),))
+            if i > k:
+                # group (a): derivative at t_i, s^L with |L| = i - k - 1
+                for sp, coef in self._raised[(s, i)]:
+                    yield (lowered, sp), e, coef
+            if i >= k:
+                # group (b): t_{i-k} d/dt_i
+                yield ((merge_exponents(lowered, ((i - k, 1),)), s), e,
+                       self._scale[i])
+        texp = dict(t)
+        for delta, coef in self._pairs:
+            (d1, _), (d2, _) = delta
+            fac = texp.get(d1, 0) * (texp.get(d2, 0) - (d1 == d2))
+            if fac > 0:
+                yield (merge_exponents(t, delta), s), fac, coef
+        if k == -1:
+            yield (merge_exponents(t, ((0, 2),)), s), 1, Fraction(1, 4)
+        if k == 0:
+            yield m, 1, V0_CONSTANT
 
     def _preimages(self, m: Monomial):
         """Every input monomial some term of V_k could map onto m."""
         k = self.k
-        spart_idx = MultiIndex(m[1])
-        for L, _rest in enumerate_sub_multiindices(spart_idx):
-            yield _t_shift(_s_div(m, L), L.weight + k + 1, 1)
-        for j, _e in m[0]:
+        t, s = m
+        for sp, delta in self._lowered[s]:
+            yield (merge_exponents(t, delta), sp)
+        for j, _e in t:
             if j + k >= 0:
-                yield _t_shift(_t_shift(m, j, -1), j + k, 1)
-        for d1 in range(max(k, 0)):
-            d2 = k - 1 - d1
-            yield _t_shift(_t_shift(m, d1, 1), d2, 1)
-        if k == -1:
-            texp = dict(m[0])
-            if texp.get(0, 0) >= 2:
-                yield _t_shift(_t_shift(m, 0, -1), 0, -1)
+                yield (merge_exponents(t, ((j, -1), (j + k, 1))), s)
+        for delta, _ in self._pairs:
+            yield (merge_exponents(t, delta, -1), s)
+        if k == -1 and dict(t).get(0, 0) >= 2:
+            yield (merge_exponents(t, ((0, -2),)), s)
         if k == 0:
             yield m
 
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
+        """V_k applied to a series.  Coefficients are computed for the
+        stored terms only; an output is admitted when it is the image of an
+        admitted monomial and every monomial that could feed it is
+        admitted."""
         terms: dict[Monomial, Fraction] = {}
         for m, c in series.terms.items():
-            for out, coef in self._images(m):
-                s = terms.get(out, Fraction(0)) + c * coef
+            for out, mult, coef in self._images(m):
+                s = terms.get(out, 0) + c * mult * coef
                 if s:
                     terms[out] = s
                 else:
                     terms.pop(out, None)
-        if series.admitted is None:
-            adm = None
-        else:
-            cands = set()
-            for m in series.admitted:
-                for out, _ in self._images(m):
-                    cands.add(out)
+        adm = None
+        if series.admitted is not None:
+            admitted = series.admitted
+            cands = {out for m in admitted for out, _, _ in self._images(m)}
             adm = {m for m in cands
-                   if all(p in series.admitted for p in self._preimages(m))}
+                   if all(p in admitted for p in self._preimages(m))}
         return TruncatedSeries(terms, adm)
 
 
@@ -252,9 +244,7 @@ def build_partition_function(gmax: int, nmax: int, bmax: int,
                              ) -> TruncatedSeries:
     """exp(G) at the given truncation, admission by divisor closure."""
     tmax = max(3 * gmax - 3 + nmax, 0)
-    G = mixed_generating_series(gmax, nmax, bmax, engine, tmax)
-    keep = _caps_keep(nmax, bmax, tmax)
-    return G.exp(keep, region=G.admitted)
+    return mixed_generating_series(gmax, nmax, bmax, engine, tmax).exp()
 
 
 def virasoro_residual_report(k: int, gmax: int, nmax: int, bmax: int,
@@ -289,8 +279,8 @@ def p_polynomial(k: int) -> dict[MultiIndex, Fraction]:
             for L in multiindices_of_weight(k - 1)}
 
 
-def _shift_powers(k: int, emax: int, keep):
-    """(t_k + p_k)^e for e <= emax as monomial dicts, truncated by keep."""
+def _shift_powers(k: int, emax: int):
+    """(t_k + p_k)^e for e <= emax as monomial dicts."""
     base: dict[Monomial, Fraction] = {(((k, 1),), ()): Fraction(1)}
     for L, c in p_polynomial(k).items():
         base[((), L.entries)] = c
@@ -300,22 +290,12 @@ def _shift_powers(k: int, emax: int, keep):
         nxt: dict[Monomial, Fraction] = {}
         for m1, c1 in prev.items():
             for m2, c2 in base.items():
-                mm = (tuple(sorted(_dict_add(m1[0], m2[0]).items())),
-                      tuple(sorted(_dict_add(m1[1], m2[1]).items())))
-                if not keep(mm):
-                    continue
+                mm = mono_mul(m1, m2)
                 s = nxt.get(mm, Fraction(0)) + c1 * c2
                 if s:
                     nxt[mm] = s
         powers.append(nxt)
     return powers
-
-
-def _dict_add(a, b):
-    out = dict(a)
-    for i, e in b:
-        out[i] = out.get(i, 0) + e
-    return {i: e for i, e in out.items() if e}
 
 
 def substitution_check(gmax: int, nmax: int, bmax: int,
@@ -343,13 +323,12 @@ def substitution_check(gmax: int, nmax: int, bmax: int,
             if i <= 1:
                 continue
             if (i, e) not in power_cache:
-                power_cache[(i, e)] = _shift_powers(i, e, lambda mm: True)
+                power_cache[(i, e)] = _shift_powers(i, e)
             factor = power_cache[(i, e)][e]
             nxt: dict[Monomial, Fraction] = {}
             for m1, c1 in expansion.items():
                 for m2, c2 in factor.items():
-                    mm = (tuple(sorted(_dict_add(m1[0], m2[0]).items())),
-                          tuple(sorted(_dict_add(m1[1], m2[1]).items())))
+                    mm = mono_mul(m1, m2)
                     if not keep(mm):
                         continue
                     s = nxt.get(mm, Fraction(0)) + c1 * c2

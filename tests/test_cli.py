@@ -202,3 +202,54 @@ def test_denom_cache_file_is_pinned(tmp_path, capsys):
     assert data.count(b"\n") == 424
     assert hashlib.sha256(data).hexdigest() == \
         "a3681a6c58ce1b4a1db0f01c0ad34668b276922e4815973bb91107a25fd5d34d"
+
+
+def test_unopenable_cache_exit_code(tmp_path, capsys):
+    """A cache path that cannot be opened is reported like a torn file."""
+    code = main(["--cache", str(tmp_path), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unreadable cache {tmp_path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []       # nothing appended or created
+
+
+def test_workers_match_serial_run(capsys):
+    argv = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
+    serial = run_cli(capsys, "--workers", "1", *argv)
+    assert serial[0] == 0 and "# prop11: 9 checked, 9 hold" in serial[1]
+    assert run_cli(capsys, "--workers", "2", *argv) == serial
+
+
+# stdout and exit code of the series-layer checks, pinned verbatim
+GOLDEN = {
+    "verify virasoro --k -1..3 --gmax 3 --nmax 4 --bmax 2": (0, """\
+virasoro k=-1: 394 admitted coefficients, holds
+virasoro k=0: 465 admitted coefficients, holds
+virasoro k=1: 126 admitted coefficients, holds
+virasoro k=2: 112 admitted coefficients, holds
+virasoro k=3: 88 admitted coefficients, holds
+"""),
+    "verify substitution --gmax 2 --nmax 2 --bmax 2": (0, """\
+substitution @(2,2,2): 97 admitted coefficients, holds
+"""),
+    "verify commutators": (0, """\
+[V_0, V_-1] - (0--1)V_-1: holds
+[V_1, V_-1] - (1--1)V_0: holds
+[V_1, V_0] - (1-0)V_1: holds
+[V_2, V_-1] - (2--1)V_1: holds
+[V_2, V_0] - (2-0)V_2: holds
+[V_2, V_1] - (2-1)V_3: holds
+[V_3, V_-1] - (3--1)V_2: holds
+[V_3, V_0] - (3-0)V_3: holds
+[V_3, V_1] - (3-1)V_4: holds
+[V_3, V_2] - (3-2)V_5: holds
+"""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_transcript(capsys, command):
+    assert run_cli(capsys, *command.split()) == GOLDEN[command]

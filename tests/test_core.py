@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -42,6 +43,16 @@ def test_multiindex_parse_roundtrip():
     assert MultiIndex.parse(str(b)) == b
     assert MultiIndex.parse("") == EMPTY
     assert MultiIndex.parse("-") == EMPTY
+
+
+def test_multiindex_pickle_roundtrip():
+    # process-pool workers send MultiIndex values both ways
+    for b in (EMPTY, MultiIndex({1: 2}), MultiIndex({1: 3, 4: 1})):
+        back = pickle.loads(pickle.dumps(b))
+        assert back == b and hash(back) == hash(b)
+        assert (back.weight, back.size) == (b.weight, b.size)
+    with pytest.raises(AttributeError):
+        back.entries = ()
 
 
 def test_multiindex_binomial():

@@ -1,0 +1,303 @@
+"""Differential tests of the series layer against its earlier implementation.
+
+`ref_exp` sums G^k/k! power by power under a structural cap and then
+admits by divisor closure; `RefVirasoro.apply` computes a coefficient for
+every image of every monomial, admitted or stored.  Both are kept here,
+test-only, as the independent references for the graded `exp` and the
+table-driven `VirasoroOperator.apply`: outputs must agree exactly, terms
+and admission sets alike.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taukappa.core import (MultiIndex, double_factorial,
+                           enumerate_sub_multiindices, multiindices_of_weight)
+from taukappa.recursion import RecursionEngine
+from taukappa.series import EMPTY_MONO, TruncatedSeries
+from taukappa.virasoro import (VirasoroOperator, build_partition_function,
+                               gamma_constant, mixed_generating_series)
+
+TRUNCATIONS = [(1, 4, 0), (2, 3, 1), (3, 4, 2)]
+KS = range(-1, 4)
+
+
+# -- reference implementation ---------------------------------------------
+
+
+def _ref_merge(a, b, sign=1):
+    out = dict(a)
+    for i, e in b:
+        out[i] = out.get(i, 0) + sign * e
+        if out[i] < 0:
+            raise ValueError("negative exponent in monomial merge")
+    return tuple(sorted((i, e) for i, e in out.items() if e))
+
+
+def _ref_mono_mul(m1, m2):
+    return (_ref_merge(m1[0], m2[0]), _ref_merge(m1[1], m2[1]))
+
+
+def _ref_divisors(m):
+    tpart, spart = m
+    tvars = [(("t", i), e) for i, e in tpart] + [(("s", i), e) for i, e in spart]
+    for choice in product(*[range(e + 1) for _, e in tvars]):
+        tsel, ssel = [], []
+        for ((kind, i), _), e in zip(tvars, choice):
+            if e:
+                (tsel if kind == "t" else ssel).append((i, e))
+        yield (tuple(tsel), tuple(ssel))
+
+
+def ref_exp(series, keep, region):
+    """exp by summing G^k/k!, products filtered by the cap `keep`."""
+    acc = {EMPTY_MONO: Fraction(1)}
+    power = {EMPTY_MONO: Fraction(1)}
+    k = 0
+    while power:
+        k += 1
+        nxt = {}
+        for m1, c1 in power.items():
+            for m2, c2 in series.terms.items():
+                m = _ref_mono_mul(m1, m2)
+                if not keep(m):
+                    continue
+                s = nxt.get(m, Fraction(0)) + c1 * c2
+                if s:
+                    nxt[m] = s
+                else:
+                    nxt.pop(m, None)
+        power = nxt
+        for m, c in power.items():
+            s = acc.get(m, Fraction(0)) + c / factorial(k)
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+    if series.admitted is None:
+        return TruncatedSeries(acc, None)
+    adm = {m for m in region
+           if all(d in series.admitted for d in _ref_divisors(m)
+                  if d != EMPTY_MONO)}
+    return TruncatedSeries(acc, adm)
+
+
+def _ref_t_shift(m, idx, delta):
+    part = dict(m[0])
+    part[idx] = part.get(idx, 0) + delta
+    if part[idx] < 0:
+        raise ValueError("negative t exponent")
+    return (tuple(sorted((i, e) for i, e in part.items() if e)), m[1])
+
+
+def _ref_s_mult(m, L):
+    part = dict(m[1])
+    for i, e in L.entries:
+        part[i] = part.get(i, 0) + e
+    return (m[0], tuple(sorted((i, e) for i, e in part.items() if e)))
+
+
+def _ref_s_div(m, L):
+    part = dict(m[1])
+    for i, e in L.entries:
+        part[i] = part.get(i, 0) - e
+        if part[i] < 0:
+            raise ValueError("s part does not divide")
+    return (m[0], tuple(sorted((i, e) for i, e in part.items() if e)))
+
+
+class RefVirasoro:
+    """V_k with every image coefficient computed, admitted or not."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def _images(self, m):
+        k = self.k
+        for it, e in m[0]:
+            w = it - k - 1
+            if w >= 0:
+                base = _ref_t_shift(m, it, -1)
+                pref = Fraction(-e, 2) * double_factorial(2 * it + 1)
+                for L in multiindices_of_weight(w):
+                    yield _ref_s_mult(base, L), pref * gamma_constant(L)
+            j = it - k
+            if j >= 0:
+                out = _ref_t_shift(_ref_t_shift(m, it, -1), j, 1)
+                yield out, (Fraction(e, 2)
+                            * Fraction(double_factorial(2 * it + 1),
+                                       double_factorial(2 * j - 1)))
+        texp = dict(m[0])
+        for d1 in range(max(k, 0)):
+            d2 = k - 1 - d1
+            if d1 == d2:
+                fac = texp.get(d1, 0) * (texp.get(d1, 0) - 1)
+            else:
+                fac = texp.get(d1, 0) * texp.get(d2, 0)
+            if fac:
+                out = _ref_t_shift(_ref_t_shift(m, d1, -1), d2, -1)
+                yield out, (Fraction(fac, 4) * double_factorial(2 * d1 + 1)
+                            * double_factorial(2 * d2 + 1))
+        if k == -1:
+            yield _ref_t_shift(_ref_t_shift(m, 0, 1), 0, 1), Fraction(1, 4)
+        if k == 0:
+            yield m, Fraction(1, 16)
+
+    def _preimages(self, m):
+        k = self.k
+        for L, _rest in enumerate_sub_multiindices(MultiIndex(m[1])):
+            yield _ref_t_shift(_ref_s_div(m, L), L.weight + k + 1, 1)
+        for j, _e in m[0]:
+            if j + k >= 0:
+                yield _ref_t_shift(_ref_t_shift(m, j, -1), j + k, 1)
+        for d1 in range(max(k, 0)):
+            yield _ref_t_shift(_ref_t_shift(m, d1, 1), k - 1 - d1, 1)
+        if k == -1 and dict(m[0]).get(0, 0) >= 2:
+            yield _ref_t_shift(_ref_t_shift(m, 0, -1), 0, -1)
+        if k == 0:
+            yield m
+
+    def apply(self, series):
+        terms = {}
+        for m, c in series.terms.items():
+            for out, coef in self._images(m):
+                s = terms.get(out, Fraction(0)) + c * coef
+                if s:
+                    terms[out] = s
+                else:
+                    terms.pop(out, None)
+        if series.admitted is None:
+            return TruncatedSeries(terms, None)
+        cands = {out for m in series.admitted for out, _ in self._images(m)}
+        adm = {m for m in cands
+               if all(p in series.admitted for p in self._preimages(m))}
+        return TruncatedSeries(terms, adm)
+
+
+def _caps_keep(nmax, bmax, tmax):
+    def keep(m):
+        return (sum(e for _, e in m[0]) <= nmax
+                and sum(i * e for i, e in m[1]) <= bmax
+                and all(i <= tmax for i, _ in m[0]))
+    return keep
+
+
+def assert_same(new, ref):
+    assert new.terms == ref.terms
+    assert new.admitted == ref.admitted
+
+
+# -- differential tests -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def partition_functions():
+    """(G, exp(G)) at each truncation, from one shared engine."""
+    eng = RecursionEngine()
+    out = {}
+    for gmax, nmax, bmax in TRUNCATIONS:
+        tmax = max(3 * gmax - 3 + nmax, 0)
+        G = mixed_generating_series(gmax, nmax, bmax, eng, tmax)
+        out[(gmax, nmax, bmax)] = (G, build_partition_function(
+            gmax, nmax, bmax, eng))
+    return out
+
+
+@pytest.mark.parametrize("caps", TRUNCATIONS)
+def test_exp_matches_power_loop(partition_functions, caps):
+    gmax, nmax, bmax = caps
+    G, Z = partition_functions[caps]
+    ref = ref_exp(G, _caps_keep(nmax, bmax, max(3 * gmax - 3 + nmax, 0)),
+                  G.admitted)
+    assert_same(Z, ref)
+    assert_same(G.exp(), ref)
+    assert Z.coefficient(EMPTY_MONO) == 1
+
+
+@pytest.mark.parametrize("caps", TRUNCATIONS)
+@pytest.mark.parametrize("k", KS)
+def test_apply_matches_reference(partition_functions, caps, k):
+    _, Z = partition_functions[caps]
+    assert_same(VirasoroOperator(k).apply(Z), RefVirasoro(k).apply(Z))
+
+
+def _probe(rng):
+    terms = {}
+    for _ in range(6):
+        tpart = tuple(sorted({i: rng.randint(1, 3) for i in
+                              rng.sample(range(6), rng.randint(0, 3))}.items()))
+        spart = tuple(sorted({j: rng.randint(1, 2) for j in
+                              rng.sample([1, 2, 3], rng.randint(0, 2))}.items()))
+        terms[(tpart, spart)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return TruncatedSeries(terms)
+
+
+def test_apply_matches_reference_on_exact_probes():
+    rng = random.Random(2718)
+    for _ in range(8):
+        probe = _probe(rng)
+        for k in KS:
+            new, ref = VirasoroOperator(k), RefVirasoro(k)
+            image = new.apply(probe)
+            assert_same(image, ref.apply(probe))
+            assert image.admitted is None
+            # the composites a commutator check forms, on the same instance
+            for n in KS:
+                assert_same(new.apply(VirasoroOperator(n).apply(probe)),
+                            ref.apply(RefVirasoro(n).apply(probe)))
+
+
+def test_exp_needs_a_truncated_series_with_no_constant_term():
+    with pytest.raises(ValueError):
+        TruncatedSeries({(((0, 1),), ()): Fraction(1)}).exp()
+    with pytest.raises(ValueError):
+        TruncatedSeries({EMPTY_MONO: Fraction(1)}, {EMPTY_MONO}).exp()
+
+
+# -- property test -----------------------------------------------------------
+
+# a cap box of monomials in t_0..t_3 and s_1, s_2
+BOX_T, BOX_S = range(4), (1, 2)
+
+
+def _box(nmax, bmax):
+    out = []
+    for texps in product(range(nmax + 1), repeat=len(BOX_T)):
+        if sum(texps) > nmax:
+            continue
+        for sexps in product(range(bmax + 1), repeat=len(BOX_S)):
+            if sum(i * e for i, e in zip(BOX_S, sexps)) > bmax:
+                continue
+            out.append((tuple((i, e) for i, e in zip(BOX_T, texps) if e),
+                        tuple((i, e) for i, e in zip(BOX_S, sexps) if e)))
+    return out
+
+
+@st.composite
+def truncated_series(draw):
+    """A series with no constant term, its admission set drawn from a box."""
+    nmax, bmax = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    box = _box(nmax, bmax)
+    admitted = [m for m in box if draw(st.integers(0, 9)) < 8]
+    nonconst = [m for m in admitted if m != EMPTY_MONO]
+    support = draw(st.lists(st.sampled_from(nonconst), max_size=6,
+                            unique=True)) if nonconst else []
+    terms = {m: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+             for m in support}
+    return TruncatedSeries(terms, admitted), _caps_keep(nmax, bmax, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(truncated_series())
+def test_graded_exp_and_apply_equal_references(drawn):
+    G, keep = drawn
+    assert_same(G.exp(), ref_exp(G, keep, G.admitted))
+    # admission sets that are not divisor-closed reach every preimage rule
+    for k in KS:
+        assert_same(VirasoroOperator(k).apply(G), RefVirasoro(k).apply(G))
