@@ -6,29 +6,23 @@ the verification workbench.
 """
 
 from .core import (MultiIndex, double_factorial, enumerate_sub_multiindices,
-                   invert_coefficient_family, multiindex_binomial,
-                   multiindex_norms)
+                   invert_coefficient_family, multiindex_binomial)
 from .npoint import (NormalizedComponentKey, NPointEngine, delta_polynomial,
                      normalized_component, npoint_crosscheck_theorem3,
-                     p_r_polynomial, psi_correlator_npoint)
-from .recursion import (CorrelatorKey, CorrelatorTable, EngineDisagreement,
-                        RecursionEngine, alpha_constant, genus0_psi_oracle,
-                        kappa_reduction_oracle, mixed_correlator,
-                        psi_correlator_wk, pure_kappa_volume,
-                        string_identity_residual, dilaton_identity_residual)
+                     p_r_polynomial)
+from .recursion import (CorrelatorTable, EngineDisagreement, RecursionEngine,
+                        alpha_constant, genus0_psi_oracle, mixed_correlator,
+                        psi_correlator_wk)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex", "double_factorial", "multiindex_norms",
+    "MultiIndex", "double_factorial",
     "multiindex_binomial", "enumerate_sub_multiindices",
     "invert_coefficient_family",
     "NormalizedComponentKey", "NPointEngine", "delta_polynomial", "p_r_polynomial",
-    "normalized_component", "psi_correlator_npoint",
-    "npoint_crosscheck_theorem3",
-    "CorrelatorKey", "CorrelatorTable", "EngineDisagreement",
+    "normalized_component", "npoint_crosscheck_theorem3",
+    "CorrelatorTable", "EngineDisagreement",
     "RecursionEngine", "alpha_constant", "genus0_psi_oracle",
-    "psi_correlator_wk", "mixed_correlator", "pure_kappa_volume",
-    "kappa_reduction_oracle", "string_identity_residual",
-    "dilaton_identity_residual",
+    "psi_correlator_wk", "mixed_correlator",
 ]

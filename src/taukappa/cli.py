@@ -3,6 +3,13 @@ denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
 identity (3) and a cache file that is unreadable or cannot be opened (4)
 so scripts can tell them apart.
+
+One invocation computes on one `RecursionEngine`, loaded from `--cache`
+at start and appended to it on exit.  `--workers N` splits an identity
+grid into chunks, each run in a worker process on a fresh engine that
+returns its table records with its reports; the records are merged into
+the invocation's engine, so they persist to the cache, and a value that
+disagrees between workers or with a cached record exits 1.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
 from .identities import IDENTITY_NAMES, identity_grid, run_identity
-from .recursion import (EngineDisagreement, RecursionEngine,
-                        dilaton_identity_residual, string_identity_residual)
+from .recursion import EngineDisagreement, RecursionEngine
 from .series import format_monomial
 from .virasoro import (build_partition_function, commutator_check,
                        substitution_check, virasoro_residual_report)
@@ -89,19 +95,31 @@ def _cmd_compute(args, eng) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _run_identity_params(work):
-    name, params = work
-    rep = run_identity(name, params)
-    return rep
+def _run_identity_chunk(work):
+    """Run one chunk of a grid on a fresh engine; return its reports and
+    every (g, d, b, value, provenance) record of the engine's table."""
+    name, chunk = work
+    eng = RecursionEngine()
+    reports = [run_identity(name, p, eng) for p in chunk]
+    table = eng.table
+    records = [(*key, value, table.provenance[key])
+               for key, value in table.values.items()]
+    return reports, records
 
 
 def _verify_identities(args, name: str, eng) -> int:
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
     if args.workers > 1:
+        size = max(1, len(grid) // (4 * args.workers))
+        chunks = [(name, grid[i:i + size]) for i in range(0, len(grid), size)]
+        reports = []
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_run_identity_params,
-                                    [(name, p) for p in grid],
-                                    chunksize=max(1, len(grid) // (4 * args.workers))))
+            for part, records in pool.map(_run_identity_chunk, chunks):
+                reports += part
+                # write-once: a value that disagrees with another worker or
+                # a cached record raises EngineDisagreement here
+                for g, d, b, value, tag in records:
+                    eng.table.record(g, d, b, value, tag)
     else:
         reports = [run_identity(name, p, eng) for p in grid]
     failures = 0
@@ -121,8 +139,8 @@ def _verify_identities(args, name: str, eng) -> int:
 
 def _verify_string_dilaton(args, which: str, eng) -> int:
     from .core import multiindices_up_to_weight
-    residual_fn = (string_identity_residual if which == "string"
-                   else dilaton_identity_residual)
+    residual_fn = (eng.string_residual if which == "string"
+                   else eng.dilaton_residual)
     failures = 0
     count = 0
     for g in range(args.gmax + 1):
@@ -136,7 +154,7 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
                 if budget < 0:
                     continue
                 for d in partitions(budget, n):
-                    res = residual_fn(g, d, b, eng)
+                    res = residual_fn(g, d, b)
                     count += 1
                     status = "holds" if res == 0 else "fails"
                     if res != 0:
@@ -158,8 +176,7 @@ def _verify_virasoro(args, eng) -> int:
     partition = build_partition_function(args.gmax, args.nmax, args.bmax, eng)
     failures = 0
     for k in ks:
-        nonzero, checked = virasoro_residual_report(
-            k, args.gmax, args.nmax, args.bmax, partition=partition)
+        nonzero, checked = virasoro_residual_report(k, partition)
         status = "holds" if not nonzero else "fails"
         if nonzero:
             failures += 1
@@ -290,7 +307,8 @@ def _cmd_denom(args, eng) -> int:
     if args.iz_fixture:
         rows = load_fixture_orders(args.iz_fixture)
         orders = [o for o, gp, _ in rows if 1 < gp <= args.genus]
-        verdicts = check_iz_fixture(args.genus, orders, eng)
+        verdicts = check_iz_fixture(
+            orders, compute_script_D(args.genus, eng).value)
         ok = all(v for _, v in verdicts)
         _emit(args, {"genus": args.genus,
                      "orders": [[o, v] for o, v in verdicts],

@@ -15,7 +15,7 @@ from math import comb, factorial
 __all__ = [
     "MultiIndex",
     "double_factorial",
-    "multiindex_norms",
+    "genus_for_dimension",
     "multiindex_binomial",
     "enumerate_sub_multiindices",
     "enumerate_triple_splits",
@@ -35,6 +35,16 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
+
+
+def genus_for_dimension(degree: int, n: int):
+    """The genus g with degree = 3g - 3 + n, or None when there is none.
+
+    `degree` is the total psi and kappa degree of a correlator with n
+    psi insertions; the dimension constraint fixes its genus.
+    """
+    g, rem = divmod(degree - n + 3, 3)
+    return None if rem or g < 0 else g
 
 
 class MultiIndex:
@@ -134,15 +144,6 @@ class MultiIndex:
 
 
 EMPTY = MultiIndex()
-
-
-def multiindex_norms(m: MultiIndex) -> tuple[int, int]:
-    """Return (weight |m|, size ||m||) in one pass."""
-    w = s = 0
-    for i, mult in m.entries:
-        w += i * mult
-        s += mult
-    return w, s
 
 
 def multiindex_binomial(b: MultiIndex, t: MultiIndex) -> int:

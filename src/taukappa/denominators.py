@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .core import multiindices_of_weight, partitions
-from .recursion import RecursionEngine, default_engine
+from .recursion import RecursionEngine
 
 __all__ = [
     "DenominatorReport", "compute_D", "compute_script_D",
@@ -58,24 +58,21 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def compute_D(g: int, n: int, engine: RecursionEngine | None = None
-              ) -> DenominatorReport:
+def compute_D(g: int, n: int, engine: RecursionEngine) -> DenominatorReport:
     """lcm of denominators over all <prod tau_d>_g with sum d = 3g-3+n."""
     if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError(f"({g}, {n}) is not a stable shape")
-    eng = engine or default_engine()
     dim = 3 * g - 3 + n
     value = 1
     count = 0
     for d in partitions(dim, n):
-        val = eng.value(g, d)
+        val = engine.value(g, d)
         count += 1
         value = lcm(value, val.denominator)
     return DenominatorReport(g, n, value, count, factorize(value))
 
 
-def compute_script_D(g: int, engine: RecursionEngine | None = None
-                     ) -> DenominatorReport:
+def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
     """Pure-kappa denominator lcm at genus g >= 2, computed twice.
 
     Both the kappa-volume definition and the equal psi-side invariant
@@ -84,14 +81,13 @@ def compute_script_D(g: int, engine: RecursionEngine | None = None
     """
     if g < 2:
         raise ValueError("script-D needs g >= 2")
-    eng = engine or default_engine()
     value = 1
     count = 0
     for b in multiindices_of_weight(3 * g - 3):
-        val = eng.pure_kappa_volume(g, b)
+        val = engine.pure_kappa_volume(g, b)
         count += 1
         value = lcm(value, val.denominator)
-    psi_side = compute_D(g, 3 * g - 3, eng)
+    psi_side = compute_D(g, 3 * g - 3, engine)
     if psi_side.value != value:
         raise ArithmeticError(
             f"script-D({g}) mismatch: kappa path {value}, "
@@ -100,18 +96,17 @@ def compute_script_D(g: int, engine: RecursionEngine | None = None
                              factorize(value))
 
 
-def check_proposition17(g: int, nmax: int, engine: RecursionEngine | None = None,
+def check_proposition17(g: int, nmax: int, engine: RecursionEngine,
                         include_script: bool | None = None):
     """Divisibility ladder D(g, n) | D(g, n+1) up to nmax, plus
     D(g, n) | script-D(g) when the pure-kappa invariant is computed.
 
     Returns a list of (description, verdict) pairs, all expected True.
     """
-    eng = engine or default_engine()
     nmin = 3 if g == 0 else 1
     if nmax < nmin:
         raise ValueError(f"need nmax >= {nmin} at genus {g}")
-    values = {n: compute_D(g, n, eng).value for n in range(nmin, nmax + 1)}
+    values = {n: compute_D(g, n, engine).value for n in range(nmin, nmax + 1)}
     verdicts = []
     for n in range(nmin, nmax):
         verdicts.append((f"D({g},{n}) | D({g},{n+1})",
@@ -119,7 +114,7 @@ def check_proposition17(g: int, nmax: int, engine: RecursionEngine | None = None
     if include_script is None:
         include_script = 2 <= g <= 3
     if include_script and g >= 2:
-        script = compute_script_D(g, eng).value
+        script = compute_script_D(g, engine).value
         for n in sorted(values):
             if n <= 3 * g - 3:
                 verdicts.append((f"D({g},{n}) | script-D({g})",
@@ -127,15 +122,14 @@ def check_proposition17(g: int, nmax: int, engine: RecursionEngine | None = None
     return verdicts
 
 
-def check_lemma20(g: int, engine: RecursionEngine | None = None):
+def check_lemma20(g: int, engine: RecursionEngine):
     """For every prime p <= g+1, the order of p in D(g, 3) is at least 2.
 
     Returns (p, order, verdict) triples.
     """
     if g < 2:
         raise ValueError("needs g >= 2")
-    eng = engine or default_engine()
-    value = compute_D(g, 3, eng).value
+    value = compute_D(g, 3, engine).value
     fac = factorize(value)
     out = []
     for p in _primes_up_to(g + 1):
@@ -155,16 +149,13 @@ def _primes_up_to(n: int):
     return ps
 
 
-def check_iz_fixture(g: int, orders, engine: RecursionEngine | None = None,
-                     value: int | None = None):
+def check_iz_fixture(orders, value: int):
     """Partial divisibility check of curve-automorphism orders.
 
     `orders` are externally supplied group orders of curves of genus
     1 < g' <= g (fixture data, not computed truth); each must divide
-    script-D(g).  Returns (order, verdict) pairs.
+    `value`, the invariant script-D(g).  Returns (order, verdict) pairs.
     """
-    if value is None:
-        value = compute_script_D(g, engine).value
     return [(o, value % o == 0) for o in orders]
 
 

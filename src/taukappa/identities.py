@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import factorial
 
 from .core import (EMPTY, MultiIndex, double_factorial,
-                   enumerate_sub_multiindices, multiindex_binomial,
-                   multiindices_up_to_weight, partitions)
-from .recursion import RecursionEngine, default_engine
+                   enumerate_sub_multiindices, genus_for_dimension,
+                   multiindex_binomial, multiindices_up_to_weight, partitions)
+from .recursion import RecursionEngine
 
 __all__ = [
     "IdentityReport", "check_theorem7", "check_theorem8",
@@ -59,15 +59,6 @@ class IdentityReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _genus_for(d, kappa_weight: int = 0):
-    """The unique genus allowed by the dimension constraint, or None."""
-    num = sum(d) + kappa_weight - len(d) + 3
-    g, rem = divmod(num, 3)
-    if rem or g < 0:
-        return None
-    return g
-
-
 def _labeled_splits(d: tuple):
     """Ordered pairs of complementary labeled subsets of d (empty allowed)."""
     n = len(d)
@@ -83,7 +74,7 @@ def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
     total = Fraction(0)
     for left, right in _labeled_splits(d):
         d1 = head1 + left
-        gp = _genus_for(d1, b1.weight)
+        gp = genus_for_dimension(sum(d1) + b1.weight, len(d1))
         if gp is None or gp > g:
             continue
         v1 = eng.value(gp, d1, b1)
@@ -95,7 +86,7 @@ def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
     return total
 
 
-def check_theorem7(g: int, d, k: int, engine: RecursionEngine | None = None
+def check_theorem7(g: int, d, k: int, engine: RecursionEngine
                    ) -> IdentityReport:
     """Alternating split sum with two tau_0^2 blocks.
 
@@ -120,15 +111,14 @@ def check_theorem7(g: int, d, k: int, engine: RecursionEngine | None = None
         for x in d:
             denom *= double_factorial(2 * x - 1)
         rhs = Fraction(factorial(2 * g + n + 1), denom)
-    eng = engine or default_engine()
     lhs = Fraction(0)
     for j in range(k + 1):
         lhs += (-1) ** j * _split_pair_value(
-            eng, g, (j, 0, 0), (k - j, 0, 0), d)
+            engine, g, (j, 0, 0), (k - j, 0, 0), d)
     return IdentityReport("thm7", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
-def check_theorem8(g: int, d, k: int, engine: RecursionEngine | None = None
+def check_theorem8(g: int, d, k: int, engine: RecursionEngine
                    ) -> IdentityReport:
     """Alternating pair sum sum_j (-1)^j <tau_{k-j} tau_j prod tau_d>_g.
 
@@ -150,36 +140,34 @@ def check_theorem8(g: int, d, k: int, engine: RecursionEngine | None = None
         for x in d:
             denom *= double_factorial(2 * x - 1)
         rhs = Fraction(factorial(2 * g + n - 1), denom)
-    eng = engine or default_engine()
     lhs = Fraction(0)
     for j in range(k + 1):
-        lhs += (-1) ** j * eng.value(g, (k - j, j) + d, EMPTY)
+        lhs += (-1) ** j * engine.value(g, (k - j, j) + d, EMPTY)
     return IdentityReport("thm8", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
-def check_proposition9(g: int, d, engine: RecursionEngine | None = None
+def check_proposition9(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Split form of the k = 2g pair sum against its three-point collapse."""
     d = tuple(sorted(d, reverse=True))
     n = len(d)
     if any(x < 0 for x in d):
         raise ValueError("needs d_j >= 0")
-    eng = engine or default_engine()
     lhs = Fraction(0)
     for j in range(2 * g + 1):
         sign = (-1) ** j
         lhs += sign * _split_pair_value(
-            eng, g, (j, 0, 0), (2 * g - j, 0, 0), d)
+            engine, g, (j, 0, 0), (2 * g - j, 0, 0), d)
         lhs += sign * _split_pair_value(
-            eng, g, (j, 2 * g - j, 0, 0), (0, 0), d)
+            engine, g, (j, 2 * g - j, 0, 0), (0, 0), d)
     rhs = Fraction(0)
     for j in range(2 * g + 1):
-        rhs += (-1) ** j * eng.value(g, (0, j, 2 * g - j) + d, EMPTY)
+        rhs += (-1) ** j * engine.value(g, (0, j, 2 * g - j) + d, EMPTY)
     rhs *= (2 * g + n + 1)
     return IdentityReport("prop9", {"g": g, "d": list(d)}, lhs, rhs)
 
 
-def check_theorem10(g: int, d, k: int, engine: RecursionEngine | None = None
+def check_theorem10(g: int, d, k: int, engine: RecursionEngine
                     ) -> IdentityReport:
     """Vanishing recursion for one tau_k insertion, k even and k >= 2g."""
     d = tuple(sorted(d, reverse=True))
@@ -190,43 +178,41 @@ def check_theorem10(g: int, d, k: int, engine: RecursionEngine | None = None
         raise ValueError("need d_j >= 0")
     if 3 * g + n - k - 2 < 0:
         raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
-    eng = engine or default_engine()
-    lhs = eng.value(g, d + (k,), EMPTY)
+    lhs = engine.value(g, d + (k,), EMPTY)
     for j in range(n):
-        lhs -= eng.value(g, d[:j] + (d[j] + k - 1,) + d[j + 1:], EMPTY)
+        lhs -= engine.value(g, d[:j] + (d[j] + k - 1,) + d[j + 1:], EMPTY)
     half = Fraction(0)
     for j in range(k - 1):
-        half += (-1) ** j * _split_pair_value(eng, g, (j,), (k - 2 - j,), d)
+        half += (-1) ** j * _split_pair_value(engine, g, (j,), (k - 2 - j,), d)
     lhs += Fraction(1, 2) * half
     return IdentityReport("thm10", {"g": g, "d": list(d), "k": k},
                           lhs, Fraction(0))
 
 
 def check_proposition11(g: int, d, b: MultiIndex,
-                        engine: RecursionEngine | None = None) -> IdentityReport:
+                        engine: RecursionEngine) -> IdentityReport:
     """Kappa generalization of the prop9 split identity."""
     d = tuple(sorted(d, reverse=True))
     if any(x < 0 for x in d):
         raise ValueError("need d_j >= 0")
-    eng = engine or default_engine()
     lhs = Fraction(0)
     for j in range(2 * g + 1):
-        lhs += (-1) ** j * eng.value(g, (0, 1, j, 2 * g - j) + d, b)
+        lhs += (-1) ** j * engine.value(g, (0, 1, j, 2 * g - j) + d, b)
     rhs = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
         bin_l = multiindex_binomial(b, left)
         for j in range(2 * g + 1):
             sign = (-1) ** j * bin_l
             rhs += sign * _split_pair_value(
-                eng, g, (j, 0, 0), (2 * g - j, 0, 0), d, left, right)
+                engine, g, (j, 0, 0), (2 * g - j, 0, 0), d, left, right)
             rhs += sign * _split_pair_value(
-                eng, g, (j, 2 * g - j, 0, 0), (0, 0), d, left, right)
+                engine, g, (j, 2 * g - j, 0, 0), (0, 0), d, left, right)
     return IdentityReport("prop11", {"g": g, "d": list(d), "b": str(b)},
                           lhs, rhs)
 
 
 def check_theorem12(g: int, d, b: MultiIndex, M: int,
-                    engine: RecursionEngine | None = None) -> IdentityReport:
+                    engine: RecursionEngine) -> IdentityReport:
     """Kappa generalization of the tau_M vanishing recursion (M even, >= 2g)."""
     d = tuple(sorted(d, reverse=True))
     n = len(d)
@@ -234,27 +220,26 @@ def check_theorem12(g: int, d, b: MultiIndex, M: int,
         raise ValueError("M must be a positive even number with M >= 2g")
     if any(x < 0 for x in d):
         raise ValueError("need d_j >= 0")
-    eng = engine or default_engine()
     lhs = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
         lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                * eng.value(g, d + (left.weight + M,), right))
+                * engine.value(g, d + (left.weight + M,), right))
     rhs = Fraction(0)
     for j in range(n):
-        rhs += eng.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
+        rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
     half = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
         bin_l = multiindex_binomial(b, left)
         for j in range(M - 1):
             half += ((-1) ** j * bin_l
-                     * _split_pair_value(eng, g, (j,), (M - 2 - j,), d,
+                     * _split_pair_value(engine, g, (j,), (M - 2 - j,), d,
                                          left, right))
     rhs -= Fraction(1, 2) * half
     return IdentityReport("thm12", {"g": g, "d": list(d), "b": str(b), "M": M},
                           lhs, rhs)
 
 
-def check_conjecture13(g: int, d, engine: RecursionEngine | None = None
+def check_conjecture13(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Experimental closed form at k = 2g-2; reported, never asserted."""
     d = tuple(sorted(d, reverse=True))
@@ -263,13 +248,13 @@ def check_conjecture13(g: int, d, engine: RecursionEngine | None = None
         raise ValueError("needs g >= 2")
     if any(x < 1 for x in d) or sum(x - 1 for x in d) != g:
         raise ValueError("needs d_j >= 1 and sum(d_j - 1) = g")
-    eng = engine or default_engine()
-    lhs = eng.value(g, d + (2 * g - 2,), EMPTY)
+    lhs = engine.value(g, d + (2 * g - 2,), EMPTY)
     for j in range(n):
-        lhs -= eng.value(g, d[:j] + (d[j] + 2 * g - 3,) + d[j + 1:], EMPTY)
+        lhs -= engine.value(g, d[:j] + (d[j] + 2 * g - 3,) + d[j + 1:], EMPTY)
     half = Fraction(0)
     for j in range(2 * g - 3):
-        half += (-1) ** j * _split_pair_value(eng, g, (j,), (2 * g - 4 - j,), d)
+        half += (-1) ** j * _split_pair_value(
+            engine, g, (j,), (2 * g - 4 - j,), d)
     lhs += Fraction(1, 2) * half
     denom = 2 ** (2 * g + 1) * factorial(2 * g - 3)
     for x in d:
@@ -357,5 +342,5 @@ _CHECKS = {
 
 
 def run_identity(name: str, params: dict,
-                 engine: RecursionEngine | None = None) -> IdentityReport:
-    return _CHECKS[name](params, engine or default_engine())
+                 engine: RecursionEngine) -> IdentityReport:
+    return _CHECKS[name](params, engine)

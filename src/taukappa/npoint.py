@@ -31,8 +31,7 @@ __all__ = [
     "LaurentAtom", "ONE_POINT_ATOM", "TWO_POINT_ATOM",
     "NormalizedComponentKey", "NPointEngine",
     "delta_polynomial", "p_r_polynomial", "normalized_component",
-    "two_point_p0_numerator", "psi_correlator_npoint",
-    "npoint_crosscheck_theorem3",
+    "two_point_p0_numerator", "npoint_crosscheck_theorem3",
 ]
 
 
@@ -314,9 +313,6 @@ class NPointEngine:
         return self.f_part(n, g, route).get(d)
 
 
-_ENGINE = NPointEngine()
-
-
 def delta_polynomial(n: int) -> HomogeneousPolynomial:
     """((sum x)^3 - sum x^3)/3 expanded over n variables."""
     if n < 1:
@@ -324,7 +320,7 @@ def delta_polynomial(n: int) -> HomogeneousPolynomial:
     return _delta_classes(n).expand()
 
 
-def p_r_polynomial(n: int, r: int, engine: NPointEngine | None = None
+def p_r_polynomial(n: int, r: int, engine: NPointEngine
                    ) -> HomogeneousPolynomial:
     """P_r on n >= 2 variables as a genuine polynomial.
 
@@ -341,8 +337,7 @@ def p_r_polynomial(n: int, r: int, engine: NPointEngine | None = None
             raise ValueError("P_0(x, y) = 1/(x+y) is not a polynomial; "
                              "the engine records (x+y)*P_0 = 1 instead")
         return HomogeneousPolynomial(2, 3 * r - 1)
-    eng = engine or _ENGINE
-    return eng.p_poly(n, r).expand()
+    return engine.p_poly(n, r).expand()
 
 
 def two_point_p0_numerator() -> HomogeneousPolynomial:
@@ -350,11 +345,10 @@ def two_point_p0_numerator() -> HomogeneousPolynomial:
     return HomogeneousPolynomial(2, 0, {(0, 0): Fraction(1)})
 
 
-def normalized_component(n, g: int | None = None,
-                         engine: NPointEngine | None = None):
+def normalized_component(n, g: int | None, engine: NPointEngine):
     """G_g on n variables: a HomogeneousPolynomial, or the Laurent atom
     for the special shapes (n, g) = (1, 0) and (2, 0).  Accepts either
-    (n, g) or a NormalizedComponentKey."""
+    (n, g) or a NormalizedComponentKey as n with g = None."""
     if isinstance(n, NormalizedComponentKey):
         n, g = len(n.variables), n.genus
     if n == 1 and g == 0:
@@ -363,21 +357,13 @@ def normalized_component(n, g: int | None = None,
         return TWO_POINT_ATOM
     if n < 1 or g < 0 or (3 * g + n - 3) < 0:
         raise ValueError(f"unstable component shape ({n}, {g})")
-    eng = engine or _ENGINE
-    return eng.component(n, g).expand()
+    return engine.component(n, g).expand()
 
 
-def psi_correlator_npoint(g: int, d, engine: NPointEngine | None = None) -> Fraction:
-    """Correlator via the normalized-function expansion."""
-    eng = engine or _ENGINE
-    return eng.correlator(g, d, "normalized")
-
-
-def npoint_crosscheck_theorem3(g: int, d, engine: NPointEngine | None = None) -> Fraction:
+def npoint_crosscheck_theorem3(g: int, d, engine: NPointEngine) -> Fraction:
     """Correlator via the direct expansion; must agree with the normalized
     route coefficient by coefficient (n >= 2)."""
     d = tuple(d)
     if len(d) < 2:
         raise ValueError("the direct expansion is defined for n >= 2")
-    eng = engine or _ENGINE
-    return eng.correlator(g, d, "direct")
+    return engine.correlator(g, d, "direct")

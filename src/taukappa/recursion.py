@@ -36,11 +36,9 @@ from .core import (EMPTY, MultiIndex, double_factorial,
                    multiindex_binomial, multiindex_multinomial)
 
 __all__ = [
-    "EngineDisagreement", "CorrelatorKey", "CorrelatorTable",
-    "alpha_constant", "genus0_psi_oracle", "RecursionEngine",
-    "psi_correlator_wk", "mixed_correlator", "pure_kappa_volume",
-    "kappa_reduction_oracle", "string_identity_residual",
-    "dilaton_identity_residual", "default_engine",
+    "EngineDisagreement", "CorrelatorTable", "alpha_constant",
+    "genus0_psi_oracle", "RecursionEngine", "psi_correlator_wk",
+    "mixed_correlator",
 ]
 
 
@@ -49,39 +47,9 @@ class EngineDisagreement(Exception):
 
 
 def corr_key(g: int, d, b: MultiIndex) -> tuple:
+    """Canonical identifier (g, d sorted descending, b) of one bracket
+    <prod tau_d kappa(b)>_g."""
     return (g, tuple(sorted(d, reverse=True)), b)
-
-
-class CorrelatorKey:
-    """Canonical identifier of one bracket <prod tau_d kappa(b)>_g."""
-
-    __slots__ = ("genus", "psi_exponents", "kappa_index")
-
-    def __init__(self, genus: int, psi_exponents, kappa_index: MultiIndex = EMPTY):
-        self.genus = genus
-        self.psi_exponents = tuple(sorted(psi_exponents, reverse=True))
-        self.kappa_index = kappa_index
-
-    @property
-    def npoints(self) -> int:
-        return len(self.psi_exponents)
-
-    def dimension_ok(self) -> bool:
-        return (sum(self.psi_exponents) + self.kappa_index.weight
-                == 3 * self.genus - 3 + self.npoints)
-
-    def __eq__(self, other):
-        return (isinstance(other, CorrelatorKey)
-                and self.genus == other.genus
-                and self.psi_exponents == other.psi_exponents
-                and self.kappa_index == other.kappa_index)
-
-    def __hash__(self):
-        return hash((self.genus, self.psi_exponents, self.kappa_index))
-
-    def __repr__(self):
-        return (f"CorrelatorKey(g={self.genus}, d={list(self.psi_exponents)}, "
-                f"b={self.kappa_index})")
 
 
 _LINE = re.compile(r"^(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+)/(\d+)$")
@@ -169,6 +137,7 @@ class CorrelatorTable:
 
 # -- tautological constants -------------------------------------------------
 
+# alpha_L depends on L alone, so one memo serves every engine
 _ALPHA_CACHE: dict[MultiIndex, Fraction] = {EMPTY: Fraction(1)}
 
 
@@ -457,46 +426,17 @@ class RecursionEngine:
         return lhs - rhs
 
 
-_DEFAULT = RecursionEngine()
-
-
-def default_engine() -> RecursionEngine:
-    return _DEFAULT
-
-
-def psi_correlator_wk(g: int, d, engine: RecursionEngine | None = None) -> Fraction:
+def psi_correlator_wk(g: int, d, engine: RecursionEngine) -> Fraction:
     """Pure-psi correlator by the b = 0 specialization of the recursion."""
-    eng = engine or _DEFAULT
     if len(tuple(d)) < 1:
         raise ValueError("need at least one tau insertion")
-    return eng.value(g, d, EMPTY)
+    return engine.value(g, d, EMPTY)
 
 
-def mixed_correlator(g: int, d, b: MultiIndex, engine: RecursionEngine | None = None
+def mixed_correlator(g: int, d, b: MultiIndex, engine: RecursionEngine
                      ) -> Fraction:
     """<kappa(b) prod tau_d>_g; at least one tau insertion required."""
-    eng = engine or _DEFAULT
     if len(tuple(d)) < 1:
         raise ValueError("mixed_correlator needs n >= 1; "
-                         "use pure_kappa_volume for n = 0")
-    return eng.value(g, d, b)
-
-
-def pure_kappa_volume(g: int, b: MultiIndex, engine: RecursionEngine | None = None
-                      ) -> Fraction:
-    return (engine or _DEFAULT).pure_kappa_volume(g, b)
-
-
-def kappa_reduction_oracle(g: int, d, b: MultiIndex,
-                           engine: RecursionEngine | None = None) -> Fraction:
-    return (engine or _DEFAULT).reduction_oracle(g, d, b)
-
-
-def string_identity_residual(g: int, d, b: MultiIndex,
-                             engine: RecursionEngine | None = None) -> Fraction:
-    return (engine or _DEFAULT).string_residual(g, d, b)
-
-
-def dilaton_identity_residual(g: int, d, b: MultiIndex,
-                              engine: RecursionEngine | None = None) -> Fraction:
-    return (engine or _DEFAULT).dilaton_residual(g, d, b)
+                         "use RecursionEngine.pure_kappa_volume for n = 0")
+    return engine.value(g, d, b)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .core import genus_for_dimension
+
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_t_count",
     "mono_s_weight", "mono_t_degree", "mono_divisors", "genus_of_monomial",
@@ -67,9 +69,8 @@ def mono_s_weight(m: Monomial) -> int:
 
 def genus_of_monomial(m: Monomial):
     """Genus forced by the dimension constraint, or None if fractional."""
-    num = mono_t_degree(m) + mono_s_weight(m) - mono_t_count(m) + 3
-    g, rem = divmod(num, 3)
-    return None if rem or g < 0 else g
+    return genus_for_dimension(mono_t_degree(m) + mono_s_weight(m),
+                               mono_t_count(m))
 
 
 def is_stable_shape(g: int, n: int) -> bool:
@@ -173,21 +174,15 @@ class TruncatedSeries:
         return TruncatedSeries({m: c * scalar for m, c in self.terms.items()},
                                self.admitted)
 
-    def mul(self, other: "TruncatedSeries", keep=None, region=None
-            ) -> "TruncatedSeries":
-        """Product; `keep` optionally filters output monomials (a structural
-        cap, required to stay divisor-monotone by the caller).
-
-        When either factor is truncated, admission is granted on the
-        candidate monomials (`region` if supplied, else the product's
-        support) whose every factorization stays admitted in both factors.
-        """
+    def mul(self, other: "TruncatedSeries", region=None) -> "TruncatedSeries":
+        """Product.  When either factor is truncated, admission is granted
+        on the candidate monomials (`region` if supplied, else the
+        product's support) whose every factorization stays admitted in both
+        factors."""
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                if keep is not None and not keep(m):
-                    continue
                 s = terms.get(m, Fraction(0)) + c1 * c2
                 if s:
                     terms[m] = s

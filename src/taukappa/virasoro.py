@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 from .core import (MultiIndex, double_factorial,
                    enumerate_sub_multiindices, multiindices_of_weight,
                    multiindices_up_to_weight)
-from .recursion import RecursionEngine, default_engine
+from .recursion import RecursionEngine
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
                      genus_of_monomial, is_stable_shape, merge_exponents,
                      mono_mul, mono_s_weight, mono_t_count, symmetry_factor)
@@ -203,14 +203,12 @@ def _caps_keep(nmax: int, bmax: int, tmax: int):
 
 
 def mixed_generating_series(gmax: int, nmax: int, bmax: int,
-                            engine: RecursionEngine | None = None,
-                            tmax: int | None = None) -> TruncatedSeries:
-    """G(s, t) truncated to n <= nmax insertions, kappa weight <= bmax and
-    genus <= gmax; every monomial in the cap region whose coefficient those
-    bounds determine is admitted (including the known zeros)."""
-    eng = engine or default_engine()
-    if tmax is None:
-        tmax = max(3 * gmax - 3 + nmax, 0)
+                            engine: RecursionEngine) -> TruncatedSeries:
+    """G(s, t) truncated to n <= nmax insertions, kappa weight <= bmax,
+    t-indices <= 3 gmax - 3 + nmax and genus <= gmax; every monomial in the
+    cap region whose coefficient those bounds determine is admitted
+    (including the known zeros)."""
+    tmax = max(3 * gmax - 3 + nmax, 0)
     terms: dict[Monomial, Fraction] = {}
     admitted = set()
     for m in _caps_monomials(nmax, bmax, tmax):
@@ -223,37 +221,31 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
             continue
         b = MultiIndex(m[1])
         if n == 0:
-            val = eng.pure_kappa_volume(g, b)
+            val = engine.pure_kappa_volume(g, b)
         else:
             d = [i for i, e in m[0] for _ in range(e)]
-            val = eng.value(g, d, b)
+            val = engine.value(g, d, b)
         if val:
             terms[m] = val / symmetry_factor(m)
     return TruncatedSeries(terms, admitted)
 
 
 def pure_psi_generating_series(gmax: int, nmax: int,
-                               engine: RecursionEngine | None = None,
-                               tmax: int | None = None) -> TruncatedSeries:
+                               engine: RecursionEngine) -> TruncatedSeries:
     """F(t) truncated like mixed_generating_series with no kappa variables."""
-    return mixed_generating_series(gmax, nmax, 0, engine, tmax)
+    return mixed_generating_series(gmax, nmax, 0, engine)
 
 
 def build_partition_function(gmax: int, nmax: int, bmax: int,
-                             engine: RecursionEngine | None = None
-                             ) -> TruncatedSeries:
+                             engine: RecursionEngine) -> TruncatedSeries:
     """exp(G) at the given truncation, admission by divisor closure."""
-    tmax = max(3 * gmax - 3 + nmax, 0)
-    return mixed_generating_series(gmax, nmax, bmax, engine, tmax).exp()
+    return mixed_generating_series(gmax, nmax, bmax, engine).exp()
 
 
-def virasoro_residual_report(k: int, gmax: int, nmax: int, bmax: int,
-                             engine: RecursionEngine | None = None,
-                             partition: TruncatedSeries | None = None):
-    """All admitted coefficients of V_k exp(G); the contract is that the
-    nonzero list is empty.  Returns (nonzero pairs, number checked)."""
-    Z = partition if partition is not None else build_partition_function(
-        gmax, nmax, bmax, engine)
+def virasoro_residual_report(k: int, Z: TruncatedSeries):
+    """All admitted coefficients of V_k Z for a partition function Z =
+    exp(G); the contract is that the nonzero list is empty.  Returns
+    (nonzero pairs, number checked)."""
     image = apply_virasoro(k, Z)
     nonzero = [(format_monomial(m), c) for m, c in image.nonzero_admitted()]
     return nonzero, len(image.admitted)
@@ -299,17 +291,14 @@ def _shift_powers(k: int, emax: int):
 
 
 def substitution_check(gmax: int, nmax: int, bmax: int,
-                       engine: RecursionEngine | None = None) -> TruncatedSeries:
+                       engine: RecursionEngine) -> TruncatedSeries:
     """Residual of G(s, t) = F(t_0, t_1, t_2 + p_2, t_3 + p_3, ...).
 
     F is built with n <= nmax + bmax insertions so that every pure-psi
     coefficient feeding an admitted mixed monomial is available; the
     residual is admitted exactly where both sides are."""
-    eng = engine or default_engine()
     tmax = max(3 * gmax - 3 + nmax, 0)
-    n_f = nmax + bmax
-    t_f = max(3 * gmax - 3 + n_f, 0)
-    F = pure_psi_generating_series(gmax, n_f, eng, t_f)
+    F = pure_psi_generating_series(gmax, nmax + bmax, engine)
     keep = _caps_keep(nmax, bmax, tmax)
 
     # forward substitution of the stored F terms
@@ -353,7 +342,7 @@ def substitution_check(gmax: int, nmax: int, bmax: int,
                 yield (k,) + rest
 
     sub_admitted = set()
-    direct = mixed_generating_series(gmax, nmax, bmax, eng, tmax)
+    direct = mixed_generating_series(gmax, nmax, bmax, engine)
     for m in direct.admitted:
         sw = mono_s_weight(m)
         ok = True
@@ -376,7 +365,7 @@ def substitution_check(gmax: int, nmax: int, bmax: int,
 
 
 def kdv_residual(gmax: int, nmax: int,
-                 engine: RecursionEngine | None = None) -> TruncatedSeries:
+                 engine: RecursionEngine) -> TruncatedSeries:
     """Residual of dU/dt_1 = U dU/dt_0 + (1/12) d^3U/dt_0^3 for
     U = d^2F/dt_0^2.  The normalization is calibrated on the low-genus
     coefficients; this check is informational and not part of the hard

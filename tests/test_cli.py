@@ -1,9 +1,15 @@
 import hashlib
+import importlib
 import json
+import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
 from taukappa.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -216,14 +222,35 @@ def test_unopenable_cache_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []       # nothing appended or created
 
 
-def test_workers_match_serial_run(capsys):
-    argv = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
-    serial = run_cli(capsys, "--workers", "1", *argv)
-    assert serial[0] == 0 and "# prop11: 9 checked, 9 hold" in serial[1]
-    assert run_cli(capsys, "--workers", "2", *argv) == serial
+PROP11 = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 
 
-# stdout and exit code of the series-layer checks, pinned verbatim
+def test_workers_match_serial_run(tmp_path, capsys):
+    """--workers 2 merges each worker's table into the run's engine, so it
+    prints the same reports and persists the same cache, byte for byte, as
+    a serial run."""
+    serial, parallel = tmp_path / "serial.cache", tmp_path / "parallel.cache"
+    out = run_cli(capsys, "--workers", "1", "--cache", str(serial), *PROP11)
+    assert out[0] == 0 and "# prop11: 9 checked, 9 hold" in out[1]
+    assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
+                   *PROP11) == out
+    assert serial.read_bytes().count(b"\n") == 19
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):
+    """A worker's value that disagrees with a loaded record exits 1."""
+    cache = tmp_path / "poisoned.cache"
+    cache.write_text("0|1,0,0,0||2/1\n")
+    code = main(["--workers", "2", "--cache", str(cache), *PROP11])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "engine disagreement" in captured.err
+    assert cache.read_text() == "0|1,0,0,0||2/1\n"
+
+
+# stdout and exit code of CLI commands, pinned verbatim: the series-layer
+# checks first
 GOLDEN = {
     "verify virasoro --k -1..3 --gmax 3 --nmax 4 --bmax 2": (0, """\
 virasoro k=-1: 394 admitted coefficients, holds
@@ -247,9 +274,163 @@ substitution @(2,2,2): 97 admitted coefficients, holds
 [V_3, V_1] - (3-1)V_4: holds
 [V_3, V_2] - (3-2)V_5: holds
 """),
+    # every other command of the README's CLI block, run from the checkout
+    # root, and the string and dilaton grids
+    "compute psi --genus 1 --d 1": (0, """\
+1/24
+"""),
+    "compute psi --genus 2 --d 2,3": (0, """\
+29/5760
+"""),
+    "compute kappa --genus 2 --b 1:3": (0, """\
+43/2880
+"""),
+    "compute kappa --genus 1 --b 1:1 --d 0": (0, """\
+1/24
+"""),
+    "verify thm8 --gmax 2": (0, """\
+thm8 {'g': 0, 'd': [0, 0], 'k': 1}: holds (residual 0)
+thm8 {'g': 0, 'd': [1, 0, 0], 'k': 1}: holds (residual 0)
+thm8 {'g': 0, 'd': [0, 0, 0], 'k': 2}: holds (residual 0)
+thm8 {'g': 1, 'd': [0], 'k': 3}: holds (residual 0)
+thm8 {'g': 1, 'd': [1], 'k': 2}: holds (residual 0)
+thm8 {'g': 1, 'd': [1, 0], 'k': 3}: holds (residual 0)
+thm8 {'g': 1, 'd': [0, 0], 'k': 4}: holds (residual 0)
+thm8 {'g': 1, 'd': [1, 1], 'k': 2}: holds (residual 0)
+thm8 {'g': 1, 'd': [2, 0, 0], 'k': 3}: holds (residual 0)
+thm8 {'g': 1, 'd': [1, 1, 0], 'k': 3}: holds (residual 0)
+thm8 {'g': 1, 'd': [1, 0, 0], 'k': 4}: holds (residual 0)
+thm8 {'g': 1, 'd': [0, 0, 0], 'k': 5}: holds (residual 0)
+thm8 {'g': 1, 'd': [1, 1, 1], 'k': 2}: holds (residual 0)
+thm8 {'g': 2, 'd': [1], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [0], 'k': 6}: holds (residual 0)
+thm8 {'g': 2, 'd': [2], 'k': 4}: holds (residual 0)
+thm8 {'g': 2, 'd': [2, 0], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [1, 1], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [1, 0], 'k': 6}: holds (residual 0)
+thm8 {'g': 2, 'd': [0, 0], 'k': 7}: holds (residual 0)
+thm8 {'g': 2, 'd': [2, 1], 'k': 4}: holds (residual 0)
+thm8 {'g': 2, 'd': [3, 0, 0], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [2, 1, 0], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [1, 1, 1], 'k': 5}: holds (residual 0)
+thm8 {'g': 2, 'd': [2, 0, 0], 'k': 6}: holds (residual 0)
+thm8 {'g': 2, 'd': [1, 1, 0], 'k': 6}: holds (residual 0)
+thm8 {'g': 2, 'd': [1, 0, 0], 'k': 7}: holds (residual 0)
+thm8 {'g': 2, 'd': [0, 0, 0], 'k': 8}: holds (residual 0)
+thm8 {'g': 2, 'd': [2, 1, 1], 'k': 4}: holds (residual 0)
+# thm8: 29 checked, 29 hold
+"""),
+    "verify virasoro --k -1..2 --gmax 2 --nmax 3 --bmax 1": (0, """\
+virasoro k=-1: 51 admitted coefficients, holds
+virasoro k=0: 55 admitted coefficients, holds
+virasoro k=1: 13 admitted coefficients, holds
+virasoro k=2: 11 admitted coefficients, holds
+"""),
+    "verify engines --dmax 9": (0, """\
+# engines: 277 correlators, all agree
+"""),
+    "verify conj13 --gmax 3": (0, """\
+conj13 {'g': 2, 'd': [3]}: holds (residual 0)
+conj13 {'g': 2, 'd': [3, 1]}: holds (residual 0)
+conj13 {'g': 2, 'd': [2, 2]}: holds (residual 0)
+conj13 {'g': 2, 'd': [3, 1, 1]}: holds (residual 0)
+conj13 {'g': 2, 'd': [2, 2, 1]}: holds (residual 0)
+conj13 {'g': 3, 'd': [4]}: holds (residual 0)
+conj13 {'g': 3, 'd': [4, 1]}: holds (residual 0)
+conj13 {'g': 3, 'd': [3, 2]}: holds (residual 0)
+conj13 {'g': 3, 'd': [4, 1, 1]}: holds (residual 0)
+conj13 {'g': 3, 'd': [3, 2, 1]}: holds (residual 0)
+conj13 {'g': 3, 'd': [2, 2, 2]}: holds (residual 0)
+# conj13: 11 checked, 11 hold (conjectural, never gates)
+"""),
+    "denom --genus 1 --n 1": (0, """\
+24
+"""),
+    "denom --genus 2 --script-d": (0, """\
+script-D(2) = 5760 (factorization {2: 7, 3: 2, 5: 1}; psi and kappa paths agree)
+"""),
+    "denom --genus 3 --lemma20": (0, """\
+p=2: ord=10 ok
+p=3: ord=4 ok
+"""),
+    "denom --genus 3 --iz-fixture src/taukappa/data/aut_orders.txt": (0, """\
+48 | script-D(3): ok
+24 | script-D(3): ok
+10 | script-D(3): ok
+168 | script-D(3): ok
+96 | script-D(3): ok
+48 | script-D(3): ok
+"""),
+    "verify string": (0, """\
+string g=0 d=[1, 0, 0] b=-: holds
+string g=0 d=[0, 0, 0] b=1:1: holds
+string g=1 d=[2] b=-: holds
+string g=1 d=[1] b=1:1: holds
+string g=1 d=[3, 0] b=-: holds
+string g=1 d=[2, 1] b=-: holds
+string g=1 d=[2, 0] b=1:1: holds
+string g=1 d=[1, 1] b=1:1: holds
+string g=1 d=[4, 0, 0] b=-: holds
+string g=1 d=[3, 1, 0] b=-: holds
+string g=1 d=[2, 2, 0] b=-: holds
+string g=1 d=[2, 1, 1] b=-: holds
+string g=1 d=[3, 0, 0] b=1:1: holds
+string g=1 d=[2, 1, 0] b=1:1: holds
+string g=1 d=[1, 1, 1] b=1:1: holds
+string g=2 d=[5] b=-: holds
+string g=2 d=[4] b=1:1: holds
+string g=2 d=[6, 0] b=-: holds
+string g=2 d=[5, 1] b=-: holds
+string g=2 d=[4, 2] b=-: holds
+string g=2 d=[3, 3] b=-: holds
+string g=2 d=[5, 0] b=1:1: holds
+string g=2 d=[4, 1] b=1:1: holds
+string g=2 d=[3, 2] b=1:1: holds
+string g=2 d=[7, 0, 0] b=-: holds
+string g=2 d=[6, 1, 0] b=-: holds
+string g=2 d=[5, 2, 0] b=-: holds
+string g=2 d=[5, 1, 1] b=-: holds
+string g=2 d=[4, 3, 0] b=-: holds
+string g=2 d=[4, 2, 1] b=-: holds
+string g=2 d=[3, 3, 1] b=-: holds
+string g=2 d=[3, 2, 2] b=-: holds
+string g=2 d=[6, 0, 0] b=1:1: holds
+string g=2 d=[5, 1, 0] b=1:1: holds
+string g=2 d=[4, 2, 0] b=1:1: holds
+string g=2 d=[4, 1, 1] b=1:1: holds
+string g=2 d=[3, 3, 0] b=1:1: holds
+string g=2 d=[3, 2, 1] b=1:1: holds
+string g=2 d=[2, 2, 2] b=1:1: holds
+# string: 39 checked, 39 hold
+"""),
+    "verify dilaton --gmax 1 --nmax 2 --bmax 1": (0, """\
+dilaton g=1 d=[1] b=-: holds
+dilaton g=1 d=[0] b=1:1: holds
+dilaton g=1 d=[2, 0] b=-: holds
+dilaton g=1 d=[1, 1] b=-: holds
+dilaton g=1 d=[1, 0] b=1:1: holds
+# dilaton: 5 checked, 5 hold
+"""),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_transcript(capsys, command):
+def test_golden_transcript(capsys, monkeypatch, command):
+    monkeypatch.chdir(ROOT)
     assert run_cli(capsys, *command.split()) == GOLDEN[command]
+
+
+def test_no_module_holds_an_engine():
+    """Engines are passed explicitly; no taukappa module keeps one."""
+    import taukappa
+    from taukappa.npoint import NPointEngine
+    from taukappa.recursion import RecursionEngine
+    for info in pkgutil.iter_modules(taukappa.__path__):
+        importlib.import_module(f"taukappa.{info.name}")
+    modules = [m for name, m in sys.modules.items()
+               if name == "taukappa" or name.startswith("taukappa.")]
+    assert len(modules) > 9
+    for module in modules:
+        for attr, value in vars(module).items():
+            assert not isinstance(value, (RecursionEngine, NPointEngine)), \
+                (module.__name__, attr)

@@ -8,8 +8,8 @@ import pytest
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
                            invert_coefficient_family, multiindex_binomial,
-                           multiindex_multinomial, multiindex_norms,
-                           multiindices_of_weight, multiindices_up_to_weight)
+                           multiindex_multinomial, multiindices_of_weight,
+                           multiindices_up_to_weight)
 
 
 def test_double_factorial_conventions():
@@ -22,9 +22,12 @@ def test_double_factorial_conventions():
 
 
 def test_multiindex_norms():
-    assert multiindex_norms(EMPTY) == (0, 0)
-    assert multiindex_norms(MultiIndex({1: 2, 2: 1})) == (4, 3)
-    assert multiindex_norms(MultiIndex({3: 1})) == (3, 1)
+    """weight is |m| = sum_i i m_i and size is ||m|| = sum_i m_i."""
+    assert (EMPTY.weight, EMPTY.size) == (0, 0)
+    m = MultiIndex({1: 2, 2: 1})
+    assert (m.weight, m.size) == (4, 3)
+    m = MultiIndex({3: 1})
+    assert (m.weight, m.size) == (3, 1)
 
 
 def test_multiindex_canonical_form():

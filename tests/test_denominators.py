@@ -7,6 +7,7 @@ from taukappa.denominators import (check_iz_fixture, check_lemma20,
                                    check_proposition17, compute_D,
                                    compute_script_D, factorize,
                                    load_fixture_orders)
+from taukappa.recursion import RecursionEngine
 
 
 def test_factorize():
@@ -18,49 +19,54 @@ def test_factorize():
 
 
 def test_compute_D_known_values():
-    assert compute_D(1, 1).value == 24
-    assert compute_D(0, 3).value == 1
-    assert compute_D(2, 1).value == 1152
+    eng = RecursionEngine()
+    assert compute_D(1, 1, eng).value == 24
+    assert compute_D(0, 3, eng).value == 1
+    assert compute_D(2, 1, eng).value == 1152
     with pytest.raises(ValueError):
-        compute_D(0, 2)
+        compute_D(0, 2, eng)
 
 
 def test_report_factorization_multiplies_back():
-    rep = compute_D(2, 3)
+    rep = compute_D(2, 3, RecursionEngine())
     assert prod(p ** e for p, e in rep.factorization.items()) == rep.value
     payload = json.loads(rep.to_json())
     assert payload["value"] == str(rep.value)
 
 
 def test_script_D_two_paths_agree():
-    rep = compute_script_D(2)
-    assert rep.value == compute_D(2, 3).value
+    eng = RecursionEngine()
+    rep = compute_script_D(2, eng)
+    assert rep.value == compute_D(2, 3, eng).value
     assert rep.point_count is None
     with pytest.raises(ValueError):
-        compute_script_D(1)
+        compute_script_D(1, eng)
 
 
 def test_proposition17_ladders():
-    assert all(v for _, v in check_proposition17(1, 3))
-    assert all(v for _, v in check_proposition17(0, 5))
-    assert all(v for _, v in check_proposition17(2, 4))
+    eng = RecursionEngine()
+    assert all(v for _, v in check_proposition17(1, 3, eng))
+    assert all(v for _, v in check_proposition17(0, 5, eng))
+    assert all(v for _, v in check_proposition17(2, 4, eng))
 
 
 def test_lemma20_small_genus():
+    eng = RecursionEngine()
     for g in (2, 3):
-        rows = check_lemma20(g)
+        rows = check_lemma20(g, eng)
         assert [p for p, _, _ in rows] == [2, 3]
         assert all(v for _, _, v in rows)
-    rows = check_lemma20(4)
+    rows = check_lemma20(4, eng)
     assert [p for p, _, _ in rows] == [2, 3, 5]
     assert all(v for _, _, v in rows)
 
 
 def test_iz_fixture_divisibility():
-    assert check_iz_fixture(2, [48]) == [(48, True)]
-    assert check_iz_fixture(2, [1]) == [(1, True)]
+    value = compute_script_D(2, RecursionEngine()).value
+    assert check_iz_fixture([48], value) == [(48, True)]
+    assert check_iz_fixture([1], value) == [(1, True)]
     # 7 does not divide script-D(2) = 5760: the check reports rather than hides
-    assert check_iz_fixture(2, [7]) == [(7, False)]
+    assert check_iz_fixture([7], value) == [(7, False)]
 
 
 def test_fixture_file(tmp_path):

@@ -8,80 +8,91 @@ from taukappa.identities import (check_conjecture13, check_proposition9,
                                  check_proposition11, check_theorem7,
                                  check_theorem8, check_theorem10,
                                  check_theorem12, identity_grid, run_identity)
+from taukappa.recursion import RecursionEngine
 
 K1 = MultiIndex({1: 1})
 
 
 def test_thm7_examples():
-    assert check_theorem7(1, [2], 3).residual == 0
-    rep = check_theorem7(1, [2], 2)
+    eng = RecursionEngine()
+    assert check_theorem7(1, [2], 3, eng).residual == 0
+    rep = check_theorem7(1, [2], 2, eng)
     assert rep.rhs == Fraction(1, 3)
     assert rep.status == "holds"
-    rep = check_theorem7(0, [1, 1, 1], 0)
+    rep = check_theorem7(0, [1, 1, 1], 0, eng)
     assert rep.status == "holds"
 
 
 def test_thm7_rejects_structural_violations():
+    eng = RecursionEngine()
     with pytest.raises(ValueError):
-        check_theorem7(1, [2], 1)           # k < 2g
+        check_theorem7(1, [2], 1, eng)      # k < 2g
     with pytest.raises(ValueError):
-        check_theorem7(1, [0], 2)           # part 2 needs d_j >= 1
+        check_theorem7(1, [0], 2, eng)      # part 2 needs d_j >= 1
     with pytest.raises(ValueError):
-        check_theorem7(0, [-1], 1)
+        check_theorem7(0, [-1], 1, eng)
 
 
 def test_thm8_examples():
-    rep = check_theorem8(1, [1], 2)
+    eng = RecursionEngine()
+    rep = check_theorem8(1, [1], 2, eng)
     assert rep.rhs == Fraction(1, 12) and rep.status == "holds"
-    assert check_theorem8(1, [0, 1], 3).residual == 0
-    rep = check_theorem8(2, [2], 4)
+    assert check_theorem8(1, [0, 1], 3, eng).residual == 0
+    rep = check_theorem8(2, [2], 4, eng)
     assert rep.rhs == Fraction(1, 240) and rep.status == "holds"
 
 
 def test_prop9_examples():
+    eng = RecursionEngine()
     for args in ((1, [2]), (1, [1, 1]), (2, [1, 1, 2])):
-        assert check_proposition9(*args).residual == 0
+        assert check_proposition9(*args, eng).residual == 0
 
 
 def test_thm10_examples():
-    assert check_theorem10(1, [1], 2).residual == 0
-    assert check_theorem10(2, [1, 1], 4).residual == 0
+    eng = RecursionEngine()
+    assert check_theorem10(1, [1], 2, eng).residual == 0
+    assert check_theorem10(2, [1, 1], 4, eng).residual == 0
     with pytest.raises(ValueError):
-        check_theorem10(1, [], 4)
+        check_theorem10(1, [], 4, eng)
     with pytest.raises(ValueError):
-        check_theorem10(1, [1], 3)          # odd k
+        check_theorem10(1, [1], 3, eng)     # odd k
 
 
 def test_thm10_recovers_one_point_value():
+    eng = RecursionEngine()
     # with no insertions at genus 2, the identity pins <tau_4>_2 = 1/1152
-    assert check_theorem10(2, [], 4).residual == 0
+    assert check_theorem10(2, [], 4, eng).residual == 0
 
 
 def test_prop11_examples():
-    assert check_proposition11(1, [2], EMPTY).residual == 0
-    assert check_proposition11(1, [1], K1).residual == 0
-    assert check_proposition11(2, [1], K1).residual == 0
+    eng = RecursionEngine()
+    assert check_proposition11(1, [2], EMPTY, eng).residual == 0
+    assert check_proposition11(1, [1], K1, eng).residual == 0
+    assert check_proposition11(2, [1], K1, eng).residual == 0
 
 
 def test_thm12_examples():
-    assert check_theorem12(1, [1], EMPTY, 2).residual == 0
-    assert check_theorem12(1, [0], K1, 2).residual == 0
-    assert check_theorem12(2, [1, 1], EMPTY, 4).residual == 0
+    eng = RecursionEngine()
+    assert check_theorem12(1, [1], EMPTY, 2, eng).residual == 0
+    assert check_theorem12(1, [0], K1, 2, eng).residual == 0
+    assert check_theorem12(2, [1, 1], EMPTY, 4, eng).residual == 0
     with pytest.raises(ValueError):
-        check_theorem12(2, [1], K1, 3)
+        check_theorem12(2, [1], K1, 3, eng)
 
 
 def test_conj13_examples():
-    rep = check_conjecture13(2, [2, 2])
+    eng = RecursionEngine()
+    rep = check_conjecture13(2, [2, 2], eng)
     assert rep.conjectural and rep.rhs == Fraction(1, 48)
     assert rep.residual == 0
-    assert check_conjecture13(2, [3, 1]).residual == 0
+    assert check_conjecture13(2, [3, 1], eng).residual == 0
     with pytest.raises(ValueError):
-        check_conjecture13(1, [2])
+        check_conjecture13(1, [2], eng)
 
 
 def test_report_json_serialization():
-    rep = check_theorem8(1, [1], 2)
+    eng = RecursionEngine()
+    rep = check_theorem8(1, [1], 2, eng)
     payload = json.loads(rep.to_json())
     assert payload["identity"] == "thm8"
     assert payload["lhs"] == "1/12" and payload["residual"] == "0/1"
@@ -89,10 +100,11 @@ def test_report_json_serialization():
 
 
 def test_grids_yield_admissible_and_hold():
+    eng = RecursionEngine()
     for name in ("thm7", "thm8", "prop9", "thm10", "prop11", "thm12"):
         seen = 0
         for params in identity_grid(name, 2, 2, bmax=1):
-            rep = run_identity(name, params)
+            rep = run_identity(name, params, eng)
             assert rep.status == "holds", (name, params)
             seen += 1
         assert seen > 0, name
@@ -102,6 +114,7 @@ def test_part2_pass_sets_match():
     """Both closed-form families hold on their full part-2 grids; the
     split identity mediates between them, so the pass sets must agree
     (here: both are everything)."""
+    eng = RecursionEngine()
     results = {}
     for name in ("thm7", "thm8"):
         passed, total = set(), 0
@@ -109,7 +122,7 @@ def test_part2_pass_sets_match():
             if params["k"] != 2 * params["g"]:
                 continue
             total += 1
-            if run_identity(name, params).status == "holds":
+            if run_identity(name, params, eng).status == "holds":
                 passed.add((params["g"], params["d"]))
         assert total > 0 and len(passed) == total, name
         results[name] = passed

@@ -7,7 +7,7 @@ import pytest
 from taukappa.npoint import (NPointEngine, ONE_POINT_ATOM, TWO_POINT_ATOM,
                              delta_polynomial, normalized_component,
                              npoint_crosscheck_theorem3, p_r_polynomial,
-                             psi_correlator_npoint, two_point_p0_numerator)
+                             two_point_p0_numerator)
 from taukappa.poly import (HomogeneousPolynomial, SymmetricPoly,
                            divide_by_variable_sum)
 from taukappa.core import double_factorial
@@ -47,17 +47,18 @@ def test_division_by_variable_sum():
 
 
 def test_p_r_two_variables():
+    eng = NPointEngine()
     with pytest.raises(ValueError):
-        p_r_polynomial(2, 0)
-    assert not p_r_polynomial(2, 1)
-    assert not p_r_polynomial(2, 3)
+        p_r_polynomial(2, 0, eng)
+    assert not p_r_polynomial(2, 1, eng)
+    assert not p_r_polynomial(2, 3, eng)
     cert = two_point_p0_numerator()
     assert cert.coefficient((0, 0)) == 1 and len(cert.terms) == 1
 
 
 def test_p_1_three_variables_closed_form():
     """P_1(x,y,z) = (1/12) [xy(x+y)^2 + yz(y+z)^2 + zx(z+x)^2] / (x+y+z)."""
-    got = p_r_polynomial(3, 1)
+    got = p_r_polynomial(3, 1, NPointEngine())
     # build the numerator explicitly: sum of (x_i x_j)(x_i+x_j)^2
     terms = {}
     for (i, j) in ((0, 1), (1, 2), (2, 0)):
@@ -75,8 +76,9 @@ def test_p_1_three_variables_closed_form():
 def test_p_r_three_variables_printed_formula():
     """P_r(x,y,z) = r!/(2^r (2r+1)!) [sum (x_i x_j)^r (x_i+x_j)^{r+1}] / (sum x)."""
     from math import comb
+    eng = NPointEngine()
     for r in range(4):
-        got = p_r_polynomial(3, r)
+        got = p_r_polynomial(3, r, eng)
         terms = {}
         for (i, j) in ((0, 1), (1, 2), (2, 0)):
             for t in range(r + 2):
@@ -99,20 +101,22 @@ def test_p_r_symmetric_and_divisible():
 
 
 def test_normalized_components():
-    g03 = normalized_component(3, 0)
+    eng = NPointEngine()
+    g03 = normalized_component(3, 0, eng)
     assert g03.coefficient((0, 0, 0)) == 1 and len(g03.terms) == 1
-    g12 = normalized_component(2, 1)
+    g12 = normalized_component(2, 1, eng)
     assert g12.coefficient((1, 1)) == Fraction(1, 12)
-    assert not normalized_component(1, 1)      # zero polynomial
-    assert normalized_component(1, 0) is ONE_POINT_ATOM
-    assert normalized_component(2, 0) is TWO_POINT_ATOM
+    assert not normalized_component(1, 1, eng)      # zero polynomial
+    assert normalized_component(1, 0, eng) is ONE_POINT_ATOM
+    assert normalized_component(2, 0, eng) is TWO_POINT_ATOM
 
 
 def test_component_keys():
     from taukappa.npoint import NormalizedComponentKey
     key = NormalizedComponentKey(("x1", "x2"), 1)
     assert not key.is_special
-    assert normalized_component(key).coefficient((1, 1)) == Fraction(1, 12)
+    assert normalized_component(key, None, NPointEngine()).coefficient(
+        (1, 1)) == Fraction(1, 12)
     assert NormalizedComponentKey(("x",), 0).is_special
     with pytest.raises(ValueError):
         NormalizedComponentKey((), 2)
@@ -133,20 +137,22 @@ def test_two_point_components_match_closed_form():
 
 
 def test_correlator_values():
-    assert psi_correlator_npoint(1, [1]) == Fraction(1, 24)
-    assert psi_correlator_npoint(2, [4]) == Fraction(1, 1152)
-    assert psi_correlator_npoint(1, [1, 1]) == Fraction(1, 24)
-    assert psi_correlator_npoint(0, [0, 0, 0]) == 1
-    assert psi_correlator_npoint(1, [2]) == 0
-    assert psi_correlator_npoint(0, [0, 0]) == 0
+    eng = NPointEngine()
+    assert eng.correlator(1, [1], "normalized") == Fraction(1, 24)
+    assert eng.correlator(2, [4], "normalized") == Fraction(1, 1152)
+    assert eng.correlator(1, [1, 1], "normalized") == Fraction(1, 24)
+    assert eng.correlator(0, [0, 0, 0], "normalized") == 1
+    assert eng.correlator(1, [2], "normalized") == 0
+    assert eng.correlator(0, [0, 0], "normalized") == 0
 
 
 def test_theorem3_route():
-    assert npoint_crosscheck_theorem3(0, [0, 0, 0]) == 1
-    assert npoint_crosscheck_theorem3(1, [0, 2]) == Fraction(1, 24)
-    assert npoint_crosscheck_theorem3(2, [2, 3]) == Fraction(29, 5760)
+    eng = NPointEngine()
+    assert npoint_crosscheck_theorem3(0, [0, 0, 0], eng) == 1
+    assert npoint_crosscheck_theorem3(1, [0, 2], eng) == Fraction(1, 24)
+    assert npoint_crosscheck_theorem3(2, [2, 3], eng) == Fraction(29, 5760)
     with pytest.raises(ValueError):
-        npoint_crosscheck_theorem3(1, [1])
+        npoint_crosscheck_theorem3(1, [1], eng)
 
 
 def test_routes_agree():
@@ -162,8 +168,9 @@ def test_routes_agree():
 
 
 def test_one_point_closed_form_via_series():
+    eng = NPointEngine()
     for g in range(1, 11):
-        assert psi_correlator_npoint(g, [3 * g - 2]) == \
+        assert eng.correlator(g, [3 * g - 2], "normalized") == \
             Fraction(1, 24 ** g * factorial(g))
 
 

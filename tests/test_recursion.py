@@ -6,14 +6,14 @@ import pytest
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
-                           multiindex_binomial, multiindex_multinomial,
-                           multiindices_of_weight, multiindices_up_to_weight)
-from taukappa.recursion import (CorrelatorKey, CorrelatorTable,
-                                EngineDisagreement, RecursionEngine,
-                                alpha_constant, dilaton_identity_residual,
-                                genus0_psi_oracle, kappa_reduction_oracle,
-                                mixed_correlator, psi_correlator_wk,
-                                pure_kappa_volume, string_identity_residual)
+                           genus_for_dimension, multiindex_binomial,
+                           multiindex_multinomial, multiindices_of_weight,
+                           multiindices_up_to_weight)
+from taukappa.npoint import NPointEngine
+from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
+                                RecursionEngine, alpha_constant, corr_key,
+                                genus0_psi_oracle, mixed_correlator,
+                                psi_correlator_wk)
 
 K1 = MultiIndex({1: 1})
 
@@ -68,15 +68,17 @@ def test_alpha_matches_generic_inversion():
 
 
 def test_base_cases():
-    assert psi_correlator_wk(0, [0, 0, 0]) == 1
-    assert psi_correlator_wk(1, [1]) == Fraction(1, 24)
+    eng = RecursionEngine()
+    assert psi_correlator_wk(0, [0, 0, 0], eng) == 1
+    assert psi_correlator_wk(1, [1], eng) == Fraction(1, 24)
 
 
 def test_known_genus2_values():
-    assert psi_correlator_wk(2, [2, 2, 2]) == Fraction(7, 240)
-    assert psi_correlator_wk(2, [2, 3]) == Fraction(29, 5760)
-    assert psi_correlator_wk(2, [4]) == Fraction(1, 1152)
-    assert psi_correlator_wk(2, [4, 1]) == Fraction(1, 384)
+    eng = RecursionEngine()
+    assert psi_correlator_wk(2, [2, 2, 2], eng) == Fraction(7, 240)
+    assert psi_correlator_wk(2, [2, 3], eng) == Fraction(29, 5760)
+    assert psi_correlator_wk(2, [4], eng) == Fraction(1, 1152)
+    assert psi_correlator_wk(2, [4, 1], eng) == Fraction(1, 384)
 
 
 LITERATURE_VALUES = {
@@ -94,34 +96,38 @@ LITERATURE_VALUES = {
 
 
 def test_literature_values_both_routes():
-    from taukappa.npoint import psi_correlator_npoint
+    eng, npe = RecursionEngine(), NPointEngine()
     for (g, d), expected in LITERATURE_VALUES.items():
-        assert psi_correlator_wk(g, d) == expected, (g, d)
-        assert psi_correlator_npoint(g, d) == expected, (g, d)
+        assert psi_correlator_wk(g, d, eng) == expected, (g, d)
+        assert npe.correlator(g, d, "normalized") == expected, (g, d)
 
 
 def test_genus0_closed_form_oracle():
+    eng = RecursionEngine()
     for n in range(3, 8):
         for d in _partitions(n - 3, n):
-            assert psi_correlator_wk(0, d) == genus0_psi_oracle(d), d
+            assert psi_correlator_wk(0, d, eng) == genus0_psi_oracle(d), d
 
 
 def test_one_point_closed_form():
     from math import factorial
+    eng = RecursionEngine()
     for g in range(1, 8):
-        assert psi_correlator_wk(g, [3 * g - 2]) == \
+        assert psi_correlator_wk(g, [3 * g - 2], eng) == \
             Fraction(1, 24 ** g * factorial(g))
 
 
 def test_zero_conventions():
-    assert psi_correlator_wk(0, [0, 0]) == 0          # unstable
-    assert psi_correlator_wk(1, [2]) == 0             # dimension violation
-    assert psi_correlator_wk(0, [5, 0, 0]) == 0
-    assert psi_correlator_wk(2, [-1, 7]) == 0
+    eng = RecursionEngine()
+    assert psi_correlator_wk(0, [0, 0], eng) == 0      # unstable
+    assert psi_correlator_wk(1, [2], eng) == 0         # dimension violation
+    assert psi_correlator_wk(0, [5, 0, 0], eng) == 0
+    assert psi_correlator_wk(2, [-1, 7], eng) == 0
 
 
 def test_symmetry_under_permutation():
     rng = random.Random(5)
+    eng = RecursionEngine()
     for g in range(4):
         for _ in range(5):
             n = rng.randint(1, 6)
@@ -130,39 +136,44 @@ def test_symmetry_under_permutation():
                 continue
             cuts = sorted(rng.randint(0, dim) for _ in range(n - 1))
             d = [b - a for a, b in zip([0] + cuts, cuts + [dim])]
-            ref = psi_correlator_wk(g, d)
+            ref = psi_correlator_wk(g, d, eng)
             for _ in range(3):
                 rng.shuffle(d)
-                assert psi_correlator_wk(g, d) == ref
+                assert psi_correlator_wk(g, d, eng) == ref
 
 
 # -- mixed correlators and the reduction oracle --------------------------
 
 
 def test_mixed_known_values():
-    assert mixed_correlator(1, [0], K1) == Fraction(1, 24)
-    assert mixed_correlator(0, [0, 0, 0, 0], K1) == 1
-    assert mixed_correlator(1, [1], EMPTY) == Fraction(1, 24)
+    eng = RecursionEngine()
+    assert mixed_correlator(1, [0], K1, eng) == Fraction(1, 24)
+    assert mixed_correlator(0, [0, 0, 0, 0], K1, eng) == 1
+    assert mixed_correlator(1, [1], EMPTY, eng) == Fraction(1, 24)
 
 
 def test_mixed_requires_insertions():
     with pytest.raises(ValueError):
-        mixed_correlator(2, [], MultiIndex({1: 3}))
+        mixed_correlator(2, [], MultiIndex({1: 3}), RecursionEngine())
 
 
 def test_oracle_known_values():
-    assert kappa_reduction_oracle(1, [0], K1) == Fraction(1, 24)
-    assert kappa_reduction_oracle(2, [], MultiIndex({1: 3})) == Fraction(43, 2880)
-    assert kappa_reduction_oracle(0, [0] * 5, MultiIndex({1: 2})) == 5
+    eng = RecursionEngine()
+    assert eng.reduction_oracle(1, [0], K1) == Fraction(1, 24)
+    assert eng.reduction_oracle(2, [], MultiIndex({1: 3})) == \
+        Fraction(43, 2880)
+    assert eng.reduction_oracle(0, [0] * 5, MultiIndex({1: 2})) == 5
 
 
 def test_pure_kappa_volumes():
-    assert pure_kappa_volume(2, MultiIndex({1: 3})) == Fraction(43, 2880)
-    assert pure_kappa_volume(2, MultiIndex({3: 1})) == Fraction(1, 1152)
-    assert pure_kappa_volume(2, MultiIndex({1: 1, 2: 1})) == Fraction(1, 240)
-    assert pure_kappa_volume(2, K1) == 0
+    eng = RecursionEngine()
+    assert eng.pure_kappa_volume(2, MultiIndex({1: 3})) == Fraction(43, 2880)
+    assert eng.pure_kappa_volume(2, MultiIndex({3: 1})) == Fraction(1, 1152)
+    assert eng.pure_kappa_volume(2, MultiIndex({1: 1, 2: 1})) == \
+        Fraction(1, 240)
+    assert eng.pure_kappa_volume(2, K1) == 0
     with pytest.raises(ValueError):
-        pure_kappa_volume(1, K1)
+        eng.pure_kappa_volume(1, K1)
 
 
 def test_classical_volume_anchors():
@@ -193,12 +204,13 @@ def test_mixed_agrees_with_oracle():
 
 
 def test_string_dilaton_known_cases():
-    assert string_identity_residual(1, [1], EMPTY) == 0
-    assert string_identity_residual(1, [0], K1) == 0
-    assert string_identity_residual(2, [2], MultiIndex({1: 2})) == 0
-    assert dilaton_identity_residual(1, [1], EMPTY) == 0
-    assert dilaton_identity_residual(2, [4], EMPTY) == 0
-    assert dilaton_identity_residual(2, [1], MultiIndex({1: 2})) == 0
+    eng = RecursionEngine()
+    assert eng.string_residual(1, [1], EMPTY) == 0
+    assert eng.string_residual(1, [0], K1) == 0
+    assert eng.string_residual(2, [2], MultiIndex({1: 2})) == 0
+    assert eng.dilaton_residual(1, [1], EMPTY) == 0
+    assert eng.dilaton_residual(2, [4], EMPTY) == 0
+    assert eng.dilaton_residual(2, [1], MultiIndex({1: 2})) == 0
 
 
 def test_string_dilaton_full_grid():
@@ -239,14 +251,15 @@ def test_pure_kappa1_specialization_matches_oracle():
 
 
 def test_wk_equals_npoint_engines_small():
-    from taukappa.npoint import psi_correlator_npoint
+    eng, npe = RecursionEngine(), NPointEngine()
     for g in range(3):
         for n in range(1, 7):
             dim = 3 * g - 3 + n
             if dim < 0 or dim > 6 or 2 * g - 2 + n <= 0:
                 continue
             for d in _partitions(dim, n):
-                assert psi_correlator_wk(g, d) == psi_correlator_npoint(g, d)
+                assert psi_correlator_wk(g, d, eng) == \
+                    npe.correlator(g, d, "normalized")
 
 
 # -- the integer kernel against a term-by-term Fraction reference ----------
@@ -365,12 +378,13 @@ def test_integer_kernel_matches_fraction_reference():
 
 
 def test_correlator_key_canonicalization():
-    k1 = CorrelatorKey(2, [1, 3, 2], K1)
-    k2 = CorrelatorKey(2, (3, 2, 1), K1)
+    k1 = corr_key(2, [1, 3, 2], K1)
+    k2 = corr_key(2, (3, 2, 1), K1)
     assert k1 == k2 and hash(k1) == hash(k2)
-    assert k1.dimension_ok() is False
-    assert CorrelatorKey(2, [2, 2]).dimension_ok() is False
-    assert CorrelatorKey(2, [3, 2]).dimension_ok() is True
+    # the dimension constraint sum(d) + |b| = 3g - 3 + n picks the genus
+    assert genus_for_dimension(sum(k1[1]) + k1[2].weight, len(k1[1])) != 2
+    assert genus_for_dimension(2 + 2, 2) != 2
+    assert genus_for_dimension(3 + 2, 2) == 2
 
 
 def test_table_write_once_discipline():

@@ -202,8 +202,7 @@ def partition_functions():
     eng = RecursionEngine()
     out = {}
     for gmax, nmax, bmax in TRUNCATIONS:
-        tmax = max(3 * gmax - 3 + nmax, 0)
-        G = mixed_generating_series(gmax, nmax, bmax, eng, tmax)
+        G = mixed_generating_series(gmax, nmax, bmax, eng)
         out[(gmax, nmax, bmax)] = (G, build_partition_function(
             gmax, nmax, bmax, eng))
     return out

@@ -11,6 +11,7 @@ from taukappa.virasoro import (V0_CONSTANT, VirasoroOperator, apply_virasoro,
                                gamma_constant, kdv_residual,
                                mixed_generating_series, p_polynomial,
                                substitution_check, virasoro_residual_report)
+from taukappa.recursion import RecursionEngine
 
 K1 = MultiIndex({1: 1})
 
@@ -87,32 +88,34 @@ def test_v1_kills_constants():
 
 
 def test_generating_series_known_coefficients():
-    G = mixed_generating_series(0, 3, 0)
+    eng = RecursionEngine()
+    G = mixed_generating_series(0, 3, 0, eng)
     assert G.coefficient(_mono([(0, 3)])) == Fraction(1, 6)   # <tau_0^3>/3!
-    G = mixed_generating_series(1, 1, 0)
+    G = mixed_generating_series(1, 1, 0, eng)
     assert G.coefficient(_mono([(1, 1)])) == Fraction(1, 24)
-    G = mixed_generating_series(2, 0, 3)
+    G = mixed_generating_series(2, 0, 3, eng)
     assert G.coefficient(_mono([], [(1, 3)])) == Fraction(43, 2880 * 6)
     # the pure-s1 coefficient vanishes: no stable unmarked surface carries it
-    G = mixed_generating_series(1, 0, 1)
+    G = mixed_generating_series(1, 0, 1, eng)
     assert G.coefficient(_mono([], [(1, 1)])) == 0
     assert G.is_admitted(_mono([], [(1, 1)]))
 
 
 def test_virasoro_annihilates_partition_function():
-    Z = build_partition_function(1, 4, 0)
+    eng = RecursionEngine()
+    Z = build_partition_function(1, 4, 0, eng)
     for k in (-1, 0, 1):
-        nonzero, checked = virasoro_residual_report(k, 1, 4, 0, partition=Z)
+        nonzero, checked = virasoro_residual_report(k, Z)
         assert nonzero == [] and checked > 0, k
-    Z = build_partition_function(2, 3, 1)
+    Z = build_partition_function(2, 3, 1, eng)
     for k in (-1, 0, 1, 2):
-        nonzero, checked = virasoro_residual_report(k, 2, 3, 1, partition=Z)
+        nonzero, checked = virasoro_residual_report(k, Z)
         assert nonzero == [] and checked > 0, k
 
 
 def test_empty_monomial_is_admitted_and_zero():
     """The t_1 and constant contributions cancel only with the 1/16 term."""
-    Z = build_partition_function(1, 2, 0)
+    Z = build_partition_function(1, 2, 0, RecursionEngine())
     image = apply_virasoro(0, Z)
     assert image.is_admitted(EMPTY_MONO)
     assert image.coefficient(EMPTY_MONO) == 0
@@ -162,9 +165,10 @@ def test_p_polynomials():
 
 
 def test_substitution_spot_coefficients():
-    res = substitution_check(2, 1, 3)
+    eng = RecursionEngine()
+    res = substitution_check(2, 1, 3, eng)
     assert res.nonzero_admitted() == []
-    direct = mixed_generating_series(2, 1, 3)
+    direct = mixed_generating_series(2, 1, 3, eng)
     # s1 t0 block: <kappa_1 tau_0>_1 = 1/24 on both sides
     assert direct.coefficient(_mono([(0, 1)], [(1, 1)])) == Fraction(1, 24)
     assert res.is_admitted(_mono([(0, 1)], [(1, 1)]))
@@ -174,18 +178,19 @@ def test_substitution_spot_coefficients():
 
 
 def test_substitution_residual_small():
-    res = substitution_check(2, 2, 2)
+    eng = RecursionEngine()
+    res = substitution_check(2, 2, 2, eng)
     assert res.nonzero_admitted() == []
     assert len(res.admitted) > 50
     assert res.is_admitted(_mono([(0, 1), (1, 1)]))
     # t0^3 needs three insertions: inside the nmax = 3 region instead
-    res = substitution_check(2, 3, 1)
+    res = substitution_check(2, 3, 1, eng)
     assert res.nonzero_admitted() == []
     assert res.is_admitted(_mono([(0, 3)]))
 
 
 def test_kdv_residual():
-    res = kdv_residual(2, 6)
+    res = kdv_residual(2, 6, RecursionEngine())
     assert res.nonzero_admitted() == []
     assert len(res.admitted) > 5
     empty = TruncatedSeries({})
