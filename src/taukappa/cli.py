@@ -6,7 +6,7 @@ so scripts can tell them apart.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
-grid into chunks, each run in a worker process on a fresh engine that
+grid into N chunks, each run in a worker process on a fresh engine that
 returns its table records with its reports; the records are merged into
 the invocation's engine, so they persist to the cache, and a value that
 disagrees between workers or with a cached record exits 1.
@@ -110,7 +110,9 @@ def _run_identity_chunk(work):
 def _verify_identities(args, name: str, eng) -> int:
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
     if args.workers > 1:
-        size = max(1, len(grid) // (4 * args.workers))
+        # one chunk per worker: each chunk starts a fresh engine, so more
+        # chunks would repeat the recursion work that the grid shares
+        size = max(1, -(-len(grid) // args.workers))
         chunks = [(name, grid[i:i + size]) for i in range(0, len(grid), size)]
         reports = []
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -21,6 +21,7 @@ __all__ = [
     "enumerate_triple_splits",
     "multiindex_multinomial",
     "partitions",
+    "multiset_splits",
     "invert_coefficient_family",
     "CoefficientFamilyInverse",
 ]
@@ -193,17 +194,45 @@ def enumerate_triple_splits(b: MultiIndex):
             yield left, e, f
 
 
-def partitions(total: int, slots: int):
-    """Sorted-desc tuples of length `slots`, entries >= 0, summing to total."""
-    def rec(rem, slots_left, cap):
-        if slots_left == 0:
-            if rem == 0:
-                yield ()
+def partitions(total: int, slots: int) -> list[tuple]:
+    """Sorted-desc tuples of length `slots`, entries >= 0, summing to total,
+    in descending lexicographic order."""
+    out = []
+    cur = [0] * slots
+
+    def rec(i, rem, cap):
+        if rem == 0:
+            out.append(tuple(cur))
             return
-        for v in range(min(rem, cap), -1, -1):
-            for rest in rec(rem - v, slots_left - 1, v):
-                yield (v,) + rest
-    yield from rec(total, slots, total if total else 1)
+        if i == slots or rem > cap * (slots - i):
+            return
+        for v in range(min(rem, cap), 0, -1):
+            cur[i] = v
+            rec(i + 1, rem - v, v)
+        cur[i] = 0
+
+    rec(0, total, total)
+    return out
+
+
+def multiset_splits(values: tuple):
+    """Ordered splits of a multiset into (part, rest) with multiplicities.
+
+    Yields (part, rest, ways) where ways counts the labeled subsets
+    realizing the split.  Both tuples keep the values sorted descending;
+    the order of the splits is deterministic.
+    """
+    distinct = sorted(set(values), reverse=True)
+    counts = [values.count(v) for v in distinct]
+    for choice in product(*(range(c + 1) for c in counts)):
+        part = ()
+        rest = ()
+        ways = 1
+        for v, c, k in zip(distinct, counts, choice):
+            part += (v,) * k
+            rest += (v,) * (c - k)
+            ways *= comb(c, k)
+        yield part, rest, ways
 
 
 def multiindices_of_weight(w: int) -> list[MultiIndex]:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
-from .core import double_factorial
-from .poly import (HomogeneousPolynomial, SymmetricPoly,
-                   divide_by_variable_sum, partitions_le)
+from .core import double_factorial, multiset_splits, partitions
+from .poly import (HomogeneousPolynomial, SymmetricPoly, class_key,
+                   divide_by_variable_sum)
 
 __all__ = [
     "LaurentAtom", "ONE_POINT_ATOM", "TWO_POINT_ATOM",
@@ -77,15 +78,15 @@ def _multinomial(total: int, parts) -> int:
 
 def _simplex_power(n: int, p: int) -> SymmetricPoly:
     """(x_1 + ... + x_n)^p by classes."""
-    return SymmetricPoly(n, p, {key: Fraction(_multinomial(p, key))
-                                for key in partitions_le(p, n)})
+    return SymmetricPoly(n, p, {class_key(ev): Fraction(_multinomial(p, ev))
+                                for ev in partitions(p, n)})
 
 
 def _cube_sum_power(n: int, k: int) -> SymmetricPoly:
     """(x_1^3 + ... + x_n^3)^k by classes."""
     classes = {}
-    for mu in partitions_le(k, n):
-        key = tuple(3 * v for v in mu)
+    for mu in partitions(k, n):
+        key = tuple(3 * v for v in mu if v)
         classes[key] = Fraction(_multinomial(k, mu))
     return SymmetricPoly(n, 3 * k, classes)
 
@@ -178,19 +179,34 @@ class NPointEngine:
             comp = self.component(m, r)
             deg = comp.degree + 2
             classes = {}
-            for tkey in partitions_le(deg, m):
-                ev = list(tkey) + [0] * (m - len(tkey))
-                tot = Fraction(0)
-                for i in range(m):
-                    for j in range(m):
-                        w = list(ev)
-                        w[i] -= 1
-                        w[j] -= 1
-                        if w[i] < 0 or w[j] < 0:
-                            continue
-                        tot += comp.get(w)
+            for ev in partitions(deg, m):
+                # sum over ordered position pairs (i, j) of comp at
+                # ev - e_i - e_j, by runs of equal entries: the last
+                # position of each run stands for all c of them
+                runs = []
+                end = 0
+                for v, run in groupby(ev):
+                    c = len(tuple(run))
+                    end += c
+                    if v:
+                        runs.append((v, c, end - 1))
+                tot = 0
+                for t, (u, cu, pu) in enumerate(runs):
+                    w = list(ev)
+                    w[pu] -= 1
+                    for _, cv, pv in runs[t + 1:]:      # i, j in two runs
+                        w[pv] -= 1
+                        tot += 2 * cu * cv * comp.classes.get(class_key(w), 0)
+                        w[pv] += 1
+                    if cu > 1:                          # i != j in one run
+                        w[pu - 1] -= 1
+                        tot += cu * (cu - 1) * comp.classes.get(class_key(w), 0)
+                        w[pu - 1] += 1
+                    if u > 1:                           # i == j
+                        w[pu] -= 1
+                        tot += cu * comp.classes.get(class_key(w), 0)
                 if tot:
-                    classes[tkey] = tot
+                    classes[class_key(ev)] = tot
             val = SymmetricPoly(m, deg, classes)
         self._afactor[key] = val
         return val
@@ -207,31 +223,26 @@ class NPointEngine:
                              "the atom (r=0) and zero (r>0)")
         deg_num = 3 * r + n - 2
         num = SymmetricPoly(n, deg_num)
-        rest = list(range(1, n))
-        for ckey in partitions_le(deg_num, n):
-            ev = tuple(list(ckey) + [0] * (n - len(ckey)))
-            tot = Fraction(0)
-            # degree of the restriction to I, for I = {0} + subset(rest)
-            degsum = [0] * (1 << (n - 1))
-            for mask in range(1, 1 << (n - 1)):
-                low = mask & -mask
-                degsum[mask] = degsum[mask ^ low] + ev[rest[low.bit_length() - 1]]
-            for mask in range((1 << (n - 1)) - 1):
-                m = mask.bit_count() + 1
-                d_i = ev[0] + degsum[mask]
+        for ev in partitions(deg_num, n):
+            tot = 0
+            # I holds position 0 and `ways` labeled choices of part from
+            # the other positions; J holds the rest and is nonempty
+            for part, rest, ways in multiset_splits(ev[1:]):
+                if not rest:
+                    continue
+                m = len(part) + 1
+                d_i = ev[0] + sum(part)
                 r1, rem = divmod(d_i - m + 1, 3)
                 if rem or r1 < 0 or r1 > r:
                     continue
-                pos_i = [0] + [rest[t] for t in range(n - 1) if mask >> t & 1]
-                a_i = self.a_factor(m, r1).get([ev[i] for i in pos_i])
+                a_i = self.a_factor(m, r1).classes.get(class_key((ev[0],) + part))
                 if not a_i:
                     continue
-                pos_j = [i for i in range(1, n) if i not in pos_i]
-                a_j = self.a_factor(n - m, r - r1).get([ev[j] for j in pos_j])
+                a_j = self.a_factor(n - m, r - r1).classes.get(class_key(rest))
                 if a_j:
-                    tot += a_i * a_j
+                    tot += ways * a_i * a_j
             if tot:
-                num.classes[ckey] = 2 * tot   # both orders of each (I, J)
+                num.classes[class_key(ev)] = 2 * tot   # both orders of each (I, J)
         val = divide_by_variable_sum(num).scaled(Fraction(1, 2))
         self._p[key] = val
         return val

@@ -7,43 +7,27 @@ variables, so internally they use `SymmetricPoly`, which stores one
 coefficient per sorted-exponent class.  A class key is the exponent vector
 sorted descending with trailing zeros dropped; `(2, 1)` in three variables
 stands for all six monomials of shape x_i^2 x_j.
+
+`SymmetricPoly.mul` works on classes too: for each target class it splits
+every run of equal exponents into a multiset of values, weighted by the
+number of exponent vectors that multiset stands for, instead of walking
+the exponent vectors one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, groupby, permutations
 from math import factorial
 
-__all__ = ["HomogeneousPolynomial", "SymmetricPoly", "class_key", "partitions_le"]
+from .core import partitions
+
+__all__ = ["HomogeneousPolynomial", "SymmetricPoly", "class_key"]
 
 
 def class_key(vec) -> tuple:
     """Sorted-descending exponent tuple with zeros dropped."""
     return tuple(sorted((v for v in vec if v), reverse=True))
-
-
-def partitions_le(d: int, max_parts: int) -> list[tuple]:
-    """Partitions of d into at most max_parts parts, as sorted-desc tuples."""
-    if d == 0:
-        return [()]
-    if max_parts <= 0:
-        return []
-    out = []
-
-    def rec(rem, cap, slots, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        if slots == 0:
-            return
-        for p in range(min(rem, cap), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, slots - 1, cur)
-            cur.pop()
-
-    rec(d, d, max_parts, [])
-    return out
 
 
 def orbit_size(key: tuple, nvars: int) -> int:
@@ -181,23 +165,30 @@ class SymmetricPoly:
                 self.classes.pop(k, None)
 
     def mul(self, other: "SymmetricPoly") -> "SymmetricPoly":
-        """Class-wise product via divisor scan of each target class."""
+        """Class-wise product, one target class at a time.
+
+        The coefficient at a sorted exponent vector ev is the sum of
+        a[f] * b[ev - f] over the vectors 0 <= f <= ev of degree
+        self.degree.  Each run of c equal entries v of ev contributes a
+        multiset of c values in [0, v] to f; a choice of multisets stands
+        for prod c!/prod(mult!) vectors f, all in the same pair of classes
+        (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+        """
         n = self.nvars
         deg = self.degree + other.degree
+        a, b = self.classes, other.classes
         out = {}
-        for key in partitions_le(deg, n):
-            ev = list(key) + [0] * (n - len(key))
-            tot = Fraction(0)
-            for f in _sub_vectors(ev, self.degree):
-                ca = self.classes.get(class_key(f))
+        for ev in partitions(deg, n):
+            tot = 0
+            for f, h, ways in _vector_splits(ev, self.degree):
+                ca = a.get(class_key(f))
                 if not ca:
                     continue
-                cb = other.classes.get(
-                    class_key([e - x for e, x in zip(ev, f)]))
+                cb = b.get(class_key(h))
                 if cb:
-                    tot += ca * cb
+                    tot += ways * ca * cb
             if tot:
-                out[key] = tot
+                out[class_key(ev)] = tot
         return SymmetricPoly(n, deg, out)
 
     def power(self, k: int) -> "SymmetricPoly":
@@ -232,27 +223,58 @@ class SymmetricPoly:
                 f"classes={len(self.classes)})")
 
 
-def _sub_vectors(ev, target_degree):
-    """All componentwise 0 <= f <= ev with sum(f) == target_degree."""
-    n = len(ev)
-    out = []
-    cur = [0] * n
+# (v, c) -> {sum: [(part, complement, ways)]}; depends on (v, c) alone,
+# so one memo serves every polynomial
+_RUN_SPLITS: dict[tuple, dict] = {}
 
-    def rec(i, rem):
-        if rem < 0:
-            return
-        if i == n:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        # prune: remaining capacity
-        for v in range(min(ev[i], rem), -1, -1):
-            cur[i] = v
-            rec(i + 1, rem - v)
-        cur[i] = 0
 
-    rec(0, target_degree)
+def _run_splits(v: int, c: int) -> dict:
+    """The multisets of c values in [0, v], grouped by their sum.
+
+    Each entry is (part, complement, ways): the nonzero values of the
+    multiset and of v minus it, and the number c!/prod(mult!) of orderings
+    of the multiset over c labeled positions.
+    """
+    hit = _RUN_SPLITS.get((v, c))
+    if hit is not None:
+        return hit
+    out = {}
+    for part in combinations_with_replacement(range(v, -1, -1), c):
+        ways = factorial(c)
+        for x in set(part):
+            ways //= factorial(part.count(x))
+        out.setdefault(sum(part), []).append(
+            (tuple(x for x in part if x),
+             tuple(v - x for x in reversed(part) if x < v), ways))
+    _RUN_SPLITS[(v, c)] = out
     return out
+
+
+def _vector_splits(ev, degree: int) -> list:
+    """(f, ev - f, ways) over the multisets of sub-vectors 0 <= f <= ev
+    with sum(f) == degree, taken run by run of equal entries of ev.
+
+    f and ev - f come as unsorted tuples of their nonzero entries; ways
+    counts the sub-vectors of ev the pair stands for.
+    """
+    room = sum(ev)
+    states = {0: [((), (), 1)]}       # partial sum -> partial splits
+    for v, run in groupby(ev):
+        if not v:
+            break
+        c = len(tuple(run))
+        room -= v * c
+        nxt = {}
+        for t, parts in _run_splits(v, c).items():
+            for s, partial in states.items():
+                if not degree - room <= s + t <= degree:
+                    continue
+                bucket = nxt.setdefault(s + t, [])
+                for f, h, w in partial:
+                    for pf, ph, pw in parts:
+                        bucket.append((f + pf, h + ph, w * pw))
+        states = nxt
+    return states.get(degree, [])
 
 
 def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
@@ -270,9 +292,9 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
             return SymmetricPoly(n, deg - 1)
         raise ValueError("nonzero polynomial of degree < 1 is not divisible")
     out = {}
-    for f in sorted(partitions_le(deg - 1, n), reverse=True):
-        ev = [f[0] + 1 if f else 1] + list(f[1:] if f else ())
-        ev += [0] * (n - len(ev))
+    for fv in partitions(deg - 1, n):     # descending lex order
+        f = class_key(fv)
+        ev = [fv[0] + 1] + list(fv[1:])
         total = num.classes.get(class_key(ev), Fraction(0))
         acc = Fraction(0)
         for kk, mult in _unit_decrements(ev):
@@ -284,8 +306,8 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
         out[f] = total - acc
     quotient = SymmetricPoly(n, deg - 1, {k: v for k, v in out.items() if v})
     # exactness: reconstruct every class of num
-    for key in partitions_le(deg, n):
-        ev = list(key) + [0] * (n - len(key))
+    for ev in partitions(deg, n):
+        key = class_key(ev)
         s = Fraction(0)
         for kk, mult in _unit_decrements(ev):
             s += mult * quotient.classes.get(kk, Fraction(0))

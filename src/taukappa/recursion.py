@@ -28,12 +28,12 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, enumerate_triple_splits,
-                   multiindex_binomial, multiindex_multinomial)
+                   multiindex_binomial, multiindex_multinomial,
+                   multiset_splits)
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
@@ -190,25 +190,6 @@ def _bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
     return Fraction(num, den * scale)
 
 
-def _multiset_splits(values: tuple):
-    """Ordered splits of a multiset into (part, rest) with multiplicities.
-
-    Yields (part, rest, ways) where ways counts the labeled subsets
-    realizing the split.  Deterministic order.
-    """
-    distinct = sorted(set(values), reverse=True)
-    counts = [values.count(v) for v in distinct]
-    for choice in product(*(range(c + 1) for c in counts)):
-        part = ()
-        rest = ()
-        ways = 1
-        for v, c, k in zip(distinct, counts, choice):
-            part += (v,) * k
-            rest += (v,) * (c - k)
-            ways *= comb(c, k)
-        yield part, rest, ways
-
-
 class RecursionEngine:
     """Memoized evaluator for mixed correlators, backed by a CorrelatorTable."""
 
@@ -315,7 +296,7 @@ class RecursionEngine:
                 continue
             acc = groups[left]
             tri = multiindex_multinomial(b, (left, e, f))
-            for part, other, ways in _multiset_splits(rest):
+            for part, other, ways in multiset_splits(rest):
                 # genus of the first factor is fixed by its dimension
                 base = sum(part) + e.weight - len(part) + 2
                 for r in range(m + 1):

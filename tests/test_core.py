@@ -1,15 +1,19 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
                            invert_coefficient_family, multiindex_binomial,
                            multiindex_multinomial, multiindices_of_weight,
-                           multiindices_up_to_weight)
+                           multiindices_up_to_weight, multiset_splits)
 
 
 def test_double_factorial_conventions():
@@ -83,6 +87,21 @@ def test_triple_splits_count_and_multinomial():
     assert len(triples) == 6   # C(2+2, 2)
     total = sum(multiindex_multinomial(b, t) for t in triples)
     assert total == 3 ** 2     # trinomial expansion of (1+1+1)^2
+
+
+@given(st.lists(st.integers(0, 4), max_size=7).map(
+    lambda v: tuple(sorted(v, reverse=True))))
+def test_multiset_splits_count_labeled_subsets(values):
+    """ways(part, rest) is the number of position subsets that select part."""
+    labeled = Counter()
+    for k in range(len(values) + 1):
+        for chosen in combinations(range(len(values)), k):
+            part = tuple(values[i] for i in chosen)
+            rest = tuple(v for i, v in enumerate(values) if i not in chosen)
+            labeled[part, rest] += 1
+    splits = list(multiset_splits(values))
+    assert len(splits) == len(labeled)
+    assert {(part, rest): ways for part, rest, ways in splits} == labeled
 
 
 def test_multiindices_of_weight():

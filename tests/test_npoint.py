@@ -3,12 +3,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taukappa.npoint import (NPointEngine, ONE_POINT_ATOM, TWO_POINT_ATOM,
                              delta_polynomial, normalized_component,
                              npoint_crosscheck_theorem3, p_r_polynomial,
                              two_point_p0_numerator)
-from taukappa.poly import (HomogeneousPolynomial, SymmetricPoly,
+from taukappa.poly import (HomogeneousPolynomial, SymmetricPoly, class_key,
                            divide_by_variable_sum)
 from taukappa.core import double_factorial
 
@@ -211,3 +213,166 @@ def test_homogeneous_polynomial_invariants():
     assert prod.degree == 6
     with pytest.raises(ValueError):
         HomogeneousPolynomial(2, 3, {(1, 1): Fraction(1)})
+
+
+# -- the run-wise kernel against the position-loop reference ---------------
+
+
+def _reference_sub_vectors(ev, target_degree):
+    """All componentwise 0 <= f <= ev with sum(f) == target_degree."""
+    n = len(ev)
+    out = []
+    cur = [0] * n
+
+    def rec(i, rem):
+        if rem < 0:
+            return
+        if i == n:
+            if rem == 0:
+                out.append(tuple(cur))
+            return
+        for v in range(min(ev[i], rem), -1, -1):
+            cur[i] = v
+            rec(i + 1, rem - v)
+        cur[i] = 0
+
+    rec(0, target_degree)
+    return out
+
+
+def _reference_mul(self, other):
+    """SymmetricPoly.mul summed over every position vector f <= ev."""
+    n = self.nvars
+    deg = self.degree + other.degree
+    out = {}
+    for ev in _partitions(deg, n):
+        tot = Fraction(0)
+        for f in _reference_sub_vectors(ev, self.degree):
+            ca = self.classes.get(class_key(f))
+            if not ca:
+                continue
+            cb = other.classes.get(class_key([e - x for e, x in zip(ev, f)]))
+            if cb:
+                tot += ca * cb
+        if tot:
+            out[class_key(ev)] = tot
+    return SymmetricPoly(n, deg, out)
+
+
+class _PositionEngine(NPointEngine):
+    """a_factor over ordered position pairs (i, j) and p_poly over the
+    2^(n-1) subsets I that hold position 0."""
+
+    def a_factor(self, m, r):
+        key = (m, r)
+        hit = self._afactor.get(key)
+        if hit is not None:
+            return hit
+        if m == 1 or (m == 2 and r == 0):
+            val = super().a_factor(m, r)
+        else:
+            comp = self.component(m, r)
+            deg = comp.degree + 2
+            classes = {}
+            for ev in _partitions(deg, m):
+                tot = Fraction(0)
+                for i in range(m):
+                    for j in range(m):
+                        w = list(ev)
+                        w[i] -= 1
+                        w[j] -= 1
+                        if w[i] < 0 or w[j] < 0:
+                            continue
+                        tot += comp.get(w)
+                if tot:
+                    classes[class_key(ev)] = tot
+            val = SymmetricPoly(m, deg, classes)
+        self._afactor[key] = val
+        return val
+
+    def p_poly(self, n, r):
+        key = (n, r)
+        hit = self._p.get(key)
+        if hit is not None:
+            return hit
+        deg_num = 3 * r + n - 2
+        num = SymmetricPoly(n, deg_num)
+        rest = list(range(1, n))
+        for ev in _partitions(deg_num, n):
+            tot = Fraction(0)
+            # degree of the restriction to I, for I = {0} + subset(rest)
+            degsum = [0] * (1 << (n - 1))
+            for mask in range(1, 1 << (n - 1)):
+                low = mask & -mask
+                degsum[mask] = degsum[mask ^ low] + ev[rest[low.bit_length() - 1]]
+            for mask in range((1 << (n - 1)) - 1):
+                m = mask.bit_count() + 1
+                r1, rem = divmod(ev[0] + degsum[mask] - m + 1, 3)
+                if rem or r1 < 0 or r1 > r:
+                    continue
+                pos_i = [0] + [rest[t] for t in range(n - 1) if mask >> t & 1]
+                a_i = self.a_factor(m, r1).get([ev[i] for i in pos_i])
+                if not a_i:
+                    continue
+                pos_j = [i for i in range(1, n) if i not in pos_i]
+                a_j = self.a_factor(n - m, r - r1).get([ev[j] for j in pos_j])
+                if a_j:
+                    tot += a_i * a_j
+            if tot:
+                num.classes[class_key(ev)] = 2 * tot
+        val = divide_by_variable_sum(num).scaled(Fraction(1, 2))
+        self._p[key] = val
+        return val
+
+
+# every F-part shape (n, g) of dimension 3g + n - 3 <= 10
+SHAPES_DIM10 = [(n, g) for n in range(2, 14) for g in range(5)
+                if 0 <= 3 * g + n - 3 <= 10 and (n, g) != (2, 0)]
+
+
+@pytest.fixture(scope="module")
+def position_engine():
+    """Both routes of every dimension-10 shape on the position-loop kernel."""
+    eng = _PositionEngine()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SymmetricPoly, "mul", _reference_mul)
+        for n, g in SHAPES_DIM10:
+            for route in ("normalized", "direct"):
+                eng.f_part(n, g, route)
+    return eng
+
+
+def test_kernel_matches_position_reference(position_engine):
+    eng = NPointEngine()
+    for n, g in SHAPES_DIM10:
+        for route in ("normalized", "direct"):
+            assert eng.f_part(n, g, route).classes == \
+                position_engine.f_part(n, g, route).classes, (route, n, g)
+    # every P_r and split factor the dimension-10 grid reaches
+    assert eng._p.keys() == position_engine._p.keys()
+    for key, ref in position_engine._p.items():
+        assert eng.p_poly(*key).classes == ref.classes, key
+    assert eng._afactor.keys() == position_engine._afactor.keys()
+    for key, ref in position_engine._afactor.items():
+        assert eng.a_factor(*key).classes == ref.classes, key
+
+
+@st.composite
+def symmetric_polys(draw, nvars):
+    degree = draw(st.integers(0, 5))
+    classes = {}
+    for ev in _partitions(degree, nvars):
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        if c:
+            classes[class_key(ev)] = c
+    return SymmetricPoly(nvars, degree, classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(symmetric_polys(n), symmetric_polys(n))))
+def test_mul_matches_position_reference(pair):
+    a, b = pair
+    got = a.mul(b)
+    assert (got.nvars, got.degree) == (a.nvars, a.degree + b.degree)
+    assert got.classes == _reference_mul(a, b).classes
