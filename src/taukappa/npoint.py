@@ -114,6 +114,7 @@ class NPointEngine:
         self._afactor = {}     # (m, r) -> SymmetricPoly, (sum x)^2 * G_r
         self._p = {}           # (n, r) -> SymmetricPoly, n >= 3
         self._delta_pow = {}   # (n, s) -> SymmetricPoly
+        self._p_delta = {}     # (n, r, s) -> SymmetricPoly, P_r * Delta^s
         self._fpart = {}       # (route, n, g) -> SymmetricPoly
 
     # -- normalized components -------------------------------------------
@@ -148,7 +149,7 @@ class NPointEngine:
                 s = g - r
                 c = Fraction(double_factorial(2 * r + n - 3),
                              4 ** s * double_factorial(2 * r + 2 * s + n - 1))
-                val.add_into(self.p_poly(n, r).mul(self.delta_power(n, s)), c)
+                val.add_into(self.p_delta(n, r, s), c)
         self._component[key] = val
         return val
 
@@ -156,8 +157,21 @@ class NPointEngine:
         key = (n, s)
         hit = self._delta_pow.get(key)
         if hit is None:
-            hit = _delta_classes(n).power(s)
+            # one more factor on the cached Delta^(s-1)
+            hit = (SymmetricPoly(n, 0, {(): Fraction(1)}) if s == 0
+                   else self.delta_power(n, s - 1).mul(_delta_classes(n)))
             self._delta_pow[key] = hit
+        return hit
+
+    def p_delta(self, n: int, r: int, s: int) -> SymmetricPoly:
+        """P_r * Delta^s on n >= 3 variables, formed once for both routes."""
+        key = (n, r, s)
+        hit = self._p_delta.get(key)
+        if hit is None:
+            hit = self.p_poly(n, r)
+            if s:
+                hit = hit.mul(self.delta_power(n, s))
+            self._p_delta[key] = hit
         return hit
 
     def a_factor(self, m: int, r: int) -> SymmetricPoly:
@@ -304,8 +318,7 @@ class NPointEngine:
                 s = g - a - r
                 c = pref * Fraction((-1) ** s,
                                     8 ** s * (2 * r + 2 * s + n - 1) * factorial(s))
-                val.add_into(
-                    cube.mul(self.p_poly(n, r).mul(self.delta_power(n, s))), c)
+                val.add_into(cube.mul(self.p_delta(n, r, s)), c)
         return val
 
     def correlator(self, g: int, d, route: str = "normalized") -> Fraction:

@@ -30,18 +30,6 @@ def class_key(vec) -> tuple:
     return tuple(sorted((v for v in vec if v), reverse=True))
 
 
-def orbit_size(key: tuple, nvars: int) -> int:
-    """Number of distinct monomials in the class `key` on nvars variables."""
-    padded = list(key) + [0] * (nvars - len(key))
-    counts = {}
-    for v in padded:
-        counts[v] = counts.get(v, 0) + 1
-    out = factorial(nvars)
-    for c in counts.values():
-        out //= factorial(c)
-    return out
-
-
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial: exponent tuple (length nvars) -> Fraction.
 
@@ -190,12 +178,6 @@ class SymmetricPoly:
             if tot:
                 out[class_key(ev)] = tot
         return SymmetricPoly(n, deg, out)
-
-    def power(self, k: int) -> "SymmetricPoly":
-        out = SymmetricPoly(self.nvars, 0, {(): Fraction(1)})
-        for _ in range(k):
-            out = out.mul(self)
-        return out
 
     def expand(self) -> HomogeneousPolynomial:
         """Materialize the full polynomial (exponential in class orbit sizes)."""

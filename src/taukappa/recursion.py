@@ -55,20 +55,34 @@ def corr_key(g: int, d, b: MultiIndex) -> tuple:
 _LINE = re.compile(r"^(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+)/(\d+)$")
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key)."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class CorrelatorTable:
     """Write-once map from correlator keys to exact values.
 
     Every entry carries a provenance tag naming the engine that produced
-    it.  Recording a key twice with the same value is a no-op (the first
-    tag wins); recording a different value raises EngineDisagreement.
+    it.  Engines, workers and cache files all insert through `record`:
+    recording a key twice with the same value is a no-op (the first tag
+    wins); recording a different value raises EngineDisagreement.
     Persists to a line-oriented text cache, one `g|d,...|i:b,...|num/den`
-    record per line.
+    record per line.  `record` lists the new keys that did not come from
+    a file, so `append_new` writes them without rescanning the table
+    (load the cache first: a key computed before is written again).
     """
 
     def __init__(self):
         self.values: dict[tuple, Fraction] = {}
         self.provenance: dict[tuple, str] = {}
-        self._persisted: set[tuple] = set()
+        self._unsaved: list[tuple] = []
 
     def __len__(self):
         return len(self.values)
@@ -78,10 +92,12 @@ class CorrelatorTable:
 
     def record(self, g: int, d, b: MultiIndex, value: Fraction, engine: str) -> Fraction:
         key = corr_key(g, d, b)
-        old = self.values.get(key)
-        if old is None:
-            self.values[key] = value
+        size = len(self.values)
+        old = self.values.setdefault(key, value)
+        if len(self.values) > size:
             self.provenance[key] = engine
+            if engine != "cache":
+                self._unsaved.append(key)
         elif old != value:
             raise EngineDisagreement(
                 f"{key}: {self.provenance[key]} computed {old}, "
@@ -101,37 +117,45 @@ class CorrelatorTable:
         """Merge records from a cache file; returns the number loaded."""
         if not os.path.exists(path):
             return 0
-        count = 0
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                m = _LINE.match(line)
-                if not m:
-                    raise ValueError(f"malformed cache line: {line!r}")
-                g = int(m.group(1))
-                d = tuple(int(x) for x in m.group(2).split(",") if x)
-                b = MultiIndex.parse(m.group(3))
-                num, den = int(m.group(4)), int(m.group(5))
-                if den == 0:
-                    raise ValueError(f"zero denominator in cache line: {line!r}")
-                val = Fraction(num, den)
-                self.record(g, d, b, val, "cache")
-                self._persisted.add(corr_key(g, d, b))
-                count += 1
+            # split at "\n" alone, as iterating the file does;
+            # str.splitlines() would also end a line at a form feed
+            lines = fh.read().split("\n")
+        # a file repeats few kappa fields and few insertion degrees
+        kappa, ints = _Memo(MultiIndex.parse), _Memo(int)
+        count = 0
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            m = _LINE.match(line)
+            if not m:
+                raise ValueError(f"malformed cache line: {line!r}")
+            g, d, b, num, den = m.groups()
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in cache line: {line!r}")
+            d = map(ints.__getitem__, filter(None, d.split(",")))
+            # record() sorts d, once
+            self.record(int(g), d, kappa[b], Fraction(int(num), int(den)),
+                        "cache")
+            count += 1
         return count
 
     def append_new(self, path: str) -> int:
         """Append entries not yet persisted; returns the number written."""
-        fresh = sorted((k for k in self.values if k not in self._persisted),
-                       key=lambda k: (k[0], k[1], k[2].entries))
+        fresh = sorted(self._unsaved, key=lambda k: (k[0], k[1], k[2].entries))
         if not fresh:
             return 0
-        with open(path, "a", encoding="ascii") as fh:
+        with open(path, "a+b") as fh:
+            # a last line left without its newline gets one first
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
             for key in fresh:
-                fh.write(self._format_line(key, self.values[key]) + "\n")
-        self._persisted.update(fresh)
+                line = self._format_line(key, self.values[key]) + "\n"
+                fh.write(line.encode("ascii"))
+        self._unsaved.clear()
         return len(fresh)
 
 

@@ -249,6 +249,60 @@ def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):
     assert cache.read_text() == "0|1,0,0,0||2/1\n"
 
 
+@pytest.mark.parametrize("text", ["1|1||1/24", "# hand-written note"])
+def test_cache_without_final_newline_takes_appends(tmp_path, capsys, text):
+    """New records start on a line of their own, so a hand-edited file
+    whose last line lacks its newline is neither corrupted nor made to
+    swallow them into a comment."""
+    cache = tmp_path / "open.cache"
+    cache.write_text(text)
+    args = ("--cache", str(cache), "compute", "psi", "--genus", "2",
+            "--d", "2,3")
+    assert run_cli(capsys, *args) == (0, "29/5760\n")
+    written = cache.read_text()
+    assert written.startswith(text + "\n") and written.endswith("\n")
+    assert "2|3,2||29/5760\n" in written
+    # every record reads back: a warm rerun appends nothing
+    assert run_cli(capsys, *args) == (0, "29/5760\n")
+    assert run_cli(capsys, "--cache", str(cache), "compute", "psi",
+                   "--genus", "1", "--d", "1") == (0, "1/24\n")
+    assert cache.read_text() == written
+
+
+@pytest.mark.parametrize("record,query,printed", [
+    ("0|0,1,0,0||1/1", ("psi", "--genus", "0", "--d", "1,0,0,0"), "1"),
+    ("2|1|2:1,1:1|101/5760",
+     ("kappa", "--genus", "2", "--b", "1:1,2:1", "--d", "1"), "101/5760"),
+])
+def test_cache_record_in_any_order_serves_its_query(tmp_path, capsys,
+                                                    record, query, printed):
+    """A record whose insertions or kappa positions are out of order is
+    filed under the canonical key: it answers the query, which then
+    computes and appends nothing."""
+    cache = tmp_path / "unsorted.cache"
+    cache.write_text(record + "\n")
+    assert run_cli(capsys, "--cache", str(cache), "compute",
+                   *query) == (0, printed + "\n")
+    assert cache.read_text() == record + "\n"
+
+
+def test_cache_duplicate_records(tmp_path, capsys):
+    """A repeated record loads; a repeated key with another value is an
+    engine disagreement, and the file is left as it is."""
+    query = ("compute", "psi", "--genus", "1", "--d", "1")
+    cache = tmp_path / "dup.cache"
+    cache.write_text("1|1||1/24\n1|1||1/24\n")
+    assert run_cli(capsys, "--cache", str(cache), *query) == (0, "1/24\n")
+    assert cache.read_text() == "1|1||1/24\n1|1||1/24\n"
+
+    cache.write_text("2|4||1/1152\n2|4||1/1153\n")
+    code = main(["--cache", str(cache), *query])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("engine disagreement: ")
+    assert cache.read_text() == "2|4||1/1152\n2|4||1/1153\n"
+
+
 # stdout and exit code of CLI commands, pinned verbatim: the series-layer
 # checks first
 GOLDEN = {

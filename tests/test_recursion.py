@@ -1,8 +1,12 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
@@ -421,3 +425,57 @@ def test_table_rejects_malformed_lines(tmp_path):
     path.write_text("not a record\n")
     with pytest.raises(ValueError):
         CorrelatorTable().load(str(path))
+
+
+def test_table_load_canonicalizes_and_skips(tmp_path):
+    """Comment and blank lines are skipped, records in any order are filed
+    under the canonical key, and a repeated record counts once per line."""
+    path = tmp_path / "cache.txt"
+    path.write_text("# header\n\n   \n0|0,1,0,0||1/1\n"
+                    "2|1|2:1,1:1|101/5760\n0|0,1,0,0||1/1\n")
+    table = CorrelatorTable()
+    assert table.load(str(path)) == 3
+    assert len(table) == 2
+    assert table.get(0, (1, 0, 0, 0)) == 1
+    assert table.get(2, (1,), MultiIndex({1: 1, 2: 1})) == Fraction(101, 5760)
+    assert set(table.provenance.values()) == {"cache"}
+    assert table.append_new(str(tmp_path / "out.txt")) == 0
+
+
+def test_table_lines_end_at_newline_only(tmp_path):
+    """A form feed inside a line does not split it into two records."""
+    path = tmp_path / "cache.txt"
+    path.write_text("1|1||1/24\x0c2|4||1/1152\n")
+    with pytest.raises(ValueError):
+        CorrelatorTable().load(str(path))
+
+
+_KEYS = st.tuples(
+    st.integers(0, 30),
+    st.lists(st.integers(0, 90), max_size=6).map(
+        lambda v: tuple(sorted(v, reverse=True))),
+    st.dictionaries(st.integers(1, 6), st.integers(1, 3),
+                    max_size=3).map(MultiIndex))
+_VALUES = st.one_of(
+    st.fractions(),
+    st.integers(-10 ** 40, 10 ** 40).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=12))
+def test_table_file_round_trip_property(records):
+    """append_new then load gives back the same values, and nothing is left
+    to append on either table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.txt")
+        table = CorrelatorTable()
+        for (g, d, b), value in records.items():
+            table.record(g, d[::-1], b, value, "wk")
+        assert table.append_new(path) == len(records)
+        fresh = CorrelatorTable()
+        assert fresh.load(path) == len(records)
+        assert fresh.values == table.values
+        assert fresh.append_new(path) == 0
+        assert table.append_new(path) == 0
