@@ -7,12 +7,9 @@ the verification workbench.
 
 from .core import (MultiIndex, double_factorial, enumerate_sub_multiindices,
                    invert_coefficient_family, multiindex_binomial)
-from .npoint import (NormalizedComponentKey, NPointEngine, delta_polynomial,
-                     normalized_component, npoint_crosscheck_theorem3,
-                     p_r_polynomial)
+from .npoint import NPointEngine
 from .recursion import (CorrelatorTable, EngineDisagreement, RecursionEngine,
-                        alpha_constant, genus0_psi_oracle, mixed_correlator,
-                        psi_correlator_wk)
+                        alpha_constant, genus0_psi_oracle)
 
 __version__ = "0.1.0"
 
@@ -20,9 +17,7 @@ __all__ = [
     "MultiIndex", "double_factorial",
     "multiindex_binomial", "enumerate_sub_multiindices",
     "invert_coefficient_family",
-    "NormalizedComponentKey", "NPointEngine", "delta_polynomial", "p_r_polynomial",
-    "normalized_component", "npoint_crosscheck_theorem3",
+    "NPointEngine",
     "CorrelatorTable", "EngineDisagreement",
     "RecursionEngine", "alpha_constant", "genus0_psi_oracle",
-    "psi_correlator_wk", "mixed_correlator",
 ]

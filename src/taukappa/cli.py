@@ -2,7 +2,9 @@
 denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
 identity (3) and a cache file that is unreadable or cannot be opened (4)
-so scripts can tell them apart.
+so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value
+is rejected by the argument parser, and an unreadable or malformed
+`--iz-fixture` file by `denom`: both are usage errors, one line on stderr.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
@@ -21,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .core import MultiIndex, partitions
+from .core import EMPTY, MultiIndex, partitions
 from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
@@ -37,22 +39,34 @@ VERIFY_TARGETS = IDENTITY_NAMES + (
     "string", "dilaton", "virasoro", "commutators", "substitution", "engines")
 
 
-def _fmt(v: Fraction) -> str:
-    return str(v)
+def _argument(parse):
+    """An argparse `type` that reports the ValueError of `parse`."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return convert
 
 
-def _parse_d(text: str):
+def _parse_d(text: str) -> tuple:
+    """`--d 2,3`: comma-separated tau exponents; '' or '-' is none."""
     text = text.strip()
     if text in ("", "-"):
         return ()
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_krange(text: str):
+def _parse_krange(text: str) -> list:
+    """`--k -1..3` or `--k 0,2`: Virasoro indices, each at least -1."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        ks = list(range(int(lo), int(hi) + 1))
+    else:
+        ks = [int(x) for x in text.split(",")]
+    if any(k < -1 for k in ks):
+        raise ValueError("Virasoro indices start at -1")
+    return ks
 
 
 def _emit(args, payload: dict, plain: str):
@@ -74,13 +88,12 @@ def _cmd_compute(args, eng) -> int:
     if args.kind == "psi":
         if not args.d:
             raise SystemExit2("psi needs --d")
-        d = _parse_d(args.d)
-        val = eng.value(args.genus, d, MultiIndex())
-        _emit(args, {"genus": args.genus, "d": list(d), "value": _fmt(val)},
-              _fmt(val))
+        val = eng.value(args.genus, args.d, EMPTY)
+        _emit(args, {"genus": args.genus, "d": list(args.d), "value": str(val)},
+              str(val))
     else:
-        b = MultiIndex.parse(args.b or "")
-        d = _parse_d(args.d or "")
+        b = args.b or EMPTY
+        d = args.d or ()
         if d:
             val = eng.value(args.genus, d, b)
         else:
@@ -88,7 +101,7 @@ def _cmd_compute(args, eng) -> int:
                 raise SystemExit2("pure kappa volumes need --genus >= 2")
             val = eng.pure_kappa_volume(args.genus, b)
         _emit(args, {"genus": args.genus, "d": list(d), "b": str(b),
-                     "value": _fmt(val)}, _fmt(val))
+                     "value": str(val)}, str(val))
     return 0
 
 
@@ -130,7 +143,7 @@ def _verify_identities(args, name: str, eng) -> int:
             print(rep.to_json())
         else:
             print(f"{rep.identity} {rep.params}: {rep.status} "
-                  f"(residual {_fmt(rep.residual)})")
+                  f"(residual {rep.residual})")
         if rep.status != "holds" and not rep.conjectural:
             failures += 1
     conj_note = " (conjectural, never gates)" if name == "conj13" else ""
@@ -174,7 +187,7 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
 
 
 def _verify_virasoro(args, eng) -> int:
-    ks = _parse_krange(args.k) if args.k else [-1, 0, 1, 2, 3]
+    ks = args.k if args.k is not None else [-1, 0, 1, 2, 3]
     partition = build_partition_function(args.gmax, args.nmax, args.bmax, eng)
     failures = 0
     for k in ks:
@@ -307,7 +320,10 @@ def _cmd_denom(args, eng) -> int:
               "\n".join(f"{t}: {'ok' if v else 'FAIL'}" for t, v in rows))
         return 0 if ok else 3
     if args.iz_fixture:
-        rows = load_fixture_orders(args.iz_fixture)
+        try:
+            rows = load_fixture_orders(args.iz_fixture)
+        except (OSError, ValueError) as exc:
+            raise SystemExit2(f"unreadable fixture {args.iz_fixture}: {exc}")
         orders = [o for o, gp, _ in rows if 1 < gp <= args.genus]
         verdicts = check_iz_fixture(
             orders, compute_script_D(args.genus, eng).value)
@@ -353,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="compute one correlator")
     comp.add_argument("kind", choices=("psi", "kappa"))
     comp.add_argument("--genus", type=int, required=True)
-    comp.add_argument("--d", help="comma-separated tau exponents")
-    comp.add_argument("--b", help="kappa multi-index, e.g. 1:3,2:1")
+    comp.add_argument("--d", type=_argument(_parse_d),
+                      help="comma-separated tau exponents")
+    comp.add_argument("--b", type=_argument(MultiIndex.parse),
+                      help="kappa multi-index, e.g. 1:3,2:1")
 
     ver = sub.add_parser("verify", help="run a verification grid")
     ver.add_argument("target", choices=VERIFY_TARGETS)
@@ -363,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--bmax", type=int, default=1)
     ver.add_argument("--dmax", type=int, default=9,
                      help="dimension bound for the engines target")
-    ver.add_argument("--k", help="Virasoro indices, e.g. -1..3 or 0,1")
+    ver.add_argument("--k", type=_argument(_parse_krange),
+                     help="Virasoro indices, e.g. -1..3 or 0,1")
 
     den = sub.add_parser("denom", help="denominator invariants")
     den.add_argument("--genus", type=int, required=True)

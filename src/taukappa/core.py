@@ -24,7 +24,20 @@ __all__ = [
     "multiset_splits",
     "invert_coefficient_family",
     "CoefficientFamilyInverse",
+    "Memo",
 ]
+
+
+class Memo(dict):
+    """A dict that fills a missing key with fill(key) on first lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def double_factorial(k: int) -> int:

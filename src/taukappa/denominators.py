@@ -168,6 +168,9 @@ def load_fixture_orders(path: str):
             if not line or line.startswith("#"):
                 continue
             parts = line.split(None, 2)
+            if len(parts) < 2:
+                raise ValueError(f"fixture row needs an order and a genus: "
+                                 f"{line!r}")
             rows.append((int(parts[0]), int(parts[1]),
                          parts[2] if len(parts) > 2 else ""))
     return rows

@@ -18,7 +18,8 @@ from math import factorial
 
 from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
-                   multiindex_binomial, multiindices_up_to_weight, partitions)
+                   multiindex_binomial, multiindices_up_to_weight,
+                   multiset_splits, partitions)
 from .recursion import RecursionEngine
 
 __all__ = [
@@ -59,20 +60,15 @@ class IdentityReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _labeled_splits(d: tuple):
-    """Ordered pairs of complementary labeled subsets of d (empty allowed)."""
-    n = len(d)
-    for mask in range(1 << n):
-        left = tuple(d[i] for i in range(n) if mask >> i & 1)
-        right = tuple(d[i] for i in range(n) if not mask >> i & 1)
-        yield left, right
-
-
 def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
                       b1: MultiIndex = EMPTY, b2: MultiIndex = EMPTY) -> Fraction:
-    """sum over splits I|J of <head1, d_I, kappa(b1)>_{g'} <head2, d_J, kappa(b2)>_{g-g'}."""
+    """sum over splits I|J of <head1, d_I, kappa(b1)>_{g'} <head2, d_J, kappa(b2)>_{g-g'}.
+
+    Labeled splits with the same multisets d_I and d_J give the same term,
+    so each multiset split counts `ways` times.
+    """
     total = Fraction(0)
-    for left, right in _labeled_splits(d):
+    for left, right, ways in multiset_splits(d):
         d1 = head1 + left
         gp = genus_for_dimension(sum(d1) + b1.weight, len(d1))
         if gp is None or gp > g:
@@ -82,7 +78,7 @@ def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
             continue
         v2 = eng.value(g - gp, head2 + right, b2)
         if v2:
-            total += v1 * v2
+            total += ways * v1 * v2
     return total
 
 
@@ -269,9 +265,6 @@ def check_conjecture13(g: int, d, engine: RecursionEngine
 IDENTITY_NAMES = ("thm7", "thm8", "prop9", "thm10", "prop11", "thm12", "conj13")
 
 
-_kappa_indices_up_to = multiindices_up_to_weight
-
-
 def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
     """Admissible parameter tuples for one identity over the test grid."""
     if name == "thm7":
@@ -305,7 +298,7 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
     elif name == "prop11":
         for g in range(gmax + 1):
             for n in range(nmax + 1):
-                for b in _kappa_indices_up_to(bmax):
+                for b in multiindices_up_to_weight(bmax):
                     budget = g + n - 1 - b.weight
                     if budget < 0:
                         continue
@@ -314,7 +307,7 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
     elif name == "thm12":
         for g in range(gmax + 1):
             for n in range(nmax + 1):
-                for b in _kappa_indices_up_to(bmax):
+                for b in multiindices_up_to_weight(bmax):
                     for M in range(max(2 * g, 2), 3 * g + n - 1 - b.weight, 2):
                         budget = 3 * g + n - 2 - M - b.weight
                         if budget < 0:

@@ -11,62 +11,23 @@ Two independent expansions of F are implemented:
   (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!).
 
 Both agree coefficientwise; the second is used as a cross-check of the
-first.  The one- and two-point normalized functions are the Laurent atoms
-x^-2 and 1/(x+y); they never enter computations directly, only through the
-certified products (sum_I x)^2 * x^-2 = 1 and (x+y)^2 * 1/(x+y) = x+y,
+first.  The one- and two-point normalized functions x^-2 and 1/(x+y) are
+not polynomials, and `component` refuses those two shapes.  They enter
+only through the certified products (sum_I x)^2 * x^-2 = 1 and
+(x+y)^2 * 1/(x+y) = x+y, and the two-point routes through (x+y) P_0 = 1,
 which keep every assembled numerator a genuine polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
 
 from .core import double_factorial, multiset_splits, partitions
-from .poly import (HomogeneousPolynomial, SymmetricPoly, class_key,
-                   divide_by_variable_sum)
+from .poly import SymmetricPoly, class_key, divide_by_variable_sum
 
-__all__ = [
-    "LaurentAtom", "ONE_POINT_ATOM", "TWO_POINT_ATOM",
-    "NormalizedComponentKey", "NPointEngine",
-    "delta_polynomial", "p_r_polynomial", "normalized_component",
-    "two_point_p0_numerator", "npoint_crosscheck_theorem3",
-]
-
-
-@dataclass(frozen=True)
-class LaurentAtom:
-    """Symbolic stand-in for the two non-polynomial normalized functions."""
-    label: str
-    degree: int
-
-
-ONE_POINT_ATOM = LaurentAtom("x^-2", -2)
-TWO_POINT_ATOM = LaurentAtom("1/(x1+x2)", -1)
-
-
-@dataclass(frozen=True)
-class NormalizedComponentKey:
-    """One normalized component: an ordered variable subset and a genus.
-
-    Either the shape is stable (3g - 3 + n >= 0 away from the two special
-    pairs) or it is one of the Laurent special cases (0, 1) and (0, 2).
-    """
-    variables: tuple
-    genus: int
-
-    def __post_init__(self):
-        n, g = len(self.variables), self.genus
-        if g < 0 or n < 1:
-            raise ValueError(f"invalid component shape ({n}, {g})")
-        if 3 * g + n - 3 < 0 and not self.is_special:
-            raise ValueError(f"unstable component shape ({n}, {g})")
-
-    @property
-    def is_special(self) -> bool:
-        return self.genus == 0 and len(self.variables) in (1, 2)
+__all__ = ["NPointEngine"]
 
 
 def _multinomial(total: int, parts) -> int:
@@ -336,58 +297,3 @@ class NPointEngine:
             return Fraction(1, 24 ** g * factorial(g))
         return self.f_part(n, g, route).get(d)
 
-
-def delta_polynomial(n: int) -> HomogeneousPolynomial:
-    """((sum x)^3 - sum x^3)/3 expanded over n variables."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    return _delta_classes(n).expand()
-
-
-def p_r_polynomial(n: int, r: int, engine: NPointEngine
-                   ) -> HomogeneousPolynomial:
-    """P_r on n >= 2 variables as a genuine polynomial.
-
-    For n = 2 the only polynomial values are P_r = 0 (r > 0); requesting
-    P_0(x, y) raises, since that value is the Laurent atom 1/(x+y) whose
-    certified numerator is available via two_point_p0_numerator().
-    """
-    if n < 2:
-        raise ValueError("P_r needs at least two variables")
-    if r < 0:
-        raise ValueError("negative genus index")
-    if n == 2:
-        if r == 0:
-            raise ValueError("P_0(x, y) = 1/(x+y) is not a polynomial; "
-                             "the engine records (x+y)*P_0 = 1 instead")
-        return HomogeneousPolynomial(2, 3 * r - 1)
-    return engine.p_poly(n, r).expand()
-
-
-def two_point_p0_numerator() -> HomogeneousPolynomial:
-    """The certified product (x+y) * P_0(x, y), identically 1."""
-    return HomogeneousPolynomial(2, 0, {(0, 0): Fraction(1)})
-
-
-def normalized_component(n, g: int | None, engine: NPointEngine):
-    """G_g on n variables: a HomogeneousPolynomial, or the Laurent atom
-    for the special shapes (n, g) = (1, 0) and (2, 0).  Accepts either
-    (n, g) or a NormalizedComponentKey as n with g = None."""
-    if isinstance(n, NormalizedComponentKey):
-        n, g = len(n.variables), n.genus
-    if n == 1 and g == 0:
-        return ONE_POINT_ATOM
-    if n == 2 and g == 0:
-        return TWO_POINT_ATOM
-    if n < 1 or g < 0 or (3 * g + n - 3) < 0:
-        raise ValueError(f"unstable component shape ({n}, {g})")
-    return engine.component(n, g).expand()
-
-
-def npoint_crosscheck_theorem3(g: int, d, engine: NPointEngine) -> Fraction:
-    """Correlator via the direct expansion; must agree with the normalized
-    route coefficient by coefficient (n >= 2)."""
-    d = tuple(d)
-    if len(d) < 2:
-        raise ValueError("the direct expansion is defined for n >= 2")
-    return engine.correlator(g, d, "direct")

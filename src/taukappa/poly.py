@@ -1,12 +1,11 @@
-"""Sparse homogeneous polynomials with exact rational coefficients.
+"""Sparse symmetric homogeneous polynomials with exact rational coefficients.
 
-Two representations live here.  `HomogeneousPolynomial` is the public one:
-a sparse map from exponent vectors to Fractions.  The generating-function
-engines only ever build polynomials that are invariant under permuting the
-variables, so internally they use `SymmetricPoly`, which stores one
-coefficient per sorted-exponent class.  A class key is the exponent vector
-sorted descending with trailing zeros dropped; `(2, 1)` in three variables
-stands for all six monomials of shape x_i^2 x_j.
+The generating-function engines only ever build polynomials that are
+invariant under permuting the variables, so `SymmetricPoly`, the one
+polynomial type, stores one coefficient per sorted-exponent class.  A
+class key is the exponent vector sorted descending with trailing zeros
+dropped; `(2, 1)` in three variables stands for all six monomials of
+shape x_i^2 x_j.
 
 `SymmetricPoly.mul` works on classes too: for each target class it splits
 every run of equal exponents into a multiset of values, weighted by the
@@ -17,101 +16,17 @@ the exponent vectors one by one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, permutations
+from itertools import combinations_with_replacement, groupby
 from math import factorial
 
 from .core import partitions
 
-__all__ = ["HomogeneousPolynomial", "SymmetricPoly", "class_key"]
+__all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum"]
 
 
 def class_key(vec) -> tuple:
     """Sorted-descending exponent tuple with zeros dropped."""
     return tuple(sorted((v for v in vec if v), reverse=True))
-
-
-class HomogeneousPolynomial:
-    """Sparse homogeneous polynomial: exponent tuple (length nvars) -> Fraction.
-
-    Every stored exponent vector sums to `degree`; zero coefficients are
-    never stored.  Addition requires equal (nvars, degree); multiplication
-    adds degrees.
-    """
-
-    __slots__ = ("nvars", "degree", "terms")
-
-    def __init__(self, nvars: int, degree: int, terms=None):
-        self.nvars = nvars
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if len(e) != nvars:
-                    raise ValueError(f"exponent {e} has length != {nvars}")
-                if sum(e) != degree:
-                    raise ValueError(f"exponent {e} violates degree {degree}")
-                c = Fraction(c)
-                if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), Fraction(0)) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
-
-    def coefficient(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, HomogeneousPolynomial)
-                and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if self.nvars != other.nvars or (self.terms and other.terms
-                                         and self.degree != other.degree):
-            raise ValueError("can only add polynomials of equal shape")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return HomogeneousPolynomial(self.nvars, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return HomogeneousPolynomial(self.nvars, self.degree)
-        return HomogeneousPolynomial(
-            self.nvars, self.degree, {e: c * scalar for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__rmul__(other)
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return HomogeneousPolynomial(self.nvars, self.degree + other.degree,
-                                     {e: c for e, c in out.items() if c})
-
-    def is_symmetric(self) -> bool:
-        for e, c in self.terms.items():
-            for p in set(permutations(e)):
-                if self.terms.get(p, Fraction(0)) != c:
-                    return False
-        return True
-
-    def __repr__(self):
-        return (f"HomogeneousPolynomial(nvars={self.nvars}, degree={self.degree}, "
-                f"terms={len(self.terms)})")
 
 
 class SymmetricPoly:
@@ -178,27 +93,6 @@ class SymmetricPoly:
             if tot:
                 out[class_key(ev)] = tot
         return SymmetricPoly(n, deg, out)
-
-    def expand(self) -> HomogeneousPolynomial:
-        """Materialize the full polynomial (exponential in class orbit sizes)."""
-        terms = {}
-        for key, c in self.classes.items():
-            padded = tuple(list(key) + [0] * (self.nvars - len(key)))
-            for p in set(permutations(padded)):
-                terms[p] = c
-        return HomogeneousPolynomial(self.nvars, self.degree, terms)
-
-    @classmethod
-    def from_polynomial(cls, poly: HomogeneousPolynomial) -> "SymmetricPoly":
-        classes = {}
-        for e, c in poly.terms.items():
-            k = class_key(e)
-            prev = classes.get(k)
-            if prev is None:
-                classes[k] = c
-            elif prev != c:
-                raise ValueError("polynomial is not symmetric")
-        return cls(poly.nvars, poly.degree, classes)
 
     def __repr__(self):
         return (f"SymmetricPoly(nvars={self.nvars}, degree={self.degree}, "

@@ -30,15 +30,14 @@ import re
 from fractions import Fraction
 from math import factorial, lcm
 
-from .core import (EMPTY, MultiIndex, double_factorial,
+from .core import (EMPTY, Memo, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, enumerate_triple_splits,
                    multiindex_binomial, multiindex_multinomial,
                    multiset_splits)
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
-    "genus0_psi_oracle", "RecursionEngine", "psi_correlator_wk",
-    "mixed_correlator",
+    "genus0_psi_oracle", "RecursionEngine",
 ]
 
 
@@ -53,17 +52,6 @@ def corr_key(g: int, d, b: MultiIndex) -> tuple:
 
 
 _LINE = re.compile(r"^(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+)/(\d+)$")
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with fill(key)."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 class CorrelatorTable:
@@ -122,7 +110,7 @@ class CorrelatorTable:
             # str.splitlines() would also end a line at a form feed
             lines = fh.read().split("\n")
         # a file repeats few kappa fields and few insertion degrees
-        kappa, ints = _Memo(MultiIndex.parse), _Memo(int)
+        kappa, ints = Memo(MultiIndex.parse), Memo(int)
         count = 0
         for line in lines:
             line = line.strip()
@@ -430,18 +418,3 @@ class RecursionEngine:
         rhs = (2 * g - 2 + len(d)) * base
         return lhs - rhs
 
-
-def psi_correlator_wk(g: int, d, engine: RecursionEngine) -> Fraction:
-    """Pure-psi correlator by the b = 0 specialization of the recursion."""
-    if len(tuple(d)) < 1:
-        raise ValueError("need at least one tau insertion")
-    return engine.value(g, d, EMPTY)
-
-
-def mixed_correlator(g: int, d, b: MultiIndex, engine: RecursionEngine
-                     ) -> Fraction:
-    """<kappa(b) prod tau_d>_g; at least one tau insertion required."""
-    if len(tuple(d)) < 1:
-        raise ValueError("mixed_correlator needs n >= 1; "
-                         "use RecursionEngine.pure_kappa_volume for n = 0")
-    return engine.value(g, d, b)

@@ -29,7 +29,7 @@ from .core import genus_for_dimension
 
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_t_count",
-    "mono_s_weight", "mono_t_degree", "mono_divisors", "genus_of_monomial",
+    "mono_s_weight", "mono_t_degree", "mono_splits", "genus_of_monomial",
     "format_monomial", "TruncatedSeries",
 ]
 
@@ -92,11 +92,6 @@ def mono_splits(m: Monomial):
     for dt, qt in _part_splits(m[0]):
         for ds, qs in ssplits:
             yield (dt, ds), (qt, qs)
-
-
-def mono_divisors(m: Monomial):
-    """All monomials dividing m, the trivial one included."""
-    return (d for d, _ in mono_splits(m))
 
 
 def _degree(m: Monomial) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .core import (MultiIndex, double_factorial,
+from .core import (Memo, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, multiindices_of_weight,
                    multiindices_up_to_weight)
 from .recursion import RecursionEngine
@@ -27,8 +27,7 @@ from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
                      mono_mul, mono_s_weight, mono_t_count, symmetry_factor)
 
 __all__ = [
-    "gamma_constant", "VirasoroOperator", "apply_virasoro",
-    "mixed_generating_series", "pure_psi_generating_series",
+    "gamma_constant", "VirasoroOperator", "mixed_generating_series",
     "build_partition_function", "virasoro_residual_report",
     "commutator_check", "p_polynomial", "substitution_check", "kdv_residual",
 ]
@@ -40,18 +39,6 @@ def gamma_constant(L: MultiIndex) -> Fraction:
     """gamma_L = (-1)^||L|| / (L! (2|L|+1)!!)."""
     return Fraction((-1) ** L.size,
                     L.factorial() * double_factorial(2 * L.weight + 1))
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with make(key) on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class VirasoroOperator:
@@ -72,18 +59,18 @@ class VirasoroOperator:
             raise ValueError("Virasoro index starts at -1")
         self.k = k
         # w -> [(L, gamma_L)] over |L| = w
-        self._gammas = _Memo(lambda w: [(L, gamma_constant(L))
-                                        for L in multiindices_of_weight(w)])
+        self._gammas = Memo(lambda w: [(L, gamma_constant(L))
+                                       for L in multiindices_of_weight(w)])
         # (s-part, i) -> [(s-part * s^L, group (a) coefficient of d/dt_i)]
-        self._raised = _Memo(lambda key: [
+        self._raised = Memo(lambda key: [
             (merge_exponents(key[0], L.entries),
              Fraction(-double_factorial(2 * key[1] + 1), 2) * gamma)
             for L, gamma in self._gammas[key[1] - k - 1]])
         # i -> group (b) coefficient of t_{i-k} d/dt_i
-        self._scale = _Memo(lambda i: Fraction(
+        self._scale = Memo(lambda i: Fraction(
             double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
         # s-part -> [(s-part / s^L, t-part delta t_{|L|+k+1})] over L <= s-part
-        self._lowered = _Memo(lambda s: [
+        self._lowered = Memo(lambda s: [
             (rest.entries, ((L.weight + k + 1, 1),))
             for L, rest in enumerate_sub_multiindices(MultiIndex(s))])
         # group (c): (t-part delta 1/(t_d1 t_d2), coefficient)
@@ -175,11 +162,6 @@ class VirasoroOperator:
         return TruncatedSeries(terms, adm)
 
 
-def apply_virasoro(k: int, series: TruncatedSeries) -> TruncatedSeries:
-    """V_k applied to a series, admission shrunk to fully determined outputs."""
-    return VirasoroOperator(k).apply(series)
-
-
 # -- generating series -------------------------------------------------------
 
 
@@ -230,12 +212,6 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
     return TruncatedSeries(terms, admitted)
 
 
-def pure_psi_generating_series(gmax: int, nmax: int,
-                               engine: RecursionEngine) -> TruncatedSeries:
-    """F(t) truncated like mixed_generating_series with no kappa variables."""
-    return mixed_generating_series(gmax, nmax, 0, engine)
-
-
 def build_partition_function(gmax: int, nmax: int, bmax: int,
                              engine: RecursionEngine) -> TruncatedSeries:
     """exp(G) at the given truncation, admission by divisor closure."""
@@ -246,7 +222,7 @@ def virasoro_residual_report(k: int, Z: TruncatedSeries):
     """All admitted coefficients of V_k Z for a partition function Z =
     exp(G); the contract is that the nonzero list is empty.  Returns
     (nonzero pairs, number checked)."""
-    image = apply_virasoro(k, Z)
+    image = VirasoroOperator(k).apply(Z)
     nonzero = [(format_monomial(m), c) for m, c in image.nonzero_admitted()]
     return nonzero, len(image.admitted)
 
@@ -298,7 +274,7 @@ def substitution_check(gmax: int, nmax: int, bmax: int,
     coefficient feeding an admitted mixed monomial is available; the
     residual is admitted exactly where both sides are."""
     tmax = max(3 * gmax - 3 + nmax, 0)
-    F = pure_psi_generating_series(gmax, nmax + bmax, engine)
+    F = mixed_generating_series(gmax, nmax + bmax, 0, engine)
     keep = _caps_keep(nmax, bmax, tmax)
 
     # forward substitution of the stored F terms
@@ -370,7 +346,7 @@ def kdv_residual(gmax: int, nmax: int,
     U = d^2F/dt_0^2.  The normalization is calibrated on the low-genus
     coefficients; this check is informational and not part of the hard
     acceptance gate."""
-    F = pure_psi_generating_series(gmax, nmax, engine)
+    F = mixed_generating_series(gmax, nmax, 0, engine)
     U = F.derivative(0).derivative(0)
     U0 = U.derivative(0)
     lhs = U.derivative(1)

@@ -17,9 +17,8 @@ from taukappa.denominators import (check_iz_fixture, check_lemma20,
                                    compute_script_D)
 from taukappa.identities import (check_theorem7, check_theorem8,
                                  identity_grid, run_identity)
-from taukappa.npoint import (NPointEngine, p_r_polynomial,
-                             two_point_p0_numerator)
-from taukappa.poly import HomogeneousPolynomial, SymmetricPoly, divide_by_variable_sum
+from taukappa.npoint import NPointEngine
+from taukappa.poly import SymmetricPoly, class_key, divide_by_variable_sum
 from taukappa.recursion import RecursionEngine, alpha_constant
 from taukappa.series import TruncatedSeries
 from taukappa.virasoro import (build_partition_function, commutator_check,
@@ -79,27 +78,32 @@ def test_criterion_02_triple_engine_agreement():
 def test_criterion_03_two_and_three_point_forms():
     t0 = time.time()
     npe = NPointEngine()
-    # two points: the r = 0 value is the atom with certified numerator 1,
-    # and every higher P_r vanishes identically
-    cert = two_point_p0_numerator()
-    assert cert == HomogeneousPolynomial(2, 0, {(0, 0): Fraction(1)})
-    for r in range(1, 4):
-        assert not p_r_polynomial(2, r, npe)
-    # three points: P_r equals the printed closed form for r <= 3
+    # two points: the direct route assumes (x+y) P_0 = 1 and P_r = 0 for
+    # r >= 1; the normalized route assumes neither, and they agree
+    for g in range(1, 6):
+        direct = npe.f_part(2, g, "direct")
+        normalized = npe.f_part(2, g, "normalized")
+        assert (direct.nvars, direct.degree, direct.classes) == \
+            (normalized.nvars, normalized.degree, normalized.classes), g
+        assert direct.classes, g
+    # three points: P_r equals the printed closed form
+    # r!/(2^r (2r+1)!) [sum_{i<j} (x_i x_j)^r (x_i+x_j)^{r+1}] / (x+y+z)
+    # for r <= 3, its numerator built class by class
     from math import comb
     for r in range(4):
-        got = p_r_polynomial(3, r, npe)
-        terms = {}
-        for (i, j) in ((0, 1), (1, 2), (2, 0)):
-            for t in range(r + 2):
-                e = [0, 0, 0]
-                e[i], e[j] = r + t, 2 * r + 1 - t
-                e = tuple(e)
-                terms[e] = terms.get(e, 0) + comb(r + 1, t)
-        num = SymmetricPoly.from_polynomial(
-            HomogeneousPolynomial(3, 3 * r + 1, terms))
+        classes = {}
+        for e in _partitions(3 * r + 1, 3):
+            c = sum(comb(r + 1, e[i] - r)
+                    for i, j in ((0, 1), (0, 2), (1, 2))
+                    if e[3 - i - j] == 0 and min(e[i], e[j]) >= r)
+            if c:
+                classes[class_key(e)] = Fraction(c)
+        num = SymmetricPoly(3, 3 * r + 1, classes)
         scale = Fraction(factorial(r), 2 ** r * factorial(2 * r + 1))
-        assert got == divide_by_variable_sum(num).scaled(scale).expand(), r
+        want = divide_by_variable_sum(num).scaled(scale)
+        got = npe.p_poly(3, r)
+        assert (got.nvars, got.degree, got.classes) == \
+            (want.nvars, want.degree, want.classes), r
     _report(3, "printed 2- and 3-point P_r forms, r <= 3", t0, 10)
 
 

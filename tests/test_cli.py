@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -47,11 +48,20 @@ def test_compute_json_format(capsys):
     assert json.loads(out)["value"] == "29/5760"
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     code, _ = run_cli(capsys, "compute", "psi", "--genus", "1")
     assert code == 2
     code, _ = run_cli(capsys, "compute", "kappa", "--genus", "1", "--b", "1:1")
     assert code == 2
+    # a fixture that is missing or has a row without a genus
+    one_field = tmp_path / "one_field.txt"
+    one_field.write_text("48\n")
+    for fixture in (tmp_path / "missing.txt", one_field):
+        code = main(["denom", "--genus", "2", "--iz-fixture", str(fixture)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", fixture
+        assert captured.err.startswith(f"error: unreadable fixture {fixture}")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_denom_precondition_usage_errors(capsys):
@@ -65,10 +75,24 @@ def test_denom_precondition_usage_errors(capsys):
     assert code == 2
 
 
-def test_argparse_usage_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "psi", "--genus", "not-a-number", "--d", "1"])
-    assert exc.value.code == 2
+def test_argparse_usage_exit_code(capsys):
+    """Malformed option values exit 2 with one error line after the usage."""
+    for argv in ("compute psi --genus not-a-number --d 1",
+                 "compute psi --genus 1 --d x",
+                 "compute psi --genus 1 --d 1,,1",
+                 "compute kappa --genus 1 --d 0 --b 1:x",
+                 "compute kappa --genus 1 --d 0 --b 0:1",
+                 "compute kappa --genus 1 --d 0 --b 1:-1",
+                 "verify virasoro --k a..b",
+                 "verify virasoro --k -5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "" and "Traceback" not in captured.err, argv
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("taukappa ")]
+        assert len(errors) == 1 and ": error: argument " in errors[0], argv
 
 
 def test_denom_commands(capsys):
@@ -474,17 +498,63 @@ def test_golden_transcript(capsys, monkeypatch, command):
     assert run_cli(capsys, *command.split()) == GOLDEN[command]
 
 
-def test_no_module_holds_an_engine():
-    """Engines are passed explicitly; no taukappa module keeps one."""
+def _taukappa_modules():
+    """The package and every module in it, imported."""
     import taukappa
-    from taukappa.npoint import NPointEngine
-    from taukappa.recursion import RecursionEngine
     for info in pkgutil.iter_modules(taukappa.__path__):
         importlib.import_module(f"taukappa.{info.name}")
     modules = [m for name, m in sys.modules.items()
                if name == "taukappa" or name.startswith("taukappa.")]
     assert len(modules) > 9
-    for module in modules:
+    return modules
+
+
+def test_no_module_holds_an_engine():
+    """Engines are passed explicitly; no taukappa module keeps one."""
+    from taukappa.npoint import NPointEngine
+    from taukappa.recursion import RecursionEngine
+    for module in _taukappa_modules():
         for attr, value in vars(module).items():
             assert not isinstance(value, (RecursionEngine, NPointEngine)), \
                 (module.__name__, attr)
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement and never read in its scope:
+    the function that holds the import, or the module (whose `__all__`
+    counts as a reading)."""
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inner = {id(node) for f in functions for node in ast.walk(f)}
+    unused = []
+    for scope in [tree] + functions:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name)}
+        if scope is tree:
+            read |= {elt.value for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "__all__"
+                             for t in node.targets)
+                     for elt in node.value.elts}
+        for node in ast.walk(scope):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if (scope is tree) == (id(node) in inner):
+                continue        # counted in its own function's scope
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((node.lineno, name))
+    return unused
+
+
+def test_imports_are_used_and_exports_resolve():
+    """No taukappa module imports a name it never reads, and every name
+    a module lists in `__all__` exists on it."""
+    for module in _taukappa_modules():
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        assert _unused_imports(tree) == [], module.__name__
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

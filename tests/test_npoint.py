@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taukappa.npoint import (NPointEngine, ONE_POINT_ATOM, TWO_POINT_ATOM,
-                             delta_polynomial, normalized_component,
-                             npoint_crosscheck_theorem3, p_r_polynomial,
-                             two_point_p0_numerator)
-from taukappa.poly import (HomogeneousPolynomial, SymmetricPoly, class_key,
-                           divide_by_variable_sum)
+from taukappa.npoint import NPointEngine
+from taukappa.poly import SymmetricPoly, class_key, divide_by_variable_sum
 from taukappa.core import double_factorial
 
 
@@ -27,15 +23,17 @@ def _partitions(total, slots):
     yield from rec(total, slots, total if total else 1)
 
 
-def test_delta_polynomial_small():
-    assert not delta_polynomial(1)          # identically zero
-    d2 = delta_polynomial(2)
-    assert d2.coefficient((2, 1)) == 1 and d2.coefficient((1, 2)) == 1
-    assert len(d2.terms) == 2
-    d3 = delta_polynomial(3)
-    assert d3.coefficient((1, 1, 1)) == 2
-    assert d3.coefficient((2, 1, 0)) == 1
-    assert d3.is_symmetric()
+def _shape(p):
+    return p.nvars, p.degree, p.classes
+
+
+def test_delta_power_small():
+    eng = NPointEngine()
+    assert _shape(eng.delta_power(1, 1)) == (1, 3, {})     # identically zero
+    # x^2 y + x y^2
+    assert _shape(eng.delta_power(2, 1)) == (2, 3, {(2, 1): 1})
+    # the six x_i^2 x_j and 2 xyz
+    assert _shape(eng.delta_power(3, 1)) == (3, 3, {(2, 1): 1, (1, 1, 1): 2})
 
 
 def test_division_by_variable_sum():
@@ -49,30 +47,24 @@ def test_division_by_variable_sum():
 
 
 def test_p_r_two_variables():
+    """The two-point P_r are not engine polynomials: P_0 = 1/(x+y) enters
+    only through the certified product (x+y)^2 P_0 = x+y, and P_r = 0 for
+    r >= 1 (criterion 03 checks what the direct route builds on that)."""
     eng = NPointEngine()
-    with pytest.raises(ValueError):
-        p_r_polynomial(2, 0, eng)
-    assert not p_r_polynomial(2, 1, eng)
-    assert not p_r_polynomial(2, 3, eng)
-    cert = two_point_p0_numerator()
-    assert cert.coefficient((0, 0)) == 1 and len(cert.terms) == 1
+    for r in range(4):
+        with pytest.raises(ValueError):
+            eng.p_poly(2, r)
+    assert _shape(eng.a_factor(2, 0)) == (2, 1, {(1,): 1})
+    assert _shape(eng.a_factor(1, 0)) == (1, 0, {(): 1})
 
 
 def test_p_1_three_variables_closed_form():
     """P_1(x,y,z) = (1/12) [xy(x+y)^2 + yz(y+z)^2 + zx(z+x)^2] / (x+y+z)."""
-    got = p_r_polynomial(3, 1, NPointEngine())
-    # build the numerator explicitly: sum of (x_i x_j)(x_i+x_j)^2
-    terms = {}
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        for (ei, ej), coef in (((3, 1), 1), ((2, 2), 2), ((1, 3), 1)):
-            e = [0, 0, 0]
-            e[i], e[j] = ei, ej
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + coef
-    num = HomogeneousPolynomial(3, 4, terms)
-    sym = SymmetricPoly.from_polynomial(num)
-    expected = divide_by_variable_sum(sym).scaled(Fraction(1, 12)).expand()
-    assert got == expected
+    got = NPointEngine().p_poly(3, 1)
+    # the numerator by class: x_i^3 x_j once, x_i^2 x_j^2 twice
+    num = SymmetricPoly(3, 4, {(3, 1): Fraction(1), (2, 2): Fraction(2)})
+    expected = divide_by_variable_sum(num).scaled(Fraction(1, 12))
+    assert _shape(got) == _shape(expected)
 
 
 def test_p_r_three_variables_printed_formula():
@@ -80,18 +72,19 @@ def test_p_r_three_variables_printed_formula():
     from math import comb
     eng = NPointEngine()
     for r in range(4):
-        got = p_r_polynomial(3, r, eng)
-        terms = {}
-        for (i, j) in ((0, 1), (1, 2), (2, 0)):
-            for t in range(r + 2):
-                e = [0, 0, 0]
-                e[i], e[j] = r + t, r + (r + 1 - t)
-                e = tuple(e)
-                terms[e] = terms.get(e, 0) + comb(r + 1, t)
-        num = SymmetricPoly.from_polynomial(HomogeneousPolynomial(3, 3 * r + 1, terms))
+        # the numerator's coefficient at each class representative e:
+        # the pairs {i, j} off which e vanishes, with e_i, e_j >= r
+        classes = {}
+        for e in _partitions(3 * r + 1, 3):
+            c = sum(comb(r + 1, e[i] - r)
+                    for i, j in ((0, 1), (0, 2), (1, 2))
+                    if e[3 - i - j] == 0 and min(e[i], e[j]) >= r)
+            if c:
+                classes[class_key(e)] = Fraction(c)
+        num = SymmetricPoly(3, 3 * r + 1, classes)
         scale = Fraction(factorial(r), 2 ** r * factorial(2 * r + 1))
-        expected = divide_by_variable_sum(num).scaled(scale).expand()
-        assert got == expected, r
+        expected = divide_by_variable_sum(num).scaled(scale)
+        assert _shape(eng.p_poly(3, r)) == _shape(expected), r
 
 
 def test_p_r_symmetric_and_divisible():
@@ -102,28 +95,20 @@ def test_p_r_symmetric_and_divisible():
             assert p.degree == 3 * r + n - 3
 
 
-def test_normalized_components():
+def test_polynomial_components():
     eng = NPointEngine()
-    g03 = normalized_component(3, 0, eng)
-    assert g03.coefficient((0, 0, 0)) == 1 and len(g03.terms) == 1
-    g12 = normalized_component(2, 1, eng)
-    assert g12.coefficient((1, 1)) == Fraction(1, 12)
-    assert not normalized_component(1, 1, eng)      # zero polynomial
-    assert normalized_component(1, 0, eng) is ONE_POINT_ATOM
-    assert normalized_component(2, 0, eng) is TWO_POINT_ATOM
+    assert _shape(eng.component(3, 0)) == (3, 0, {(): 1})
+    assert _shape(eng.component(2, 1)) == (2, 2, {(1, 1): Fraction(1, 12)})
+    assert _shape(eng.component(1, 1)) == (1, 1, {})     # zero polynomial
 
 
 def test_component_keys():
-    from taukappa.npoint import NormalizedComponentKey
-    key = NormalizedComponentKey(("x1", "x2"), 1)
-    assert not key.is_special
-    assert normalized_component(key, None, NPointEngine()).coefficient(
-        (1, 1)) == Fraction(1, 12)
-    assert NormalizedComponentKey(("x",), 0).is_special
-    with pytest.raises(ValueError):
-        NormalizedComponentKey((), 2)
-    with pytest.raises(ValueError):
-        NormalizedComponentKey(("x1", "x2"), -1)
+    """Only polynomial shapes are components: the Laurent shapes (1, 0)
+    and (2, 0) and the invalid ones raise."""
+    eng = NPointEngine()
+    for n, g in ((1, 0), (2, 0), (0, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            eng.component(n, g)
 
 
 def test_two_point_components_match_closed_form():
@@ -150,11 +135,11 @@ def test_correlator_values():
 
 def test_theorem3_route():
     eng = NPointEngine()
-    assert npoint_crosscheck_theorem3(0, [0, 0, 0], eng) == 1
-    assert npoint_crosscheck_theorem3(1, [0, 2], eng) == Fraction(1, 24)
-    assert npoint_crosscheck_theorem3(2, [2, 3], eng) == Fraction(29, 5760)
-    with pytest.raises(ValueError):
-        npoint_crosscheck_theorem3(1, [1], eng)
+    assert eng.correlator(0, [0, 0, 0], "direct") == 1
+    assert eng.correlator(1, [0, 2], "direct") == Fraction(1, 24)
+    assert eng.correlator(2, [2, 3], "direct") == Fraction(29, 5760)
+    with pytest.raises(ValueError):     # the direct expansion needs n >= 2
+        eng.f_part(1, 1, "direct")
 
 
 def test_routes_agree():
@@ -202,17 +187,6 @@ def test_genus0_matches_multinomial():
             for p in key:
                 mult //= factorial(p)
             assert coef == mult
-
-
-def test_homogeneous_polynomial_invariants():
-    p = HomogeneousPolynomial(2, 3, {(2, 1): Fraction(1), (0, 3): Fraction(-2)})
-    q = HomogeneousPolynomial(2, 3, {(2, 1): Fraction(-1)})
-    assert (p + q).coefficient((2, 1)) == 0
-    assert (p + q).coefficient((0, 3)) == -2
-    prod = p * p
-    assert prod.degree == 6
-    with pytest.raises(ValueError):
-        HomogeneousPolynomial(2, 3, {(1, 1): Fraction(1)})
 
 
 # -- the run-wise kernel against the position-loop reference ---------------

@@ -16,8 +16,7 @@ from taukappa.core import (EMPTY, MultiIndex, double_factorial,
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
                                 RecursionEngine, alpha_constant, corr_key,
-                                genus0_psi_oracle, mixed_correlator,
-                                psi_correlator_wk)
+                                genus0_psi_oracle)
 
 K1 = MultiIndex({1: 1})
 
@@ -73,16 +72,16 @@ def test_alpha_matches_generic_inversion():
 
 def test_base_cases():
     eng = RecursionEngine()
-    assert psi_correlator_wk(0, [0, 0, 0], eng) == 1
-    assert psi_correlator_wk(1, [1], eng) == Fraction(1, 24)
+    assert eng.value(0, [0, 0, 0]) == 1
+    assert eng.value(1, [1]) == Fraction(1, 24)
 
 
 def test_known_genus2_values():
     eng = RecursionEngine()
-    assert psi_correlator_wk(2, [2, 2, 2], eng) == Fraction(7, 240)
-    assert psi_correlator_wk(2, [2, 3], eng) == Fraction(29, 5760)
-    assert psi_correlator_wk(2, [4], eng) == Fraction(1, 1152)
-    assert psi_correlator_wk(2, [4, 1], eng) == Fraction(1, 384)
+    assert eng.value(2, [2, 2, 2]) == Fraction(7, 240)
+    assert eng.value(2, [2, 3]) == Fraction(29, 5760)
+    assert eng.value(2, [4]) == Fraction(1, 1152)
+    assert eng.value(2, [4, 1]) == Fraction(1, 384)
 
 
 LITERATURE_VALUES = {
@@ -102,7 +101,7 @@ LITERATURE_VALUES = {
 def test_literature_values_both_routes():
     eng, npe = RecursionEngine(), NPointEngine()
     for (g, d), expected in LITERATURE_VALUES.items():
-        assert psi_correlator_wk(g, d, eng) == expected, (g, d)
+        assert eng.value(g, d) == expected, (g, d)
         assert npe.correlator(g, d, "normalized") == expected, (g, d)
 
 
@@ -110,23 +109,23 @@ def test_genus0_closed_form_oracle():
     eng = RecursionEngine()
     for n in range(3, 8):
         for d in _partitions(n - 3, n):
-            assert psi_correlator_wk(0, d, eng) == genus0_psi_oracle(d), d
+            assert eng.value(0, d) == genus0_psi_oracle(d), d
 
 
 def test_one_point_closed_form():
     from math import factorial
     eng = RecursionEngine()
     for g in range(1, 8):
-        assert psi_correlator_wk(g, [3 * g - 2], eng) == \
+        assert eng.value(g, [3 * g - 2]) == \
             Fraction(1, 24 ** g * factorial(g))
 
 
 def test_zero_conventions():
     eng = RecursionEngine()
-    assert psi_correlator_wk(0, [0, 0], eng) == 0      # unstable
-    assert psi_correlator_wk(1, [2], eng) == 0         # dimension violation
-    assert psi_correlator_wk(0, [5, 0, 0], eng) == 0
-    assert psi_correlator_wk(2, [-1, 7], eng) == 0
+    assert eng.value(0, [0, 0]) == 0      # unstable
+    assert eng.value(1, [2]) == 0         # dimension violation
+    assert eng.value(0, [5, 0, 0]) == 0
+    assert eng.value(2, [-1, 7]) == 0
 
 
 def test_symmetry_under_permutation():
@@ -140,10 +139,10 @@ def test_symmetry_under_permutation():
                 continue
             cuts = sorted(rng.randint(0, dim) for _ in range(n - 1))
             d = [b - a for a, b in zip([0] + cuts, cuts + [dim])]
-            ref = psi_correlator_wk(g, d, eng)
+            ref = eng.value(g, d)
             for _ in range(3):
                 rng.shuffle(d)
-                assert psi_correlator_wk(g, d, eng) == ref
+                assert eng.value(g, d) == ref
 
 
 # -- mixed correlators and the reduction oracle --------------------------
@@ -151,14 +150,18 @@ def test_symmetry_under_permutation():
 
 def test_mixed_known_values():
     eng = RecursionEngine()
-    assert mixed_correlator(1, [0], K1, eng) == Fraction(1, 24)
-    assert mixed_correlator(0, [0, 0, 0, 0], K1, eng) == 1
-    assert mixed_correlator(1, [1], EMPTY, eng) == Fraction(1, 24)
+    assert eng.value(1, [0], K1) == Fraction(1, 24)
+    assert eng.value(0, [0, 0, 0, 0], K1) == 1
+    assert eng.value(1, [1], EMPTY) == Fraction(1, 24)
 
 
 def test_mixed_requires_insertions():
-    with pytest.raises(ValueError):
-        mixed_correlator(2, [], MultiIndex({1: 3}), RecursionEngine())
+    """value() needs a tau insertion: with none it reads 0 by the zero
+    convention, and pure kappa volumes come from pure_kappa_volume."""
+    eng = RecursionEngine()
+    b = MultiIndex({1: 3})
+    assert eng.value(2, [], b) == 0
+    assert eng.pure_kappa_volume(2, b) == Fraction(43, 2880)
 
 
 def test_oracle_known_values():
@@ -262,7 +265,7 @@ def test_wk_equals_npoint_engines_small():
             if dim < 0 or dim > 6 or 2 * g - 2 + n <= 0:
                 continue
             for d in _partitions(dim, n):
-                assert psi_correlator_wk(g, d, eng) == \
+                assert eng.value(g, d) == \
                     npe.correlator(g, d, "normalized")
 
 

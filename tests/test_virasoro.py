@@ -5,8 +5,8 @@ import pytest
 
 from taukappa.core import EMPTY, MultiIndex
 from taukappa.series import (EMPTY_MONO, TruncatedSeries, format_monomial,
-                             genus_of_monomial, mono_divisors, mono_mul)
-from taukappa.virasoro import (V0_CONSTANT, VirasoroOperator, apply_virasoro,
+                             genus_of_monomial, mono_mul, mono_splits)
+from taukappa.virasoro import (V0_CONSTANT, VirasoroOperator,
                                build_partition_function, commutator_check,
                                gamma_constant, kdv_residual,
                                mixed_generating_series, p_polynomial,
@@ -30,7 +30,9 @@ def test_monomial_helpers():
     m = _mono([(0, 2), (3, 1)], [(1, 1)])
     assert genus_of_monomial(m) is None            # 4/3 is not a genus
     assert genus_of_monomial(_mono([(0, 2), (3, 1)])) == 1
-    assert len(list(mono_divisors(m))) == 3 * 2 * 2
+    splits = list(mono_splits(m))
+    assert len({d for d, _ in splits}) == len(splits) == 3 * 2 * 2
+    assert all(mono_mul(d, q) == m for d, q in splits)
     assert format_monomial(m) == "t0^2*t3*s1"
     assert mono_mul(m, _mono([(0, 1)])) == _mono([(0, 3), (3, 1)], [(1, 1)])
 
@@ -84,7 +86,7 @@ def test_operator_term_list_matches_displayed_groups():
 
 def test_v1_kills_constants():
     one = TruncatedSeries({EMPTY_MONO: Fraction(1)})
-    assert not apply_virasoro(1, one).terms
+    assert not VirasoroOperator(1).apply(one).terms
 
 
 def test_generating_series_known_coefficients():
@@ -116,7 +118,7 @@ def test_virasoro_annihilates_partition_function():
 def test_empty_monomial_is_admitted_and_zero():
     """The t_1 and constant contributions cancel only with the 1/16 term."""
     Z = build_partition_function(1, 2, 0, RecursionEngine())
-    image = apply_virasoro(0, Z)
+    image = VirasoroOperator(0).apply(Z)
     assert image.is_admitted(EMPTY_MONO)
     assert image.coefficient(EMPTY_MONO) == 0
 
@@ -143,14 +145,14 @@ def test_commutators_on_probes():
             assert not commutator_check(n, m, _random_probe(rng)).terms, (n, m)
 
 
-def test_apply_virasoro_is_linear():
+def test_virasoro_operator_is_linear():
     rng = random.Random(23)
     for k in (-1, 0, 2):
         x, y = _random_probe(rng), _random_probe(rng)
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-        lhs = apply_virasoro(k, x.scaled(a) + y.scaled(b))
-        rhs = apply_virasoro(k, x).scaled(a) + apply_virasoro(k, y).scaled(b)
+        lhs = VirasoroOperator(k).apply(x.scaled(a) + y.scaled(b))
+        rhs = VirasoroOperator(k).apply(x).scaled(a) + VirasoroOperator(k).apply(y).scaled(b)
         assert not (lhs - rhs).terms
 
 
