@@ -2,9 +2,10 @@
 denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
 identity (3) and a cache file that is unreadable or cannot be opened (4)
-so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value
-is rejected by the argument parser, and an unreadable or malformed
-`--iz-fixture` file by `denom`: both are usage errors, one line on stderr.
+so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
+an empty `--k` range and a negative grid bound are rejected by the
+argument parser, and an unreadable or malformed `--iz-fixture` file by
+`denom`: all are usage errors, one line on stderr.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
@@ -17,6 +18,7 @@ disagrees between workers or with a cached record exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +29,8 @@ from .core import EMPTY, MultiIndex, partitions
 from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
-from .identities import IDENTITY_NAMES, identity_grid, run_identity
+from .identities import (IDENTITY_NAMES, dilaton_residual, identity_grid,
+                         run_identity, string_residual)
 from .recursion import EngineDisagreement, RecursionEngine
 from .series import format_monomial
 from .virasoro import (build_partition_function, commutator_check,
@@ -62,11 +65,21 @@ def _parse_krange(text: str) -> list:
     if ".." in text:
         lo, hi = text.split("..")
         ks = list(range(int(lo), int(hi) + 1))
+        if not ks:
+            raise ValueError("empty range")
     else:
         ks = [int(x) for x in text.split(",")]
     if any(k < -1 for k in ks):
         raise ValueError("Virasoro indices start at -1")
     return ks
+
+
+def _parse_bound(text: str) -> int:
+    """`--gmax 2`: an upper bound of a grid, at least 0."""
+    bound = int(text)
+    if bound < 0:
+        raise ValueError("a bound must be nonnegative")
+    return bound
 
 
 def _emit(args, payload: dict, plain: str):
@@ -154,8 +167,9 @@ def _verify_identities(args, name: str, eng) -> int:
 
 def _verify_string_dilaton(args, which: str, eng) -> int:
     from .core import multiindices_up_to_weight
-    residual_fn = (eng.string_residual if which == "string"
-                   else eng.dilaton_residual)
+    from .npoint import NPointEngine
+    npe = NPointEngine()
+    residual_fn = string_residual if which == "string" else dilaton_residual
     failures = 0
     count = 0
     for g in range(args.gmax + 1):
@@ -169,7 +183,7 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
                 if budget < 0:
                     continue
                 for d in partitions(budget, n):
-                    res = residual_fn(g, d, b)
+                    res = residual_fn(g, d, b, eng, npe)
                     count += 1
                     status = "holds" if res == 0 else "fails"
                     if res != 0:
@@ -353,14 +367,17 @@ class SystemExit2(Exception):
     """Usage error signalled from command handlers (exit code 2)."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` fills in the `--cache`
+    default from the environment on each call."""
     ap = argparse.ArgumentParser(
         prog="taukappa",
         description="exact tau/kappa intersection numbers and their "
                     "verification workbench")
     ap.add_argument("--format", choices=("plain", "json", "csv"),
                     default="plain")
-    ap.add_argument("--cache", default=os.environ.get(CACHE_ENV),
+    ap.add_argument("--cache",
                     help=f"correlator cache file (default ${CACHE_ENV})")
     ap.add_argument("--workers", type=int, default=1,
                     help="parallel workers for verification grids")
@@ -376,10 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification grid")
     ver.add_argument("target", choices=VERIFY_TARGETS)
-    ver.add_argument("--gmax", type=int, default=2)
-    ver.add_argument("--nmax", type=int, default=3)
-    ver.add_argument("--bmax", type=int, default=1)
-    ver.add_argument("--dmax", type=int, default=9,
+    bound = _argument(_parse_bound)
+    ver.add_argument("--gmax", type=bound, default=2)
+    ver.add_argument("--nmax", type=bound, default=3)
+    ver.add_argument("--bmax", type=bound, default=1)
+    ver.add_argument("--dmax", type=bound, default=9,
                      help="dimension bound for the engines target")
     ver.add_argument("--k", type=_argument(_parse_krange),
                      help="Virasoro indices, e.g. -1..3 or 0,1")
@@ -390,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--script-d", action="store_true", dest="script_d")
     den.add_argument("--lemma20", action="store_true")
     den.add_argument("--prop17", action="store_true")
-    den.add_argument("--nmax", type=int, default=4)
+    den.add_argument("--nmax", type=bound, default=4)
     den.add_argument("--iz-fixture", dest="iz_fixture",
                      help="fixture file of automorphism orders")
     return ap
@@ -407,6 +425,8 @@ def main(argv=None) -> int:
             del argv[i + 1]
         i += 1
     args = build_parser().parse_args(argv)
+    if args.cache is None:
+        args.cache = os.environ.get(CACHE_ENV)
     eng = RecursionEngine()     # fresh per invocation, warmed from the cache
     try:
         if args.cache:

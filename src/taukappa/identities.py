@@ -7,6 +7,9 @@ Split sums run over ordered pairs of complementary labeled subsets, empty
 parts allowed, and the genus of each split factor is the unique one
 permitted by the dimension constraint (terms with no such genus vanish).
 conj13 is experimental: its reports never gate a verification run.
+The generalized string and dilaton residuals read pure psi values from
+the n-point function and kappa values from the reduction oracle, so they
+test the recursion's string/dilaton step instead of restating it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
                    multiindex_binomial, multiindices_up_to_weight,
                    multiset_splits, partitions)
+from .npoint import NPointEngine
 from .recursion import RecursionEngine
 
 __all__ = [
-    "IdentityReport", "check_theorem7", "check_theorem8",
+    "IdentityReport", "string_residual", "dilaton_residual",
+    "check_theorem7", "check_theorem8",
     "check_proposition9", "check_theorem10", "check_proposition11",
     "check_theorem12", "check_conjecture13", "identity_grid", "run_identity",
     "IDENTITY_NAMES",
@@ -80,6 +85,46 @@ def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
         if v2:
             total += ways * v1 * v2
     return total
+
+
+def _unreduced_value(g: int, d, b: MultiIndex, engine: RecursionEngine,
+                     npe: NPointEngine) -> Fraction:
+    """<kappa(b) prod tau_d>_g by routes that never take the recursion's
+    string/dilaton step with kappa classes: the n-point function for pure
+    psi, and the kappa reduction oracle otherwise (a pure kappa volume when
+    d is empty)."""
+    return engine.reduction_oracle(g, d, b) if b else npe.correlator(g, d)
+
+
+def string_residual(g: int, d, b: MultiIndex, engine: RecursionEngine,
+                    npe: NPointEngine) -> Fraction:
+    """LHS - RHS of the generalized string identity (contract: zero on
+    stable base shapes, 2g - 2 + n > 0)."""
+    d = tuple(d)
+    lhs = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
+                * _unreduced_value(g, d + (left.weight,), right, engine, npe))
+    rhs = Fraction(0)
+    for j in range(len(d)):
+        if d[j] >= 1:
+            rhs += _unreduced_value(g, d[:j] + (d[j] - 1,) + d[j + 1:], b,
+                                    engine, npe)
+    return lhs - rhs
+
+
+def dilaton_residual(g: int, d, b: MultiIndex, engine: RecursionEngine,
+                     npe: NPointEngine) -> Fraction:
+    """LHS - RHS of the generalized dilaton identity (contract: zero on
+    stable base shapes)."""
+    d = tuple(d)
+    lhs = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
+                * _unreduced_value(g, d + (left.weight + 1,), right,
+                                   engine, npe))
+    rhs = (2 * g - 2 + len(d)) * _unreduced_value(g, d, b, engine, npe)
+    return lhs - rhs
 
 
 def check_theorem7(g: int, d, k: int, engine: RecursionEngine

@@ -9,6 +9,16 @@ the classical pure-psi recursion (base cases <tau_0^3>_0 = 1 and
 <tau_1>_1 = 1/24); any correlator violating the dimension constraint
 sum(d) + |b| = 3g - 3 + n or stability contributes zero inside every sum.
 
+A correlator whose smallest insertion is tau_0, or tau_1 beside other
+insertions X, skips the sums and takes one step of the generalized string
+or dilaton equation instead (s = 0 or 1):
+  <tau_s kappa(b) X>_g = T_s - sum_{0 != L <= b} (-1)^||L|| binom(b, L)
+                               <tau_{|L|+s} kappa(b-L) X>_g,
+  T_0 = sum_j <kappa(b) X with d_j - 1>_g,  T_1 = (2g-2+|X|) <kappa(b) X>_g.
+Each term keeps g and lowers the dimension or ||b||, so only
+<tau_d kappa(b)>_g with d >= 1 and correlators with every d_j >= 2 run
+the three sums.
+
 The sums are accumulated exactly in integers.  Once the common factor 1/2
 is pulled out, every coefficient is an integer: multiplicities, binomials
 and multinomials, products of odd double factorials, and the pair-merge
@@ -16,11 +26,14 @@ ratio (2(|L|+d_1+v)-1)!!/(2v-1)!!.  Within one kappa group L each term adds
 coefficient times numerator to a bucket keyed by the denominator of the
 table value (the product of the two denominators for a split term); a
 single lcm pass collapses each group, alpha_L scales it once, and one
-Fraction per correlator is built from the groups over 2 (2d_1+1)!!.
+Fraction per correlator is built from the groups over 2 (2d_1+1)!!.  The
+string/dilaton step has integer coefficients and sums into one bucket map.
 
 An independent reduction oracle trades one kappa index at a time for a
 psi power at a new point (inclusion-exclusion over sub-multi-indices)
-and is used only to cross-check the recursion.
+and is used only to cross-check the recursion; the string and dilaton
+residuals in `identities` read it and the n-point function, never the
+step above with kappa classes.
 """
 
 from __future__ import annotations
@@ -230,25 +243,37 @@ class RecursionEngine:
         hit = self.table.get(g, d, b)
         if hit is not None:
             return hit
-        if d[0] == 0 and n == 1:
-            val = self._string_reduce(g, b)
+        if d[-1] == 0 or (d[-1] == 1 and n >= 2):
+            val = self._pre_reduce(g, d, b)
         else:
             val = self._three_sums(g, d, b)
         tag = "wk" if not b else "mixed"
         return self.table.record(g, d, b, val, tag)
 
-    def _string_reduce(self, g: int, b: MultiIndex) -> Fraction:
-        # <tau_0 kappa(b)>_g: the displayed recursion is empty at this
-        # shape; one generalized-string step trades b for a positive pivot.
-        acc = {}
+    def _pre_reduce(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
+        # one string (s = 0) or dilaton (s = 1) step, see the module docstring
+        s, rest = d[-1], d[:-1]
+        if s:
+            terms = [(2 * g - 2 + len(rest), rest, b)]
+        else:
+            terms = []
+            for v in dict.fromkeys(rest):   # distinct d_j, each once
+                if v:
+                    i = rest.index(v)
+                    terms.append((rest.count(v),
+                                  rest[:i] + (v - 1,) + rest[i + 1:], b))
+        # minus (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) X>_g, L != 0
         for left, right in enumerate_sub_multiindices(b):
-            if not left:
-                continue
-            val = self.value(g, (left.weight,), right)
+            if left:
+                sign = 1 if left.size % 2 else -1
+                terms.append((sign * multiindex_binomial(b, left),
+                              rest + (left.weight + s,), right))
+        acc = {}
+        for coef, newd, newb in terms:
+            val = self.value(g, newd, newb)
             if val:
-                coef = (-1) ** left.size * multiindex_binomial(b, left)
                 den = val.denominator
-                acc[den] = acc.get(den, 0) - coef * val.numerator
+                acc[den] = acc.get(den, 0) + coef * val.numerator
         return _bucket_sum(acc)
 
     def _three_sums(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
@@ -386,35 +411,3 @@ class RecursionEngine:
         # recursion engine wherever both visit the same key
         self.table.record(g, d, b, acc, "oracle")
         return acc
-
-    def string_residual(self, g: int, d, b: MultiIndex) -> Fraction:
-        """LHS - RHS of the generalized string identity (contract: zero on
-        stable base shapes, 2g - 2 + n > 0)."""
-        d = tuple(d)
-        lhs = Fraction(0)
-        for left, right in enumerate_sub_multiindices(b):
-            lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                    * self.value(g, d + (left.weight,), right))
-        rhs = Fraction(0)
-        for j in range(len(d)):
-            if d[j] >= 1:
-                rhs += self.value(g, d[:j] + (d[j] - 1,) + d[j + 1:], b)
-        return lhs - rhs
-
-    def dilaton_residual(self, g: int, d, b: MultiIndex) -> Fraction:
-        """LHS - RHS of the generalized dilaton identity (contract: zero on
-        stable base shapes)."""
-        d = tuple(d)
-        lhs = Fraction(0)
-        for left, right in enumerate_sub_multiindices(b):
-            lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                    * self.value(g, d + (left.weight + 1,), right))
-        if d:
-            base = self.value(g, d, b)
-        elif g >= 2:
-            base = self.pure_kappa_volume(g, b)
-        else:
-            base = Fraction(0)
-        rhs = (2 * g - 2 + len(d)) * base
-        return lhs - rhs
-

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from taukappa.cli import main
+from taukappa.recursion import CorrelatorTable, RecursionEngine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +76,19 @@ def test_denom_precondition_usage_errors(capsys):
     assert code == 2
 
 
+def _assert_argument_error(capsys, argv: str):
+    """argv exits 2 with one error line after the usage, naming the
+    argument, and runs nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2, argv
+    assert captured.out == "" and "Traceback" not in captured.err, argv
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("taukappa ")]
+    assert len(errors) == 1 and ": error: argument " in errors[0], argv
+
+
 def test_argparse_usage_exit_code(capsys):
     """Malformed option values exit 2 with one error line after the usage."""
     for argv in ("compute psi --genus not-a-number --d 1",
@@ -85,14 +99,40 @@ def test_argparse_usage_exit_code(capsys):
                  "compute kappa --genus 1 --d 0 --b 1:-1",
                  "verify virasoro --k a..b",
                  "verify virasoro --k -5"):
-        with pytest.raises(SystemExit) as exc:
-            main(argv.split())
-        captured = capsys.readouterr()
-        assert exc.value.code == 2, argv
-        assert captured.out == "" and "Traceback" not in captured.err, argv
-        errors = [line for line in captured.err.splitlines()
-                  if line.startswith("taukappa ")]
-        assert len(errors) == 1 and ": error: argument " in errors[0], argv
+        _assert_argument_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify virasoro --k 3..1",
+    "verify engines --dmax -1",
+    "verify thm8 --gmax -1",
+    "verify string --gmax -1",
+    "verify dilaton --nmax -1",
+    "verify prop11 --bmax -1",
+    "denom --genus 2 --prop17 --nmax -1",
+])
+def test_empty_ranges_are_usage_errors(capsys, argv):
+    """A range that would check nothing is a usage error, not a success."""
+    _assert_argument_error(capsys, argv)
+
+
+def test_cache_default_read_on_every_call(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process, but each call reads
+    $TAUKAPPA_CACHE afresh."""
+    first, second = tmp_path / "first.cache", tmp_path / "second.cache"
+    monkeypatch.setenv("TAUKAPPA_CACHE", str(first))
+    assert run_cli(capsys, "compute", "psi", "--genus", "1",
+                   "--d", "1") == (0, "1/24\n")
+    monkeypatch.setenv("TAUKAPPA_CACHE", str(second))
+    assert run_cli(capsys, "compute", "psi", "--genus", "0",
+                   "--d", "0,0,0") == (0, "1\n")
+    monkeypatch.delenv("TAUKAPPA_CACHE")
+    assert run_cli(capsys, "compute", "psi", "--genus", "2",
+                   "--d", "4") == (0, "1/1152\n")
+    assert first.read_text() == "1|1||1/24\n"
+    assert second.read_text() == "0|0,0,0||1/1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["first.cache", "second.cache"]
 
 
 def test_denom_commands(capsys):
@@ -123,6 +163,42 @@ def test_verify_conjecture_never_gates(capsys):
     code, out = run_cli(capsys, "verify", "conj13", "--gmax", "2",
                         "--nmax", "2")
     assert code == 0 and "conjectural, never gates" in out
+
+
+def test_verify_dilaton_catches_a_wrong_dilaton_step(monkeypatch, capsys):
+    """verify dilaton reads pure psi values from the n-point function and
+    kappa values from the reduction oracle: with the recursion's dilaton
+    factor 2g - 2 + |X| off by one, the oracle's values break the identity
+    and the run exits 3."""
+    step = RecursionEngine._pre_reduce
+
+    def off_by_one(self, g, d, b):
+        val = step(self, g, d, b)
+        if d[-1] == 1:
+            val += self.value(g, d[:-1], b)
+        return val
+
+    monkeypatch.setattr(RecursionEngine, "_pre_reduce", off_by_one)
+    code, out = run_cli(capsys, "verify", "dilaton", "--gmax", "1",
+                        "--nmax", "2", "--bmax", "1")
+    assert code == 3 and ": fails" in out
+
+
+def test_verify_string_dilaton_skip_the_mixed_step(monkeypatch, capsys):
+    """Neither check takes the recursion's string/dilaton step with kappa
+    classes, so they cannot hold merely because that step restates them."""
+    step = RecursionEngine._pre_reduce
+
+    def pure_psi_only(self, g, d, b):
+        assert not b, (g, d, b)
+        return step(self, g, d, b)
+
+    monkeypatch.setattr(RecursionEngine, "_pre_reduce", pure_psi_only)
+    for target, count in (("string", 65), ("dilaton", 49)):
+        code, out = run_cli(capsys, "verify", target, "--gmax", "2",
+                            "--nmax", "3", "--bmax", "2")
+        assert code == 0
+        assert out.endswith(f"# {target}: {count} checked, {count} hold\n")
 
 
 def test_verify_virasoro_with_range(capsys):
@@ -229,9 +305,27 @@ def test_denom_cache_file_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     data = cache.read_bytes()
+    assert data.count(b"\n") == 240
+    assert hashlib.sha256(data).hexdigest() == \
+        "407eb0d4e370c6c9162da9a1c8463006117866a028c2d49ed537a2e7b8542772"
+
+
+def test_engine_reproduces_three_sums_script_d3_records():
+    """tests/data/script_d3_three_sums.cache is the script-D(3) cache the
+    engine wrote when every correlator but <tau_0 kappa(b)>_g ran the three
+    sums (424 lines, sha256 a3681a6c...5d34d).  An engine that never reads
+    it gives every one of its records the same value."""
+    data = (ROOT / "tests" / "data" / "script_d3_three_sums.cache").read_bytes()
     assert data.count(b"\n") == 424
     assert hashlib.sha256(data).hexdigest() == \
         "a3681a6c58ce1b4a1db0f01c0ad34668b276922e4815973bb91107a25fd5d34d"
+    pinned = CorrelatorTable()
+    pinned.load(str(ROOT / "tests" / "data" / "script_d3_three_sums.cache"))
+    eng = RecursionEngine()
+    for (g, d, b), value in pinned.values.items():
+        got = eng.value(g, d, b) if d else eng.pure_kappa_volume(g, b)
+        assert got == value, (g, d, b)
+    assert len(pinned) == 424
 
 
 def test_unopenable_cache_exit_code(tmp_path, capsys):
@@ -258,7 +352,7 @@ def test_workers_match_serial_run(tmp_path, capsys):
     assert out[0] == 0 and "# prop11: 9 checked, 9 hold" in out[1]
     assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
                    *PROP11) == out
-    assert serial.read_bytes().count(b"\n") == 19
+    assert serial.read_bytes().count(b"\n") == 20
     assert parallel.read_bytes() == serial.read_bytes()
 
 

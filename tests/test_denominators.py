@@ -43,6 +43,14 @@ def test_script_D_two_paths_agree():
         compute_script_D(1, eng)
 
 
+def test_script_D_five():
+    """script-D(5) = D(5, 12): compute_script_D raises unless the kappa
+    volumes and the psi correlators give the same lcm."""
+    rep = compute_script_D(5, RecursionEngine())
+    assert rep.value == 367873228800
+    assert rep.factorization == {2: 18, 3: 6, 5: 2, 7: 1, 11: 1}
+
+
 def test_proposition17_ladders():
     eng = RecursionEngine()
     assert all(v for _, v in check_proposition17(1, 3, eng))

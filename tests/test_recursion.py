@@ -13,6 +13,7 @@ from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            genus_for_dimension, multiindex_binomial,
                            multiindex_multinomial, multiindices_of_weight,
                            multiindices_up_to_weight)
+from taukappa.identities import dilaton_residual, string_residual
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
                                 RecursionEngine, alpha_constant, corr_key,
@@ -115,7 +116,7 @@ def test_genus0_closed_form_oracle():
 def test_one_point_closed_form():
     from math import factorial
     eng = RecursionEngine()
-    for g in range(1, 8):
+    for g in range(1, 13):
         assert eng.value(g, [3 * g - 2]) == \
             Fraction(1, 24 ** g * factorial(g))
 
@@ -211,18 +212,18 @@ def test_mixed_agrees_with_oracle():
 
 
 def test_string_dilaton_known_cases():
-    eng = RecursionEngine()
-    assert eng.string_residual(1, [1], EMPTY) == 0
-    assert eng.string_residual(1, [0], K1) == 0
-    assert eng.string_residual(2, [2], MultiIndex({1: 2})) == 0
-    assert eng.dilaton_residual(1, [1], EMPTY) == 0
-    assert eng.dilaton_residual(2, [4], EMPTY) == 0
-    assert eng.dilaton_residual(2, [1], MultiIndex({1: 2})) == 0
+    eng, npe = RecursionEngine(), NPointEngine()
+    assert string_residual(1, [1], EMPTY, eng, npe) == 0
+    assert string_residual(1, [0], K1, eng, npe) == 0
+    assert string_residual(2, [2], MultiIndex({1: 2}), eng, npe) == 0
+    assert dilaton_residual(1, [1], EMPTY, eng, npe) == 0
+    assert dilaton_residual(2, [4], EMPTY, eng, npe) == 0
+    assert dilaton_residual(2, [1], MultiIndex({1: 2}), eng, npe) == 0
 
 
 def test_string_dilaton_full_grid():
     """Residuals vanish on the whole grid g <= 3, |b| <= 3, stable bases."""
-    eng = RecursionEngine()
+    eng, npe = RecursionEngine(), NPointEngine()
     checked = 0
     for g in range(4):
         for n in range(4):
@@ -230,13 +231,14 @@ def test_string_dilaton_full_grid():
                 continue
             for bw in range(4):
                 for b in multiindices_of_weight(bw):
-                    for shift, fn in ((0, eng.string_residual),
-                                      (1, eng.dilaton_residual)):
+                    for shift, fn in ((0, string_residual),
+                                      (1, dilaton_residual)):
                         budget = 3 * g - 3 + n + 1 - bw - shift
                         if budget < 0:
                             continue
                         for d in _partitions(budget, n):
-                            assert fn(g, d, b) == 0, (fn.__name__, g, d, b)
+                            assert fn(g, d, b, eng, npe) == 0, \
+                                (fn.__name__, g, d, b)
                             checked += 1
     assert checked > 100
 
@@ -344,41 +346,85 @@ def _reference_three_sums(eng, g, d, b):
     return total / double_factorial(2 * d1 + 1)
 
 
-def _reference_string_sum(eng, g, b, shift):
-    """sum over L + L' = b of (-1)^||L|| binom(b, L) <tau_{|L|+shift} kappa(L')>_g."""
+def _reference_dilaton_sum(eng, g, b):
+    """sum over L + L' = b of (-1)^||L|| binom(b, L) <tau_{|L|+1} kappa(L')>_g."""
     acc = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
-        if shift == 0 and not left:
-            continue
         acc += ((-1) ** left.size * multiindex_binomial(b, left)
-                * eng.value(g, (left.weight + shift,), right))
+                * eng.value(g, (left.weight + 1,), right))
     return acc
+
+
+def _reference_pre_reduce(eng, g, d, b):
+    """One string (d_n = 0) or dilaton (d_n = 1) step, one Fraction per
+    term, the string sum taken over positions j rather than values."""
+    s, rest = d[-1], d[:-1]
+    if s:
+        total = (2 * g - 2 + len(rest)) * eng.value(g, rest, b)
+    else:
+        total = Fraction(0)
+        for j, v in enumerate(rest):
+            if v:
+                total += eng.value(g, rest[:j] + (v - 1,) + rest[j + 1:], b)
+    for left, right in enumerate_sub_multiindices(b):
+        if left:
+            total -= ((-1) ** left.size * multiindex_binomial(b, left)
+                      * eng.value(g, rest + (left.weight + s,), right))
+    return total
 
 
 def test_integer_kernel_matches_fraction_reference():
     """Every shape with g <= 3, n <= 4, |b| <= 3, mixed b included, where
-    the exact-integer sums must equal the term-by-term Fraction sums."""
+    the exact-integer sums must equal the term-by-term Fraction sums.  A
+    shape with a tau_0, or a tau_1 and another insertion, takes one
+    string/dilaton step; there the three sums must give the same value."""
     eng = RecursionEngine()
-    checked = 0
+    checked = reduced = 0
     for g in range(4):
         for bw in range(4):
             for b in multiindices_of_weight(bw):
                 if g >= 2 and bw == 3 * g - 3:
                     assert eng.pure_kappa_volume(g, b) == \
-                        _reference_string_sum(eng, g, b, 1) / (2 * g - 2), (g, b)
+                        _reference_dilaton_sum(eng, g, b) / (2 * g - 2), (g, b)
                 for n in range(1, 5):
                     budget = 3 * g - 3 + n - bw
                     if budget < 0 or 2 * g - 2 + n <= 0:
                         continue
                     for d in _partitions(budget, n):
-                        if d == (0,):
-                            assert eng._string_reduce(g, b) == \
-                                -_reference_string_sum(eng, g, b, 0), (g, b)
-                        elif d not in ((0, 0, 0), (1,)):
+                        if d in ((0, 0, 0), (1,)):
+                            continue
+                        if d[-1] == 0 or (d[-1] == 1 and n >= 2):
+                            assert eng._pre_reduce(g, d, b) == \
+                                _reference_pre_reduce(eng, g, d, b), (g, d, b)
+                            reduced += 1
+                        if d != (0,):
                             assert eng._three_sums(g, d, b) == \
-                                _reference_three_sums(eng, g, d, b), (g, d, b)
+                                _reference_three_sums(eng, g, d, b) == \
+                                eng.value(g, d, b), (g, d, b)
                         checked += 1
-    assert checked > 300
+    assert checked > 300 and reduced > 200
+
+
+def test_pre_reduced_mixed_values_match_oracle():
+    """Every <kappa(b) prod tau_d>_g with g <= 3, n <= 3, 0 < |b| <= 3 and
+    a tau_0 or tau_1 insertion (all but <tau_1 kappa(b)>_g start with a
+    string/dilaton step) equals the kappa reduction oracle run on an
+    engine of its own."""
+    eng, oracle = RecursionEngine(), RecursionEngine()
+    checked = 0
+    for g in range(4):
+        for bw in range(1, 4):
+            for b in multiindices_of_weight(bw):
+                for n in range(1, 4):
+                    budget = 3 * g - 3 + n - bw
+                    if budget < 0 or 2 * g - 2 + n <= 0:
+                        continue
+                    for d in _partitions(budget, n):
+                        if d[-1] <= 1:
+                            assert eng.value(g, d, b) == \
+                                oracle.reduction_oracle(g, d, b), (g, d, b)
+                            checked += 1
+    assert checked == 100
 
 
 # -- the correlator table -------------------------------------------------
