@@ -22,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .core import EMPTY, MultiIndex, partitions
@@ -136,6 +135,9 @@ def _run_identity_chunk(work):
 def _verify_identities(args, name: str, eng) -> int:
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
     if args.workers > 1:
+        # imported only here, so jobs without workers do not load the
+        # process pool's modules at start-up
+        from concurrent.futures import ProcessPoolExecutor
         # one chunk per worker: each chunk starts a fresh engine, so more
         # chunks would repeat the recursion work that the grid shares
         size = max(1, -(-len(grid) // args.workers))

@@ -30,7 +30,7 @@ from .core import genus_for_dimension
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_t_count",
     "mono_s_weight", "mono_t_degree", "mono_splits", "genus_of_monomial",
-    "format_monomial", "TruncatedSeries",
+    "format_monomial", "shifted_down", "TruncatedSeries",
 ]
 
 Monomial = tuple   # ((t_idx, exp), ...), ((s_idx, exp), ...)
@@ -171,28 +171,26 @@ class TruncatedSeries:
 
     def mul(self, other: "TruncatedSeries", region=None) -> "TruncatedSeries":
         """Product.  When either factor is truncated, admission is granted
-        on the candidate monomials (`region` if supplied, else the
-        product's support) whose every factorization stays admitted in both
-        factors."""
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        if self.admitted is None and other.admitted is None:
-            adm = None
-        else:
-            cands = set(terms) if region is None else set(region)
-            adm = set()
-            for m in cands:
-                if all(self.is_admitted(d) and other.is_admitted(q)
-                       for d, q in mono_splits(m)):
-                    adm.add(m)
-        return TruncatedSeries(terms, adm)
+        on the candidate monomials (`region` if supplied, else every
+        product of stored terms) whose every factorization stays admitted
+        in both factors.  Coefficients are summed over the factorizations
+        of admitted candidates only."""
+        exact = self.admitted is None and other.admitted is None
+        if region is None or exact:
+            region = {mono_mul(m1, m2) for m1 in self.terms
+                      for m2 in other.terms}
+        terms, adm = {}, set()
+        for m in region:
+            acc = 0
+            for d, q in mono_splits(m):
+                if not (self.is_admitted(d) and other.is_admitted(q)):
+                    break
+                if d in self.terms and q in other.terms:
+                    acc += self.terms[d] * other.terms[q]
+            else:
+                adm.add(m)
+                terms[m] = acc
+        return TruncatedSeries(terms, None if exact else adm)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a truncated series with no constant term, by the graded
@@ -237,7 +235,7 @@ class TruncatedSeries:
                 mm = mono_mul(m, unit, -1)
                 terms[mm] = terms.get(mm, Fraction(0)) + c * e
         adm = (None if self.admitted is None
-               else set(_shifted_down(self.admitted, unit)))
+               else set(shifted_down(self.admitted, unit)))
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
@@ -268,7 +266,8 @@ def _intersect(a, b):
     return frozenset(a) & frozenset(b)
 
 
-def _shifted_down(admitted, unit):
+def shifted_down(admitted, unit):
+    """m / unit for every m in `admitted` that unit divides."""
     for m in admitted:
         try:
             yield mono_mul(m, unit, -1)

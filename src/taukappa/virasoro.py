@@ -24,7 +24,8 @@ from .core import (Memo, MultiIndex, double_factorial,
 from .recursion import RecursionEngine
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
                      genus_of_monomial, is_stable_shape, merge_exponents,
-                     mono_mul, mono_s_weight, mono_t_count, symmetry_factor)
+                     mono_mul, mono_s_weight, mono_t_count, shifted_down,
+                     symmetry_factor)
 
 __all__ = [
     "gamma_constant", "VirasoroOperator", "mixed_generating_series",
@@ -141,24 +142,28 @@ class VirasoroOperator:
             yield m
 
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
-        """V_k applied to a series.  Coefficients are computed for the
-        stored terms only; an output is admitted when it is the image of an
-        admitted monomial and every monomial that could feed it is
-        admitted."""
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in series.terms.items():
-            for out, mult, coef in self._images(m):
-                s = terms.get(out, 0) + c * mult * coef
-                if s:
-                    terms[out] = s
-                else:
-                    terms.pop(out, None)
+        """V_k applied to a series.  An output is admitted when it is the
+        image of an admitted monomial and every monomial that could feed it
+        is admitted.  Those outputs are the quotients m / t_{k+1} of
+        admitted m whose preimages are all admitted: m t_{k+1} is always a
+        preimage of m (the L = 0 entry of `_lowered`), and m is always an
+        image of m t_{k+1} (group (a) at i = k+1, L = 0).  So admission is
+        decided from those quotients first, and coefficients are summed
+        for the admitted images of the stored terms only."""
         adm = None
         if series.admitted is not None:
             admitted = series.admitted
-            cands = {out for m in admitted for out, _, _ in self._images(m)}
-            adm = {m for m in cands
+            adm = {m for m in shifted_down(admitted, (((self.k + 1, 1),), ()))
                    if all(p in admitted for p in self._preimages(m))}
+        terms: dict[Monomial, Fraction] = {}
+        for m, c in series.terms.items():
+            for out, mult, coef in self._images(m):
+                if adm is None or out in adm:
+                    s = terms.get(out, 0) + c * mult * coef
+                    if s:
+                        terms[out] = s
+                    else:
+                        terms.pop(out, None)
         return TruncatedSeries(terms, adm)
 
 

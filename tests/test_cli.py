@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -356,6 +357,17 @@ def test_workers_match_serial_run(tmp_path, capsys):
     assert parallel.read_bytes() == serial.read_bytes()
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only `--workers N` with N > 1 imports `concurrent.futures`, so no
+    other job pays for loading it at start-up."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import taukappa.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):
     """A worker's value that disagrees with a loaded record exits 1."""
     cache = tmp_path / "poisoned.cache"
@@ -430,6 +442,14 @@ virasoro k=0: 465 admitted coefficients, holds
 virasoro k=1: 126 admitted coefficients, holds
 virasoro k=2: 112 admitted coefficients, holds
 virasoro k=3: 88 admitted coefficients, holds
+"""),
+    # the (4,5,3) truncation named by the series-layer speed target
+    "verify virasoro --k -1..3 --gmax 4 --nmax 5 --bmax 3": (0, """\
+virasoro k=-1: 2313 admitted coefficients, holds
+virasoro k=0: 2958 admitted coefficients, holds
+virasoro k=1: 864 admitted coefficients, holds
+virasoro k=2: 781 admitted coefficients, holds
+virasoro k=3: 601 admitted coefficients, holds
 """),
     "verify substitution --gmax 2 --nmax 2 --bmax 2": (0, """\
 substitution @(2,2,2): 97 admitted coefficients, holds

@@ -2,10 +2,13 @@
 
 `ref_exp` sums G^k/k! power by power under a structural cap and then
 admits by divisor closure; `RefVirasoro.apply` computes a coefficient for
-every image of every monomial, admitted or stored.  Both are kept here,
-test-only, as the independent references for the graded `exp` and the
-table-driven `VirasoroOperator.apply`: outputs must agree exactly, terms
-and admission sets alike.
+every image of every monomial, admitted or stored, and admits from the
+images of every admitted monomial; `ref_mul` forms every product of terms
+and then admits the candidates whose every divisor pair is admitted.  They
+are kept here, test-only, as the independent references for the graded
+`exp`, the quotient-first `VirasoroOperator.apply` and the split-sum
+`TruncatedSeries.mul`: outputs must agree exactly, terms and admission
+sets alike.
 """
 
 import random
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from taukappa.core import (MultiIndex, double_factorial,
                            enumerate_sub_multiindices, multiindices_of_weight)
 from taukappa.recursion import RecursionEngine
-from taukappa.series import EMPTY_MONO, TruncatedSeries
+from taukappa.series import EMPTY_MONO, TruncatedSeries, mono_mul
 from taukappa.virasoro import (VirasoroOperator, build_partition_function,
                                gamma_constant, mixed_generating_series)
 
@@ -86,6 +89,28 @@ def ref_exp(series, keep, region):
            if all(d in series.admitted for d in _ref_divisors(m)
                   if d != EMPTY_MONO)}
     return TruncatedSeries(acc, adm)
+
+
+def ref_mul(a, b, region=None):
+    """Every product of terms; with a truncated factor, admission on the
+    candidates (`region`, else every product formed) whose divisor pairs
+    are all admitted."""
+    terms, formed = {}, set()
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = _ref_mono_mul(m1, m2)
+            formed.add(m)
+            terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+    if a.admitted is None and b.admitted is None:
+        return TruncatedSeries(terms, None)
+    adm = {m for m in (formed if region is None else region)
+           if all(a.is_admitted(d) and b.is_admitted(_ref_quotient(m, d))
+                  for d in _ref_divisors(m))}
+    return TruncatedSeries(terms, adm)
+
+
+def _ref_quotient(m, d):
+    return (_ref_merge(m[0], d[0], -1), _ref_merge(m[1], d[1], -1))
 
 
 def _ref_t_shift(m, idx, delta):
@@ -300,3 +325,52 @@ def test_graded_exp_and_apply_equal_references(drawn):
     # admission sets that are not divisor-closed reach every preimage rule
     for k in KS:
         assert_same(VirasoroOperator(k).apply(G), RefVirasoro(k).apply(G))
+
+
+@st.composite
+def series_pairs(draw):
+    """Two factors from `truncated_series`, either of them possibly made
+    exact, and a region drawn from the largest box."""
+    (a, _), (b, _) = draw(truncated_series()), draw(truncated_series())
+    if draw(st.booleans()):
+        a = TruncatedSeries(a.terms)
+    elif draw(st.booleans()):
+        b = TruncatedSeries(b.terms)
+    region = draw(st.none() | st.sets(st.sampled_from(_box(3, 2))))
+    return a, b, region
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_mul_equals_all_pairs_reference(drawn):
+    a, b, region = drawn
+    assert_same(a.mul(b, region=region), ref_mul(a, b, region))
+
+
+def test_mul_matches_reference_on_the_kdv_product():
+    """The product `kdv_residual` forms, at a real truncation."""
+    F = mixed_generating_series(2, 6, 0, RecursionEngine())
+    U = F.derivative(0).derivative(0)
+    U0, region = U.derivative(0), U.derivative(1).admitted
+    assert_same(U.mul(U0, region=region), ref_mul(U, U0, region))
+
+
+@st.composite
+def monomials(draw):
+    tpart = draw(st.dictionaries(st.integers(0, 5), st.integers(1, 3),
+                                 max_size=3))
+    spart = draw(st.dictionaries(st.integers(1, 3), st.integers(1, 2),
+                                 max_size=2))
+    return tuple(sorted(tpart.items())), tuple(sorted(spart.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials())
+def test_quotient_by_t_k_plus_1_is_image_and_preimage(m):
+    """The lemma behind quotient-first admission in `apply`: m t_{k+1} is
+    a preimage of m, and m an image of m t_{k+1}, for every k."""
+    for k in KS:
+        op = VirasoroOperator(k)
+        up = mono_mul(m, (((k + 1, 1),), ()))
+        assert up in set(op._preimages(m))
+        assert m in {out for out, _, _ in op._images(up)}
