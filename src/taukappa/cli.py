@@ -3,16 +3,18 @@ denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
 identity (3) and a cache file that is unreadable or cannot be opened (4)
 so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
-an empty `--k` range and a negative grid bound are rejected by the
-argument parser, and an unreadable or malformed `--iz-fixture` file by
-`denom`: all are usage errors, one line on stderr.
+an empty `--k` range, a negative grid bound and `--workers` below 1 are
+rejected by the argument parser, an unreadable or malformed `--iz-fixture`
+file by `denom`, and `--b` on `compute psi` by `compute`: all are usage
+errors, one line on stderr.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
-grid into N chunks, each run in a worker process on a fresh engine that
-returns its table records with its reports; the records are merged into
-the invocation's engine, so they persist to the cache, and a value that
-disagrees between workers or with a cached record exits 1.
+grid into at most N chunks; when there are two or more, each runs in a
+worker process on a fresh engine that returns its table records with its
+reports.  The records are merged into the invocation's engine, so they
+persist to the cache, and a value that disagrees between workers or with
+a cached record exits 1.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ def _parse_krange(text: str) -> list:
     return ks
 
 
-def _parse_bound(text: str) -> int:
-    """`--gmax 2`: an upper bound of a grid, at least 0."""
-    bound = int(text)
-    if bound < 0:
-        raise ValueError("a bound must be nonnegative")
-    return bound
+def _int_at_least(low: int):
+    """An argparse `type` for an integer that is at least `low`, such as
+    a grid bound (`--gmax 2`, at least 0) or `--workers` (at least 1)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return _argument(parse)
 
 
 def _emit(args, payload: dict, plain: str):
@@ -100,6 +105,8 @@ def _cmd_compute(args, eng) -> int:
     if args.kind == "psi":
         if not args.d:
             raise SystemExit2("psi needs --d")
+        if args.b is not None:
+            raise SystemExit2("psi takes no --b; use compute kappa")
         val = eng.value(args.genus, args.d, EMPTY)
         _emit(args, {"genus": args.genus, "d": list(args.d), "value": str(val)},
               str(val))
@@ -134,16 +141,18 @@ def _run_identity_chunk(work):
 
 def _verify_identities(args, name: str, eng) -> int:
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
-    if args.workers > 1:
+    # one chunk per worker: each chunk starts a fresh engine, so more
+    # chunks would repeat the recursion work that the grid shares
+    size = max(1, -(-len(grid) // args.workers))
+    chunks = [(name, grid[i:i + size]) for i in range(0, len(grid), size)]
+    if len(chunks) > 1:
         # imported only here, so jobs without workers do not load the
         # process pool's modules at start-up
         from concurrent.futures import ProcessPoolExecutor
-        # one chunk per worker: each chunk starts a fresh engine, so more
-        # chunks would repeat the recursion work that the grid shares
-        size = max(1, -(-len(grid) // args.workers))
-        chunks = [(name, grid[i:i + size]) for i in range(0, len(grid), size)]
         reports = []
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # under fork every requested process starts at the first submit,
+        # so ask for no more than there are chunks
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part, records in pool.map(_run_identity_chunk, chunks):
                 reports += part
                 # write-once: a value that disagrees with another worker or
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="plain")
     ap.add_argument("--cache",
                     help=f"correlator cache file (default ${CACHE_ENV})")
-    ap.add_argument("--workers", type=int, default=1,
+    ap.add_argument("--workers", type=_int_at_least(1), default=1,
                     help="parallel workers for verification grids")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -395,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification grid")
     ver.add_argument("target", choices=VERIFY_TARGETS)
-    bound = _argument(_parse_bound)
+    bound = _int_at_least(0)
     ver.add_argument("--gmax", type=bound, default=2)
     ver.add_argument("--nmax", type=bound, default=3)
     ver.add_argument("--bmax", type=bound, default=1)

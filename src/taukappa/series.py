@@ -25,11 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .core import genus_for_dimension
-
 __all__ = [
-    "Monomial", "merge_exponents", "mono_mul", "mono_t_count",
-    "mono_s_weight", "mono_t_degree", "mono_splits", "genus_of_monomial",
+    "Monomial", "merge_exponents", "mono_mul", "mono_splits",
     "format_monomial", "shifted_down", "TruncatedSeries",
 ]
 
@@ -53,28 +50,6 @@ def mono_mul(m1: Monomial, m2: Monomial, sign=1) -> Monomial:
     """m1 * m2, or m1 / m2 with sign = -1 (ValueError if m2 does not divide)."""
     return (merge_exponents(m1[0], m2[0], sign),
             merge_exponents(m1[1], m2[1], sign))
-
-
-def mono_t_count(m: Monomial) -> int:
-    return sum(e for _, e in m[0])
-
-
-def mono_t_degree(m: Monomial) -> int:
-    return sum(i * e for i, e in m[0])
-
-
-def mono_s_weight(m: Monomial) -> int:
-    return sum(i * e for i, e in m[1])
-
-
-def genus_of_monomial(m: Monomial):
-    """Genus forced by the dimension constraint, or None if fractional."""
-    return genus_for_dimension(mono_t_degree(m) + mono_s_weight(m),
-                               mono_t_count(m))
-
-
-def is_stable_shape(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
 
 
 def _part_splits(part):
@@ -235,7 +210,7 @@ class TruncatedSeries:
                 mm = mono_mul(m, unit, -1)
                 terms[mm] = terms.get(mm, Fraction(0)) + c * e
         adm = (None if self.admitted is None
-               else set(shifted_down(self.admitted, unit)))
+               else set(shifted_down(self.admitted, slot, idx)))
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
@@ -266,10 +241,12 @@ def _intersect(a, b):
     return frozenset(a) & frozenset(b)
 
 
-def shifted_down(admitted, unit):
-    """m / unit for every m in `admitted` that unit divides."""
+def shifted_down(admitted, slot: int, idx: int):
+    """m / v for every m in `admitted` that the variable v divides, where
+    v is t_idx for slot 0 and s_idx for slot 1."""
     for m in admitted:
-        try:
-            yield mono_mul(m, unit, -1)
-        except ValueError:
-            continue
+        part = m[slot]
+        for k, (i, e) in enumerate(part):
+            if i == idx:
+                lower = part[:k] + (((i, e - 1),) if e > 1 else ()) + part[k + 1:]
+                yield (lower, m[1]) if slot == 0 else (m[0], lower)

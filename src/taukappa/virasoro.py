@@ -8,24 +8,25 @@ checked coefficientwise at a chosen truncation.  The k = 0 constant term
 is 1/16: that value is forced both by the empty-monomial coefficient of
 V_0 exp(G) (through <tau_1>_1 = 1/24) and by [V_1, V_-1] = 2 V_0.
 
-The substitution check expands F(t_0, t_1, t_2 + p_2, t_3 + p_3, ...)
-with p_k = sum_{|L| = k-1} (-1)^(||L||-1) s^L / L! and compares it
-coefficientwise against G built directly from the mixed recursion.
+The substitution check compares G, built directly from the mixed
+recursion, coefficientwise against F(t_0, t_1, t_2 + p_2, t_3 + p_3, ...)
+with p_k = sum_{|L| = k-1} (-1)^(||L||-1) s^L / L!.  Each coefficient of
+the substituted series is pulled from the F coefficients that feed it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations_with_replacement, groupby
+from math import comb, prod
 
 from .core import (Memo, MultiIndex, double_factorial,
-                   enumerate_sub_multiindices, multiindices_of_weight,
-                   multiindices_up_to_weight)
+                   enumerate_sub_multiindices, genus_for_dimension,
+                   multiindices_of_weight, multiindices_up_to_weight)
 from .recursion import RecursionEngine
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
-                     genus_of_monomial, is_stable_shape, merge_exponents,
-                     mono_mul, mono_s_weight, mono_t_count, shifted_down,
-                     symmetry_factor)
+                     merge_exponents, shifted_down, symmetry_factor)
 
 __all__ = [
     "gamma_constant", "VirasoroOperator", "mixed_generating_series",
@@ -153,7 +154,7 @@ class VirasoroOperator:
         adm = None
         if series.admitted is not None:
             admitted = series.admitted
-            adm = {m for m in shifted_down(admitted, (((self.k + 1, 1),), ()))
+            adm = {m for m in shifted_down(admitted, 0, self.k + 1)
                    if all(p in admitted for p in self._preimages(m))}
         terms: dict[Monomial, Fraction] = {}
         for m, c in series.terms.items():
@@ -170,25 +171,6 @@ class VirasoroOperator:
 # -- generating series -------------------------------------------------------
 
 
-def _caps_monomials(nmax: int, bmax: int, tmax: int):
-    sparts = [L.entries for L in multiindices_up_to_weight(bmax)]
-    for size in range(nmax + 1):
-        for combo in combinations_with_replacement(range(tmax + 1), size):
-            counts: dict[int, int] = {}
-            for i in combo:
-                counts[i] = counts.get(i, 0) + 1
-            tpart = tuple(sorted(counts.items()))
-            for sp in sparts:
-                yield (tpart, sp)
-
-
-def _caps_keep(nmax: int, bmax: int, tmax: int):
-    def keep(m: Monomial) -> bool:
-        return (mono_t_count(m) <= nmax and mono_s_weight(m) <= bmax
-                and all(i <= tmax for i, _ in m[0]))
-    return keep
-
-
 def mixed_generating_series(gmax: int, nmax: int, bmax: int,
                             engine: RecursionEngine) -> TruncatedSeries:
     """G(s, t) truncated to n <= nmax insertions, kappa weight <= bmax,
@@ -196,24 +178,26 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
     cap region whose coefficient those bounds determine is admitted
     (including the known zeros)."""
     tmax = max(3 * gmax - 3 + nmax, 0)
+    sparts = multiindices_up_to_weight(bmax)
     terms: dict[Monomial, Fraction] = {}
     admitted = set()
-    for m in _caps_monomials(nmax, bmax, tmax):
-        g = genus_of_monomial(m)
-        n = mono_t_count(m)
-        if g is not None and is_stable_shape(g, n) and g > gmax:
-            continue        # computable, but outside the requested bounds
-        admitted.add(m)
-        if g is None or not is_stable_shape(g, n):
-            continue
-        b = MultiIndex(m[1])
-        if n == 0:
-            val = engine.pure_kappa_volume(g, b)
-        else:
-            d = [i for i, e in m[0] for _ in range(e)]
-            val = engine.value(g, d, b)
-        if val:
-            terms[m] = val / symmetry_factor(m)
+    for n in range(nmax + 1):
+        for up in combinations_with_replacement(range(tmax + 1), n):
+            d, degree = up[::-1], sum(up)
+            tpart = tuple((i, len(list(run))) for i, run in groupby(up))
+            for b in sparts:
+                m = (tpart, b.entries)
+                g = genus_for_dimension(degree + b.weight, n)
+                stable = g is not None and 2 * g - 2 + n > 0
+                if stable and g > gmax:
+                    continue    # computable, but outside the requested bounds
+                admitted.add(m)
+                if not stable:
+                    continue    # a known zero
+                val = (engine.value(g, d, b) if n
+                       else engine.pure_kappa_volume(g, b))
+                if val:
+                    terms[m] = val / symmetry_factor(m)
     return TruncatedSeries(terms, admitted)
 
 
@@ -252,97 +236,44 @@ def p_polynomial(k: int) -> dict[MultiIndex, Fraction]:
             for L in multiindices_of_weight(k - 1)}
 
 
-def _shift_powers(k: int, emax: int):
-    """(t_k + p_k)^e for e <= emax as monomial dicts."""
-    base: dict[Monomial, Fraction] = {(((k, 1),), ()): Fraction(1)}
-    for L, c in p_polynomial(k).items():
-        base[((), L.entries)] = c
-    powers = [{EMPTY_MONO: Fraction(1)}]
-    for _ in range(emax):
-        prev = powers[-1]
-        nxt: dict[Monomial, Fraction] = {}
-        for m1, c1 in prev.items():
-            for m2, c2 in base.items():
-                mm = mono_mul(m1, m2)
-                s = nxt.get(mm, Fraction(0)) + c1 * c2
-                if s:
-                    nxt[mm] = s
-        powers.append(nxt)
-    return powers
-
-
 def substitution_check(gmax: int, nmax: int, bmax: int,
                        engine: RecursionEngine) -> TruncatedSeries:
     """Residual of G(s, t) = F(t_0, t_1, t_2 + p_2, t_3 + p_3, ...).
 
-    F is built with n <= nmax + bmax insertions so that every pure-psi
-    coefficient feeding an admitted mixed monomial is available; the
-    residual is admitted exactly where both sides are."""
-    tmax = max(3 * gmax - 3 + nmax, 0)
+    Each admitted monomial t^a s^L of G is reached from the F monomials
+    t^(a + c), one for each conversion c of weight |L| that trades
+    t_{j+1}^(c_j) for p_{j+1}^(c_j).  Its coefficient is admitted when
+    every such source is admitted in F, and is then the sum over c of
+    F[t^(a + c)] prod_j C(a_{j+1} + c_j, c_j) [s^L] prod_j p_{j+1}^(c_j).
+    F is built with n <= nmax + bmax insertions so that every source is
+    available."""
     F = mixed_generating_series(gmax, nmax + bmax, 0, engine)
-    keep = _caps_keep(nmax, bmax, tmax)
-
-    # forward substitution of the stored F terms
-    sub_terms: dict[Monomial, Fraction] = {}
-    power_cache: dict[tuple, list] = {}
-    for m, c in F.terms.items():
-        # start from the unshifted t_0, t_1 block
-        low = tuple((i, e) for i, e in m[0] if i <= 1)
-        expansion: dict[Monomial, Fraction] = {(low, ()): c}
-        for i, e in m[0]:
-            if i <= 1:
-                continue
-            if (i, e) not in power_cache:
-                power_cache[(i, e)] = _shift_powers(i, e)
-            factor = power_cache[(i, e)][e]
-            nxt: dict[Monomial, Fraction] = {}
-            for m1, c1 in expansion.items():
-                for m2, c2 in factor.items():
-                    mm = mono_mul(m1, m2)
-                    if not keep(mm):
-                        continue
-                    s = nxt.get(mm, Fraction(0)) + c1 * c2
-                    if s:
-                        nxt[mm] = s
-            expansion = nxt
-        for mm, cc in expansion.items():
-            s = sub_terms.get(mm, Fraction(0)) + cc
-            if s:
-                sub_terms[mm] = s
-            else:
-                sub_terms.pop(mm, None)
-
-    # admission: every pure-psi monomial feeding an output must be in F
-    def conversions(target_sw, kmin=2):
-        # non-decreasing tuples of shifted indices k with sum (k-1) = target
-        if target_sw == 0:
-            yield ()
-            return
-        for k in range(kmin, target_sw + 2):
-            for rest in conversions(target_sw - (k - 1), k):
-                yield (k,) + rest
-
-    sub_admitted = set()
     direct = mixed_generating_series(gmax, nmax, bmax, engine)
+    weight_parts = Memo(multiindices_of_weight)
+    # c -> the exact product prod_j p_{j+1}^(c_j)
+    shifts = Memo(lambda c: reduce(TruncatedSeries.mul, [
+        TruncatedSeries({((), L.entries): v
+                         for L, v in p_polynomial(j + 1).items()})
+        for j, e in c.entries for _ in range(e)],
+        TruncatedSeries({EMPTY_MONO: 1})))
+    terms: dict[Monomial, Fraction] = {}
+    admitted = set()
     for m in direct.admitted:
-        sw = mono_s_weight(m)
-        ok = True
-        for conv in conversions(sw):
-            counts: dict[int, int] = {}
-            for k in conv:
-                counts[k] = counts.get(k, 0) + 1
-            src = dict(m[0])
-            for k, extra in counts.items():
-                src[k] = src.get(k, 0) + extra
-            src_mono = (tuple(sorted(src.items())), ())
-            if not F.is_admitted(src_mono):
-                ok = False
+        a, L = m
+        texp = dict(a)
+        acc = 0
+        for c in weight_parts[MultiIndex(L).weight]:
+            src = (merge_exponents(a, tuple((j + 1, e) for j, e in c.entries)), ())
+            if not F.is_admitted(src):
                 break
-        if ok:
-            sub_admitted.add(m)
-
-    sub = TruncatedSeries(sub_terms, sub_admitted)
-    return sub - direct
+            if src in F.terms:
+                acc += (F.terms[src] * shifts[c].coefficient(((), L))
+                        * prod(comb(texp.get(j + 1, 0) + e, e)
+                               for j, e in c.entries))
+        else:
+            admitted.add(m)
+            terms[m] = acc
+    return TruncatedSeries(terms, admitted) - direct
 
 
 def kdv_residual(gmax: int, nmax: int,

@@ -55,6 +55,11 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "compute", "kappa", "--genus", "1", "--b", "1:1")
     assert code == 2
+    # psi takes no kappa multi-index: --b is an error, not ignored
+    code = main(["compute", "psi", "--genus", "1", "--d", "1", "--b", "1:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: psi takes no --b; use compute kappa\n"
     # a fixture that is missing or has a row without a genus
     one_field = tmp_path / "one_field.txt"
     one_field.write_text("48\n")
@@ -86,7 +91,7 @@ def _assert_argument_error(capsys, argv: str):
     assert exc.value.code == 2, argv
     assert captured.out == "" and "Traceback" not in captured.err, argv
     errors = [line for line in captured.err.splitlines()
-              if line.startswith("taukappa ")]
+              if line.startswith("taukappa")]
     assert len(errors) == 1 and ": error: argument " in errors[0], argv
 
 
@@ -111,6 +116,8 @@ def test_argparse_usage_exit_code(capsys):
     "verify dilaton --nmax -1",
     "verify prop11 --bmax -1",
     "denom --genus 2 --prop17 --nmax -1",
+    "--workers 0 verify thm8",
+    "--workers -2 verify thm8",
 ])
 def test_empty_ranges_are_usage_errors(capsys, argv):
     """A range that would check nothing is a usage error, not a success."""
@@ -355,6 +362,36 @@ def test_workers_match_serial_run(tmp_path, capsys):
                    *PROP11) == out
     assert serial.read_bytes().count(b"\n") == 20
     assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys):
+    """9 parameters cut for 4 workers give 3 chunks, so the pool is asked
+    for 3 processes; a serial stand-in for the pool prints what a serial
+    run prints.  An empty grid starts no pool."""
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    serial = run_cli(capsys, "--workers", "1", *PROP11)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert run_cli(capsys, "--workers", "4", *PROP11) == serial
+    assert asked == [3]
+    empty = ("verify", "thm8", "--gmax", "0", "--nmax", "0", "--bmax", "0")
+    assert run_cli(capsys, "--workers", "4", *empty) == (
+        0, "# thm8: 0 checked, 0 hold\n")
+    assert asked == [3]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

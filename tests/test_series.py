@@ -4,16 +4,21 @@
 admits by divisor closure; `RefVirasoro.apply` computes a coefficient for
 every image of every monomial, admitted or stored, and admits from the
 images of every admitted monomial; `ref_mul` forms every product of terms
-and then admits the candidates whose every divisor pair is admitted.  They
-are kept here, test-only, as the independent references for the graded
-`exp`, the quotient-first `VirasoroOperator.apply` and the split-sum
-`TruncatedSeries.mul`: outputs must agree exactly, terms and admission
-sets alike.
+and then admits the candidates whose every divisor pair is admitted;
+`ref_generating_series` walks the cap box monomial by monomial and solves
+each one's genus from the monomial; `ref_substitution` expands every F
+term forward through (t_k + p_k)^e and then admits a G monomial when all
+the pure-psi monomials that feed it are admitted in F.  They are kept
+here, test-only, as the independent references for the graded `exp`, the
+quotient-first `VirasoroOperator.apply`, the split-sum
+`TruncatedSeries.mul`, the shape-wise `mixed_generating_series` and the
+pulled `substitution_check`: outputs must agree exactly, terms and
+admission sets alike.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -21,11 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taukappa.core import (MultiIndex, double_factorial,
-                           enumerate_sub_multiindices, multiindices_of_weight)
+                           enumerate_sub_multiindices, multiindices_of_weight,
+                           multiindices_up_to_weight)
 from taukappa.recursion import RecursionEngine
 from taukappa.series import EMPTY_MONO, TruncatedSeries, mono_mul
 from taukappa.virasoro import (VirasoroOperator, build_partition_function,
-                               gamma_constant, mixed_generating_series)
+                               gamma_constant, mixed_generating_series,
+                               p_polynomial, substitution_check)
 
 TRUNCATIONS = [(1, 4, 0), (2, 3, 1), (3, 4, 2)]
 KS = range(-1, 4)
@@ -205,12 +212,100 @@ class RefVirasoro:
         return TruncatedSeries(terms, adm)
 
 
-def _caps_keep(nmax, bmax, tmax):
+def _in_caps(nmax, bmax, tmax):
     def keep(m):
         return (sum(e for _, e in m[0]) <= nmax
                 and sum(i * e for i, e in m[1]) <= bmax
                 and all(i <= tmax for i, _ in m[0]))
     return keep
+
+
+def _ref_genus(m):
+    """The genus the dimension constraint forces on m, or None."""
+    n = sum(e for _, e in m[0])
+    dim = sum(i * e for i, e in m[0]) + sum(i * e for i, e in m[1])
+    g, rem = divmod(dim - n + 3, 3)
+    return None if rem or g < 0 else g
+
+
+def ref_generating_series(gmax, nmax, bmax, engine):
+    """G over every monomial of the cap box, each genus solved from it."""
+    tmax = max(3 * gmax - 3 + nmax, 0)
+    terms, admitted, tparts = {}, set(), []
+    for size in range(nmax + 1):
+        for combo in combinations_with_replacement(range(tmax + 1), size):
+            counts = {}
+            for i in combo:
+                counts[i] = counts.get(i, 0) + 1
+            tparts.append(tuple(sorted(counts.items())))
+    for tpart in tparts:
+        for b in multiindices_up_to_weight(bmax):
+            m = (tpart, b.entries)
+            g, n = _ref_genus(m), sum(e for _, e in tpart)
+            stable = g is not None and 2 * g - 2 + n > 0
+            if stable and g > gmax:
+                continue
+            admitted.add(m)
+            if not stable:
+                continue
+            d = [i for i, e in tpart for _ in range(e)]
+            val = engine.value(g, d, b) if d else engine.pure_kappa_volume(g, b)
+            sym = 1
+            for _, e in tpart + b.entries:
+                sym *= factorial(e)
+            if val:
+                terms[m] = val / sym
+    return TruncatedSeries(terms, admitted)
+
+
+def _ref_shift_power(k, e):
+    """(t_k + p_k)^e as a monomial dict."""
+    base = {(((k, 1),), ()): Fraction(1)}
+    for L, c in p_polynomial(k).items():
+        base[((), L.entries)] = c
+    power = {EMPTY_MONO: Fraction(1)}
+    for _ in range(e):
+        nxt = {}
+        for m1, c1 in power.items():
+            for m2, c2 in base.items():
+                m = _ref_mono_mul(m1, m2)
+                nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+        power = nxt
+    return power
+
+
+def ref_substitution(gmax, nmax, bmax, engine):
+    """The residual of G = F(t_0, t_1, t_2 + p_2, ...) by forward expansion
+    of every F term, both sides from `ref_generating_series`."""
+    keep = _in_caps(nmax, bmax, max(3 * gmax - 3 + nmax, 0))
+    F = ref_generating_series(gmax, nmax + bmax, 0, engine)
+    direct = ref_generating_series(gmax, nmax, bmax, engine)
+    sub = {}
+    for m, c in F.terms.items():
+        expansion = {(tuple((i, e) for i, e in m[0] if i <= 1), ()): c}
+        for i, e in m[0]:
+            if i <= 1:
+                continue
+            nxt, power = {}, _ref_shift_power(i, e)
+            for m1, c1 in expansion.items():
+                for m2, c2 in power.items():
+                    mm = _ref_mono_mul(m1, m2)
+                    if keep(mm):
+                        nxt[mm] = nxt.get(mm, Fraction(0)) + c1 * c2
+            expansion = nxt
+        for mm, cc in expansion.items():
+            sub[mm] = sub.get(mm, Fraction(0)) + cc
+    admitted = set()
+    for m in direct.admitted:
+        # every way to trade s^L for shifted t_k: parts k - 1 of a
+        # partition of |L|, each source monomial pure psi
+        w = sum(i * e for i, e in m[1])
+        sources = [_ref_mono_mul((m[0], ()),
+                                 (tuple((j + 1, e) for j, e in c.entries), ()))
+                   for c in multiindices_of_weight(w)]
+        if all(F.is_admitted(src) for src in sources):
+            admitted.add(m)
+    return TruncatedSeries(sub, admitted) - direct
 
 
 def assert_same(new, ref):
@@ -237,7 +332,7 @@ def partition_functions():
 def test_exp_matches_power_loop(partition_functions, caps):
     gmax, nmax, bmax = caps
     G, Z = partition_functions[caps]
-    ref = ref_exp(G, _caps_keep(nmax, bmax, max(3 * gmax - 3 + nmax, 0)),
+    ref = ref_exp(G, _in_caps(nmax, bmax, max(3 * gmax - 3 + nmax, 0)),
                   G.admitted)
     assert_same(Z, ref)
     assert_same(G.exp(), ref)
@@ -277,6 +372,25 @@ def test_apply_matches_reference_on_exact_probes():
                             ref.apply(RefVirasoro(n).apply(probe)))
 
 
+@pytest.mark.parametrize("caps", TRUNCATIONS + [(2, 6, 0)])
+def test_generating_series_matches_box_walk(partition_functions, caps):
+    G = (partition_functions[caps][0] if caps in partition_functions
+         else mixed_generating_series(*caps, RecursionEngine()))
+    assert_same(G, ref_generating_series(*caps, RecursionEngine()))
+
+
+# the sources of one monomial share its genus and point count, so only
+# F's t-index cap, 3 gmax - 3 + nmax + bmax, can admit some and not all:
+# (0, 3, 2) is a truncation where it does
+@pytest.mark.parametrize("caps", [(0, 3, 1), (1, 2, 1), (2, 2, 2), (2, 1, 3),
+                                  (2, 3, 1), (3, 3, 2), (0, 3, 2)])
+def test_substitution_matches_forward_expansion(caps):
+    eng = RecursionEngine()
+    res = substitution_check(*caps, eng)
+    assert_same(res, ref_substitution(*caps, eng))
+    assert res.admitted
+
+
 def test_exp_needs_a_truncated_series_with_no_constant_term():
     with pytest.raises(ValueError):
         TruncatedSeries({(((0, 1),), ()): Fraction(1)}).exp()
@@ -314,7 +428,7 @@ def truncated_series(draw):
                             unique=True)) if nonconst else []
     terms = {m: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
              for m in support}
-    return TruncatedSeries(terms, admitted), _caps_keep(nmax, bmax, 3)
+    return TruncatedSeries(terms, admitted), _in_caps(nmax, bmax, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from taukappa.core import EMPTY, MultiIndex
+from taukappa.core import EMPTY, MultiIndex, genus_for_dimension
 from taukappa.series import (EMPTY_MONO, TruncatedSeries, format_monomial,
-                             genus_of_monomial, mono_mul, mono_splits)
+                             mono_mul, mono_splits)
 from taukappa.virasoro import (V0_CONSTANT, VirasoroOperator,
                                build_partition_function, commutator_check,
                                gamma_constant, kdv_residual,
@@ -28,8 +28,10 @@ def test_gamma_values():
 
 def test_monomial_helpers():
     m = _mono([(0, 2), (3, 1)], [(1, 1)])
-    assert genus_of_monomial(m) is None            # 4/3 is not a genus
-    assert genus_of_monomial(_mono([(0, 2), (3, 1)])) == 1
+    # t0^2 t3 s1 has degree 4 on 3 points: 4/3 is not a genus; without s1
+    # the degree is 3, genus 1
+    assert genus_for_dimension(4, 3) is None
+    assert genus_for_dimension(3, 3) == 1
     splits = list(mono_splits(m))
     assert len({d for d, _ in splits}) == len(splits) == 3 * 2 * 2
     assert all(mono_mul(d, q) == m for d, q in splits)
