@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 __all__ = [
     "MultiIndex",
@@ -25,6 +25,8 @@ __all__ = [
     "invert_coefficient_family",
     "CoefficientFamilyInverse",
     "Memo",
+    "bucket_total",
+    "bucket_sum",
 ]
 
 
@@ -38,6 +40,24 @@ class Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+def bucket_total(buckets: dict) -> tuple[int, int]:
+    """(num, den), not reduced, with num/den = sum of n/k over {k: n}.
+
+    A bucket dict maps a denominator to the integer numerator summed over
+    it, so a long exact sum runs on integers and is reduced once.
+    """
+    common = lcm(*buckets)
+    return sum(n * (common // k) for k, n in buckets.items()), common
+
+
+def bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
+    """The reduced Fraction sum of n/k over {k: n}, divided by scale."""
+    if not buckets:
+        return Fraction(0)
+    num, den = bucket_total(buckets)
+    return Fraction(num, den * scale)
 
 
 def double_factorial(k: int) -> int:

@@ -24,10 +24,12 @@ from fractions import Fraction
 from itertools import groupby
 from math import factorial
 
-from .core import double_factorial, multiset_splits, partitions
+from .core import bucket_sum, double_factorial, multiset_splits, partitions
 from .poly import SymmetricPoly, class_key, divide_by_variable_sum
 
 __all__ = ["NPointEngine"]
+
+_ROUTES = ("normalized", "direct")
 
 
 def _multinomial(total: int, parts) -> int:
@@ -153,6 +155,7 @@ class NPointEngine:
         else:
             comp = self.component(m, r)
             deg = comp.degree + 2
+            den, ints = comp.integer_form()
             classes = {}
             for ev in partitions(deg, m):
                 # sum over ordered position pairs (i, j) of comp at
@@ -171,24 +174,31 @@ class NPointEngine:
                     w[pu] -= 1
                     for _, cv, pv in runs[t + 1:]:      # i, j in two runs
                         w[pv] -= 1
-                        tot += 2 * cu * cv * comp.classes.get(class_key(w), 0)
+                        tot += 2 * cu * cv * ints.get(class_key(w), 0)
                         w[pv] += 1
                     if cu > 1:                          # i != j in one run
                         w[pu - 1] -= 1
-                        tot += cu * (cu - 1) * comp.classes.get(class_key(w), 0)
+                        tot += cu * (cu - 1) * ints.get(class_key(w), 0)
                         w[pu - 1] += 1
                     if u > 1:                           # i == j
                         w[pu] -= 1
-                        tot += cu * comp.classes.get(class_key(w), 0)
+                        tot += cu * ints.get(class_key(w), 0)
                 if tot:
-                    classes[class_key(ev)] = tot
+                    classes[class_key(ev)] = Fraction(tot, den)
             val = SymmetricPoly(m, deg, classes)
         self._afactor[key] = val
         return val
 
     def p_poly(self, n: int, r: int) -> SymmetricPoly:
         """P_r(x_1..x_n) for n >= 3: split-sum numerator over ordered pairs
-        of complementary nonempty subsets, exactly divided by 2*(sum x)."""
+        of complementary nonempty subsets, exactly divided by 2*(sum x).
+
+        Keeping position 0 in I visits each unordered pair {I, J} once,
+        half the ordered sum, so the numerator built here is divided by
+        sum x alone.
+        Each class sums ways * a_I * a_J as integers in buckets keyed by
+        the product of the two denominators.
+        """
         key = (n, r)
         hit = self._p.get(key)
         if hit is not None:
@@ -199,7 +209,7 @@ class NPointEngine:
         deg_num = 3 * r + n - 2
         num = SymmetricPoly(n, deg_num)
         for ev in partitions(deg_num, n):
-            tot = 0
+            acc = {}
             # I holds position 0 and `ways` labeled choices of part from
             # the other positions; J holds the rest and is nonempty
             for part, rest, ways in multiset_splits(ev[1:]):
@@ -215,10 +225,13 @@ class NPointEngine:
                     continue
                 a_j = self.a_factor(n - m, r - r1).classes.get(class_key(rest))
                 if a_j:
-                    tot += ways * a_i * a_j
+                    den = a_i.denominator * a_j.denominator
+                    acc[den] = (acc.get(den, 0)
+                                + ways * a_i.numerator * a_j.numerator)
+            tot = bucket_sum(acc)
             if tot:
-                num.classes[class_key(ev)] = 2 * tot   # both orders of each (I, J)
-        val = divide_by_variable_sum(num).scaled(Fraction(1, 2))
+                num.classes[class_key(ev)] = tot
+        val = divide_by_variable_sum(num)
         self._p[key] = val
         return val
 
@@ -284,6 +297,8 @@ class NPointEngine:
 
     def correlator(self, g: int, d, route: str = "normalized") -> Fraction:
         """<tau_{d_1}...tau_{d_n}>_g, zero off the dimension constraint."""
+        if route not in _ROUTES:
+            raise ValueError(f"unknown route {route!r}")
         d = tuple(d)
         n = len(d)
         if n < 1 or g < 0 or any(x < 0 for x in d):

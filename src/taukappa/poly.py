@@ -11,15 +11,20 @@ shape x_i^2 x_j.
 every run of equal exponents into a multiset of values, weighted by the
 number of exponent vectors that multiset stands for, instead of walking
 the exponent vectors one by one.
+
+Coefficients are `Fraction`s at the boundary, but the inner sums of `mul`
+and `divide_by_variable_sum` run on integers: each operand is put over the
+lcm of its denominators (`SymmetricPoly.integer_form`, built on the spot
+and never stored), and one `Fraction` is formed per output class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
-from math import factorial
+from math import factorial, lcm
 
-from .core import partitions
+from .core import Memo, partitions
 
 __all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum"]
 
@@ -56,7 +61,20 @@ class SymmetricPoly:
         return SymmetricPoly(self.nvars, self.degree,
                              {k: c * scalar for k, c in self.classes.items()})
 
+    def integer_form(self) -> tuple[int, dict]:
+        """(den, {key: int}) with classes[key] == ints[key] / den, where den
+        is the lcm of the coefficients' denominators."""
+        den = lcm(*(c.denominator for c in self.classes.values()))
+        return den, {k: c.numerator * (den // c.denominator)
+                     for k, c in self.classes.items()}
+
+    def _check_nvars(self, other: "SymmetricPoly") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs "
+                             f"{other.nvars}")
+
     def add_into(self, other: "SymmetricPoly", scalar=1) -> None:
+        self._check_nvars(other)
         if other.classes and other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         scalar = Fraction(scalar)
@@ -76,22 +94,30 @@ class SymmetricPoly:
         multiset of c values in [0, v] to f; a choice of multisets stands
         for prod c!/prod(mult!) vectors f, all in the same pair of classes
         (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+        The sum runs on both factors' integer forms.
         """
+        self._check_nvars(other)
         n = self.nvars
         deg = self.degree + other.degree
-        a, b = self.classes, other.classes
+        da, ia = self.integer_form()
+        db, ib = other.integer_form()
+        den = da * db
+        # split parts come unsorted and repeat across target classes, so
+        # each is sorted into its class key once per product
+        a = Memo(lambda f: ia.get(class_key(f), 0))
+        b = Memo(lambda h: ib.get(class_key(h), 0))
         out = {}
         for ev in partitions(deg, n):
             tot = 0
             for f, h, ways in _vector_splits(ev, self.degree):
-                ca = a.get(class_key(f))
+                ca = a[f]
                 if not ca:
                     continue
-                cb = b.get(class_key(h))
+                cb = b[h]
                 if cb:
                     tot += ways * ca * cb
             if tot:
-                out[class_key(ev)] = tot
+                out[class_key(ev)] = Fraction(tot, den)
         return SymmetricPoly(n, deg, out)
 
     def __repr__(self):
@@ -159,7 +185,9 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
     Solves the triangular system Q[f] = num[f + e_1] - (other unit moves),
     walking quotient classes in descending lex order, then verifies every
     class of num against the reconstructed product.  Raises ValueError if
-    the division is not exact.
+    the division is not exact.  Both passes run on num's integer form: by
+    Gauss's lemma the quotient of an integer polynomial by the primitive
+    x_1 + ... + x_n has integer coefficients.
     """
     n = num.nvars
     deg = num.degree
@@ -167,29 +195,28 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
         if not num.classes:
             return SymmetricPoly(n, deg - 1)
         raise ValueError("nonzero polynomial of degree < 1 is not divisible")
+    den, ints = num.integer_form()
     out = {}
     for fv in partitions(deg - 1, n):     # descending lex order
         f = class_key(fv)
         ev = [fv[0] + 1] + list(fv[1:])
-        total = num.classes.get(class_key(ev), Fraction(0))
-        acc = Fraction(0)
+        acc = ints.get(class_key(ev), 0)
         for kk, mult in _unit_decrements(ev):
             if kk == f:
                 # f itself enters with multiplicity 1: ev starts at f[0]+1,
                 # strictly above every other entry of the sorted vector
                 continue
-            acc += mult * out.get(kk, Fraction(0))
-        out[f] = total - acc
-    quotient = SymmetricPoly(n, deg - 1, {k: v for k, v in out.items() if v})
+            acc -= mult * out.get(kk, 0)
+        out[f] = acc
     # exactness: reconstruct every class of num
     for ev in partitions(deg, n):
-        key = class_key(ev)
-        s = Fraction(0)
+        s = 0
         for kk, mult in _unit_decrements(ev):
-            s += mult * quotient.classes.get(kk, Fraction(0))
-        if s != num.classes.get(key, Fraction(0)):
+            s += mult * out[kk]
+        if s != ints.get(class_key(ev), 0):
             raise ValueError("polynomial is not divisible by the variable sum")
-    return quotient
+    return SymmetricPoly(n, deg - 1, {k: Fraction(v, den)
+                                      for k, v in out.items() if v})
 
 
 def _unit_decrements(ev):

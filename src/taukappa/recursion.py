@@ -41,12 +41,12 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .core import (EMPTY, Memo, MultiIndex, double_factorial,
-                   enumerate_sub_multiindices, enumerate_triple_splits,
-                   multiindex_binomial, multiindex_multinomial,
-                   multiset_splits)
+from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
+                   double_factorial, enumerate_sub_multiindices,
+                   enumerate_triple_splits, multiindex_binomial,
+                   multiindex_multinomial, multiset_splits)
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
@@ -201,20 +201,6 @@ def genus0_psi_oracle(d) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _bucket_total(buckets: dict) -> tuple[int, int]:
-    """(num, den), not reduced, with num/den = sum of n/k over {k: n}."""
-    common = lcm(*buckets)
-    return sum(n * (common // k) for k, n in buckets.items()), common
-
-
-def _bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
-    """The reduced Fraction sum of n/k over {k: n}, divided by scale."""
-    if not buckets:
-        return _ZERO
-    num, den = _bucket_total(buckets)
-    return Fraction(num, den * scale)
-
-
 class RecursionEngine:
     """Memoized evaluator for mixed correlators, backed by a CorrelatorTable."""
 
@@ -274,7 +260,7 @@ class RecursionEngine:
             if val:
                 den = val.denominator
                 acc[den] = acc.get(den, 0) + coef * val.numerator
-        return _bucket_sum(acc)
+        return bucket_sum(acc)
 
     def _three_sums(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
         d1 = d[0]
@@ -354,11 +340,11 @@ class RecursionEngine:
         outer = {}
         for left, acc in groups.items():
             if acc:
-                num, den = _bucket_total(acc)
+                num, den = bucket_total(acc)
                 a_l = alpha_constant(left)
                 den *= a_l.denominator
                 outer[den] = outer.get(den, 0) + num * a_l.numerator
-        return _bucket_sum(outer, 2 * double_factorial(2 * d1 + 1))
+        return bucket_sum(outer, 2 * double_factorial(2 * d1 + 1))
 
     # -- derived quantities --------------------------------------------------
 
@@ -375,7 +361,7 @@ class RecursionEngine:
                 coef = (-1) ** left.size * multiindex_binomial(b, left)
                 den = val.denominator
                 acc[den] = acc.get(den, 0) + coef * val.numerator
-        return self.table.record(g, (), b, _bucket_sum(acc, 2 * g - 2),
+        return self.table.record(g, (), b, bucket_sum(acc, 2 * g - 2),
                                  "mixed")
 
     def reduction_oracle(self, g: int, d, b: MultiIndex) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from taukappa.npoint import NPointEngine
 from taukappa.poly import SymmetricPoly, class_key, divide_by_variable_sum
 from taukappa.core import double_factorial
+from taukappa.recursion import RecursionEngine
 
 
 def _partitions(total, slots):
@@ -152,6 +153,29 @@ def test_routes_agree():
             for d in _partitions(dim, n):
                 assert eng.correlator(g, d, "normalized") == \
                     eng.correlator(g, d, "direct"), (g, d)
+
+
+def test_correlator_rejects_unknown_route():
+    eng = NPointEngine()
+    for d in ((1,), (1, 1)):
+        with pytest.raises(ValueError, match="unknown route"):
+            eng.correlator(1, d, "bogus")
+
+
+def test_routes_agree_with_recursion_large_genus():
+    """recursion == normalized == direct for every pure-psi correlator with
+    g = 5..8 and n <= 3: numerators and denominators far beyond the
+    dimension-10 grid."""
+    eng, rec = NPointEngine(), RecursionEngine()
+    count = 0
+    for g in range(5, 9):
+        for n in range(1, 4):
+            for d in _partitions(3 * g - 3 + n, n):
+                want = rec.value(g, d)
+                assert eng.correlator(g, d, "normalized") == want, (g, d)
+                assert eng.correlator(g, d, "direct") == want, (g, d)
+                count += 1
+    assert count == 217
 
 
 def test_one_point_closed_form_via_series():
@@ -336,7 +360,7 @@ def symmetric_polys(draw, nvars):
     degree = draw(st.integers(0, 5))
     classes = {}
     for ev in _partitions(degree, nvars):
-        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=60))
         if c:
             classes[class_key(ev)] = c
     return SymmetricPoly(nvars, degree, classes)
@@ -350,3 +374,43 @@ def test_mul_matches_position_reference(pair):
     got = a.mul(b)
     assert (got.nvars, got.degree) == (a.nvars, a.degree + b.degree)
     assert got.classes == _reference_mul(a, b).classes
+
+
+def test_mul_rejects_mismatched_nvars():
+    xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
+    xy = SymmetricPoly(2, 1, {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="variable count"):
+        xyz.mul(xy)
+
+
+def test_add_into_rejects_mismatched_nvars():
+    xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="variable count"):
+        xyz.add_into(SymmetricPoly(2, 1, {(1,): Fraction(1)}))
+    assert xyz.classes == {(1,): Fraction(1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(symmetric_polys(n), st.data())))
+def test_exact_division_roundtrip(drawn):
+    """(p * (x_1 + ... + x_n)) / (x_1 + ... + x_n) == p, and adding a class
+    of the product that is not a multiple makes the division raise."""
+    p, data = drawn
+    n = p.nvars
+    prod = p.mul(SymmetricPoly(n, 1, {(1,): Fraction(1)}))
+    q = divide_by_variable_sum(prod)
+    assert (q.nvars, q.degree, q.classes) == (n, p.degree, p.classes)
+    # a monomial symmetric function whose two largest exponents are equal
+    # is never a multiple: the triangular solve reads only classes with a
+    # strictly largest exponent, so its quotient would be zero
+    ties = [class_key(ev) for ev in _partitions(prod.degree, n)
+            if n >= 2 and ev[0] == ev[1]]
+    if not ties:
+        return
+    key = data.draw(st.sampled_from(ties))
+    c = data.draw(st.fractions(min_value=-3, max_value=3,
+                               max_denominator=60).filter(bool))
+    prod.add_into(SymmetricPoly(n, prod.degree, {key: c}))
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_by_variable_sum(prod)
