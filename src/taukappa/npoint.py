@@ -29,8 +29,6 @@ from .poly import SymmetricPoly, class_key, divide_by_variable_sum
 
 __all__ = ["NPointEngine"]
 
-_ROUTES = ("normalized", "direct")
-
 
 def _multinomial(total: int, parts) -> int:
     out = factorial(total)
@@ -247,12 +245,7 @@ class NPointEngine:
             raise ValueError("f_part requires n >= 2")
         if n == 2 and g == 0:
             raise ValueError("the (0,2) part of F is the Laurent atom")
-        if route == "normalized":
-            val = self._f_part_normalized(n, g)
-        elif route == "direct":
-            val = self._f_part_direct(n, g)
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        val = self._route(route)(self, n, g)
         self._fpart[key] = val
         return val
 
@@ -295,10 +288,18 @@ class NPointEngine:
                 val.add_into(cube.mul(self.p_delta(n, r, s)), c)
         return val
 
+    _ROUTES = {"normalized": _f_part_normalized, "direct": _f_part_direct}
+
+    @classmethod
+    def _route(cls, route: str):
+        try:
+            return cls._ROUTES[route]
+        except KeyError:
+            raise ValueError(f"unknown route {route!r}") from None
+
     def correlator(self, g: int, d, route: str = "normalized") -> Fraction:
         """<tau_{d_1}...tau_{d_n}>_g, zero off the dimension constraint."""
-        if route not in _ROUTES:
-            raise ValueError(f"unknown route {route!r}")
+        self._route(route)
         d = tuple(d)
         n = len(d)
         if n < 1 or g < 0 or any(x < 0 for x in d):

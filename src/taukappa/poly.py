@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from math import factorial, lcm
 
-from .core import Memo, partitions
+from .core import partitions
 
 __all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum"]
 
@@ -102,18 +102,14 @@ class SymmetricPoly:
         da, ia = self.integer_form()
         db, ib = other.integer_form()
         den = da * db
-        # split parts come unsorted and repeat across target classes, so
-        # each is sorted into its class key once per product
-        a = Memo(lambda f: ia.get(class_key(f), 0))
-        b = Memo(lambda h: ib.get(class_key(h), 0))
         out = {}
         for ev in partitions(deg, n):
             tot = 0
             for f, h, ways in _vector_splits(ev, self.degree):
-                ca = a[f]
+                ca = ia.get(class_key(f), 0)
                 if not ca:
                     continue
-                cb = b[h]
+                cb = ib.get(class_key(h), 0)
                 if cb:
                     tot += ways * ca * cb
             if tot:
