@@ -9,7 +9,7 @@ from .core import (MultiIndex, double_factorial, enumerate_sub_multiindices,
                    invert_coefficient_family, multiindex_binomial)
 from .npoint import NPointEngine
 from .recursion import (CorrelatorTable, EngineDisagreement, RecursionEngine,
-                        alpha_constant, genus0_psi_oracle)
+                        alpha_constant)
 
 __version__ = "0.1.0"
 
@@ -19,5 +19,5 @@ __all__ = [
     "invert_coefficient_family",
     "NPointEngine",
     "CorrelatorTable", "EngineDisagreement",
-    "RecursionEngine", "alpha_constant", "genus0_psi_oracle",
+    "RecursionEngine", "alpha_constant",
 ]

@@ -5,8 +5,8 @@ identity (3) and a cache file that is unreadable or cannot be opened (4)
 so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
 an empty `--k` range, a negative grid bound and `--workers` below 1 are
 rejected by the argument parser, an unreadable or malformed `--iz-fixture`
-file by `denom`, and `--b` on `compute psi` by `compute`: all are usage
-errors, one line on stderr.
+file and a `--prop17` run that would compare nothing by `denom`, and `--b`
+on `compute psi` by `compute`: all are usage errors, one line on stderr.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
@@ -338,6 +338,9 @@ def _cmd_denom(args, eng) -> int:
         return 0 if ok else 3
     if args.prop17:
         rows = check_proposition17(args.genus, args.nmax, eng)
+        if not rows:
+            raise SystemExit2(f"--prop17 at genus {args.genus} checks nothing "
+                              f"with --nmax {args.nmax}; raise --nmax")
         ok = all(v for _, v in rows)
         _emit(args, {"genus": args.genus,
                      "verdicts": [[t, v] for t, v in rows],

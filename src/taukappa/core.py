@@ -201,23 +201,38 @@ def multiindex_multinomial(b: MultiIndex, parts: tuple[MultiIndex, ...]) -> int:
     return out
 
 
-def enumerate_sub_multiindices(b: MultiIndex):
-    """All ordered pairs (L, L') with L + L' = b, lexicographic in L.
+# one shared object per distinct multi-index, EMPTY among them: equal keys
+# then match by identity in every table, and the split memo below costs
+# no more memory than the multi-indices it hands out
+_INTERNED = Memo(lambda m: m)
+_INTERNED[EMPTY] = EMPTY
 
-    Yields exactly prod_i (b_i + 1) pairs; the order is deterministic so
-    that memo tables fill identically across runs.
-    """
-    if not b:
-        # the shared EMPTY lets table lookups match keys by identity
-        yield EMPTY, EMPTY
-        return
+
+def _split_pairs(b: MultiIndex) -> tuple:
+    intern = _INTERNED.__getitem__
+    b = intern(b)
     positions = [i for i, _ in b.entries]
     ranges = [range(m + 1) for _, m in b.entries]
+    pairs = []
     for choice in product(*ranges):
-        left = MultiIndex(
-            [(i, c) for i, c in zip(positions, choice)])
-        right = b - left
-        yield left, right
+        left = intern(MultiIndex(zip(positions, choice)))
+        pairs.append((left, intern(b - left)))
+    return tuple(pairs)
+
+
+# the recursion splits the same few multi-indices again on every call
+_SPLITS = Memo(_split_pairs)
+
+
+def enumerate_sub_multiindices(b: MultiIndex) -> tuple:
+    """All ordered pairs (L, L') with L + L' = b, lexicographic in L.
+
+    Returns exactly prod_i (b_i + 1) pairs; the order is deterministic so
+    that memo tables fill identically across runs.  The tuple is computed
+    once per distinct b and shared by every caller, and equal multi-indices
+    in any two results are the same object.
+    """
+    return _SPLITS[b]
 
 
 def enumerate_triple_splits(b: MultiIndex):

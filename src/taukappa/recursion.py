@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import factorial
 
 from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
                    double_factorial, enumerate_sub_multiindices,
@@ -50,7 +49,7 @@ from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
-    "genus0_psi_oracle", "RecursionEngine",
+    "RecursionEngine",
 ]
 
 
@@ -185,19 +184,6 @@ def alpha_constant(L: MultiIndex) -> Fraction:
     return val
 
 
-def genus0_psi_oracle(d) -> Fraction:
-    """(n-3)!/prod d_j! for sum d = n - 3; follows from the string equation
-    alone, admitted as an independent genus-0 oracle."""
-    d = tuple(d)
-    n = len(d)
-    if n < 3 or sum(d) != n - 3 or any(x < 0 for x in d):
-        return Fraction(0)
-    denom = 1
-    for x in d:
-        denom *= factorial(x)
-    return Fraction(factorial(n - 3), denom)
-
-
 _ZERO = Fraction(0)
 
 
@@ -226,7 +212,9 @@ class RecursionEngine:
             return self.table.record(g, d, b, Fraction(1), "wk")
         if g == 1 and d == (1,) and not b:
             return self.table.record(g, d, b, Fraction(1, 24), "wk")
-        hit = self.table.get(g, d, b)
+        # d is sorted already, so (g, d, b) is the corr_key; misses still
+        # record() under it
+        hit = self.table.values.get((g, d, b))
         if hit is not None:
             return hit
         if d[-1] == 0 or (d[-1] == 1 and n >= 2):

@@ -82,6 +82,22 @@ def test_denom_precondition_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "denom --genus 1 --prop17 --nmax 1",
+    "denom --genus 0 --prop17 --nmax 3",
+    "denom --genus 5 --prop17 --nmax 1",
+    "--format json denom --genus 5 --prop17 --nmax 1",
+])
+def test_denom_prop17_with_nothing_to_compare_is_a_usage_error(capsys, argv):
+    """A ladder of one D(g, n) and no script-D(g) comparison checks
+    nothing: exit 2 with one line on stderr, never an empty success."""
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", argv
+    assert len(captured.err.splitlines()) == 1, argv
+    assert captured.err.startswith("error: --prop17 at genus "), argv
+
+
 def _assert_argument_error(capsys, argv: str):
     """argv exits 2 with one error line after the usage, naming the
     argument, and runs nothing."""

@@ -2,7 +2,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -79,6 +79,33 @@ def test_enumerate_sub_multiindices():
     # deterministic order
     again = list(enumerate_sub_multiindices(MultiIndex({1: 1, 2: 1})))
     assert four == again
+
+
+def _reference_sub_multiindices(b: MultiIndex) -> list:
+    positions = [i for i, _ in b.entries]
+    pairs = []
+    for choice in product(*(range(m + 1) for _, m in b.entries)):
+        left = MultiIndex(zip(positions, choice))
+        pairs.append((left, b - left))
+    return pairs
+
+
+def test_split_memo_matches_reference_and_interns():
+    """For every b of weight <= 8 the memoized splits equal a direct
+    enumeration, pair for pair and in order, and equal multi-indices from
+    any two calls are one object, so the memo holds no duplicates."""
+    seen = {}
+    for b in multiindices_up_to_weight(8):
+        expected = _reference_sub_multiindices(b)
+        for query in (b, MultiIndex(b.entries)):
+            got = enumerate_sub_multiindices(query)
+            assert list(got) == expected, b
+            for m in (m for pair in got for m in pair):
+                assert seen.setdefault(m.entries, m) is m, (b, m)
+        assert list(enumerate_triple_splits(b)) == [
+            (left, e, f) for left, rest in expected
+            for e, f in _reference_sub_multiindices(rest)], b
+    assert seen[()] is EMPTY
 
 
 def test_triple_splits_count_and_multinomial():

@@ -2,7 +2,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +16,7 @@ from taukappa.core import (EMPTY, MultiIndex, double_factorial,
 from taukappa.identities import dilaton_residual, string_residual
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
-                                RecursionEngine, alpha_constant, corr_key,
-                                genus0_psi_oracle)
+                                RecursionEngine, alpha_constant, corr_key)
 
 K1 = MultiIndex({1: 1})
 
@@ -106,6 +105,19 @@ def test_literature_values_both_routes():
         assert npe.correlator(g, d, "normalized") == expected, (g, d)
 
 
+def genus0_psi_oracle(d) -> Fraction:
+    """(n-3)!/prod d_j! for sum d = n - 3; follows from the string equation
+    alone, admitted as an independent genus-0 oracle."""
+    d = tuple(d)
+    n = len(d)
+    if n < 3 or sum(d) != n - 3 or any(x < 0 for x in d):
+        return Fraction(0)
+    denom = 1
+    for x in d:
+        denom *= factorial(x)
+    return Fraction(factorial(n - 3), denom)
+
+
 def test_genus0_closed_form_oracle():
     eng = RecursionEngine()
     for n in range(3, 8):
@@ -114,7 +126,6 @@ def test_genus0_closed_form_oracle():
 
 
 def test_one_point_closed_form():
-    from math import factorial
     eng = RecursionEngine()
     for g in range(1, 13):
         assert eng.value(g, [3 * g - 2]) == \
