@@ -1,8 +1,8 @@
 """Command-line driver: compute correlators, verify identities, analyze
 denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven
-identity (3) and a cache file that is unreadable or cannot be opened (4)
-so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
+identity (3) and a cache file that is unreadable, cannot be opened or
+cannot be written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
 an empty `--k` range, a negative grid bound and `--workers` below 1 are
 rejected by the argument parser, an unreadable or malformed `--iz-fixture`
 file and a `--prop17` run that would compare nothing by `denom`, and `--b`
@@ -465,7 +465,13 @@ def main(argv=None) -> int:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return 1
     if args.cache:
-        eng.table.append_new(args.cache)
+        try:
+            eng.table.append_new(args.cache)
+        except OSError as exc:
+            # e.g. a path in a missing directory: load found no file there
+            print(f"error: cannot write cache {args.cache}: {exc}",
+                  file=sys.stderr)
+            return 4
     return code
 
 

@@ -87,10 +87,10 @@ class MultiIndex:
     Immutable and hashable; used as the exponent vector of a kappa
     monomial and as the summation variable of all coefficient families.
     `weight` is |m| = sum_i i*m_i and `size` is ||m|| = sum_i m_i, both
-    computed once at construction.
+    computed once at construction, as is the hash.
     """
 
-    __slots__ = ("entries", "weight", "size")
+    __slots__ = ("entries", "weight", "size", "_hash")
 
     def __init__(self, entries=()):
         if isinstance(entries, dict):
@@ -108,9 +108,11 @@ class MultiIndex:
                 cleaned[i] = cleaned.get(i, 0) + m
                 weight += i * m
                 size += m
-        object.__setattr__(self, "entries", tuple(sorted(cleaned.items())))
+        entries = tuple(sorted(cleaned.items()))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_hash", hash(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")
@@ -126,7 +128,7 @@ class MultiIndex:
         return isinstance(other, MultiIndex) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def __getitem__(self, i: int) -> int:
         for j, m in self.entries:

@@ -11,7 +11,6 @@ both definitions and refuses to report unless they agree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import lcm
 
 from .core import multiindices_of_weight, partitions
@@ -24,13 +23,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class DenominatorReport:
-    genus: int
-    point_count: int | None      # None marks the pure-kappa invariant
-    value: int
-    correlator_count: int
-    factorization: dict
+    def __init__(self, genus: int, point_count: int | None, value: int,
+                 correlator_count: int, factorization: dict):
+        self.genus = genus
+        # None marks the pure-kappa invariant
+        self.point_count = point_count
+        self.value = value
+        self.correlator_count = correlator_count
+        self.factorization = factorization
 
     def to_json(self) -> str:
         return json.dumps({

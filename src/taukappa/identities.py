@@ -15,7 +15,6 @@ test the recursion's string/dilaton step instead of restating it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -35,18 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    params: dict
-    lhs: Fraction
-    rhs: Fraction
-    conjectural: bool = False
-    residual: Fraction = field(init=False)
-    status: str = field(init=False)
-
-    def __post_init__(self):
-        self.residual = self.lhs - self.rhs
+    def __init__(self, identity: str, params: dict, lhs: Fraction,
+                 rhs: Fraction, conjectural: bool = False):
+        self.identity = identity
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.conjectural = conjectural
+        self.residual = lhs - rhs
         self.status = "holds" if self.residual == 0 else "fails"
 
     def to_json(self) -> str:

@@ -21,11 +21,13 @@ which keep every assembled numerator a genuine polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from math import factorial
+from itertools import groupby, product
+from math import comb, factorial
+from operator import mul
 
-from .core import bucket_sum, double_factorial, multiset_splits, partitions
-from .poly import SymmetricPoly, class_key, divide_by_variable_sum
+from .core import bucket_sum, double_factorial, partitions
+from .poly import (SymmetricPoly, class_key, divide_by_variable_sum,
+                   linear_combination)
 
 __all__ = ["NPointEngine"]
 
@@ -101,16 +103,15 @@ class NPointEngine:
             if g == 0:
                 raise ValueError("the two-point normalized function is the "
                                  "Laurent atom 1/(x+y), not a polynomial")
-            num = self.delta_power(2, g)
             scale = Fraction(1, 4 ** g * double_factorial(2 * g + 1))
-            val = divide_by_variable_sum(num).scaled(scale)
+            val = linear_combination(2, 3 * g - 1, [
+                (divide_by_variable_sum(self.delta_power(2, g)), scale)])
         else:
-            val = SymmetricPoly(n, 3 * g + n - 3)
-            for r in range(g + 1):
-                s = g - r
-                c = Fraction(double_factorial(2 * r + n - 3),
-                             4 ** s * double_factorial(2 * r + 2 * s + n - 1))
-                val.add_into(self.p_delta(n, r, s), c)
+            val = linear_combination(n, 3 * g + n - 3, (
+                (self.p_delta(n, r, g - r),
+                 Fraction(double_factorial(2 * r + n - 3),
+                          4 ** (g - r) * double_factorial(2 * g + n - 1)))
+                for r in range(g + 1)))
         self._component[key] = val
         return val
 
@@ -194,6 +195,9 @@ class NPointEngine:
         Keeping position 0 in I visits each unordered pair {I, J} once,
         half the ordered sum, so the numerator built here is divided by
         sum x alone.
+        I takes k_v of the c_v entries equal to v from the other positions.
+        Its factor has genus r1 = (ev[0] + sum k_v (v - 1)) / 3, which is
+        decided from the counts k_v before any split is built.
         Each class sums ways * a_I * a_J as integers in buckets keyed by
         the product of the two denominators.
         """
@@ -207,21 +211,29 @@ class NPointEngine:
         deg_num = 3 * r + n - 2
         num = SymmetricPoly(n, deg_num)
         for ev in partitions(deg_num, n):
+            head = ev[0]
+            runs = [(v, len(tuple(run))) for v, run in groupby(ev[1:])]
+            drops = [v - 1 for v, _ in runs]
             acc = {}
-            # I holds position 0 and `ways` labeled choices of part from
-            # the other positions; J holds the rest and is nonempty
-            for part, rest, ways in multiset_splits(ev[1:]):
-                if not rest:
+            # J holds the n - m positions I leaves and is nonempty
+            for counts in product(*(range(c + 1) for _, c in runs)):
+                m = sum(counts) + 1
+                if m == n:
                     continue
-                m = len(part) + 1
-                d_i = ev[0] + sum(part)
-                r1, rem = divmod(d_i - m + 1, 3)
+                r1, rem = divmod(head + sum(map(mul, counts, drops)), 3)
                 if rem or r1 < 0 or r1 > r:
                     continue
-                a_i = self.a_factor(m, r1).classes.get(class_key((ev[0],) + part))
+                # runs descend, so both keys come out sorted; zeros drop
+                part, rest, ways = (head,), (), 1
+                for (v, c), k in zip(runs, counts):
+                    ways *= comb(c, k)
+                    if v:
+                        part += (v,) * k
+                        rest += (v,) * (c - k)
+                a_i = self.a_factor(m, r1).classes.get(part)
                 if not a_i:
                     continue
-                a_j = self.a_factor(n - m, r - r1).classes.get(class_key(rest))
+                a_j = self.a_factor(n - m, r - r1).classes.get(rest)
                 if a_j:
                     den = a_i.denominator * a_j.denominator
                     acc[den] = (acc.get(den, 0)
@@ -253,40 +265,36 @@ class NPointEngine:
         # exp(sum x^3/24) * G, collected in degree 3g+n-3
         if n == 2:
             # work with (x+y)*F-part, using (x+y)*G_m = Delta^m/(4^m (2m+1)!!)
-            num = SymmetricPoly(2, 3 * g)
-            for k in range(g + 1):
-                m = g - k
-                num.add_into(
-                    _cube_sum_power(2, k).mul(self.delta_power(2, m)),
-                    Fraction(1, 24 ** k * factorial(k))
-                    * Fraction(1, 4 ** m * double_factorial(2 * m + 1)))
-            return divide_by_variable_sum(num)
-        val = SymmetricPoly(n, 3 * g + n - 3)
-        for k in range(g + 1):
-            val.add_into(_cube_sum_power(n, k).mul(self.component(n, g - k)),
-                         Fraction(1, 24 ** k * factorial(k)))
-        return val
+            return divide_by_variable_sum(linear_combination(2, 3 * g, (
+                (_cube_sum_power(2, k).mul(self.delta_power(2, g - k)),
+                 Fraction(1, 24 ** k * factorial(k) * 4 ** (g - k)
+                          * double_factorial(2 * (g - k) + 1)))
+                for k in range(g + 1))))
+        return linear_combination(n, 3 * g + n - 3, (
+            (_cube_sum_power(n, k).mul(self.component(n, g - k)),
+             Fraction(1, 24 ** k * factorial(k)))
+            for k in range(g + 1)))
 
     def _f_part_direct(self, n: int, g: int) -> SymmetricPoly:
         if n == 2:
             # (x+y)*F-part with (x+y)*P_0 = 1; P_r = 0 for r > 0
-            num = SymmetricPoly(2, 3 * g)
-            for a in range(g + 1):
-                s = g - a
-                c = (Fraction(1, 24 ** a * factorial(a))
-                     * Fraction((-1) ** s, 8 ** s * (2 * s + 1) * factorial(s)))
-                num.add_into(_simplex_power(2, 3 * a).mul(self.delta_power(2, s)), c)
-            return divide_by_variable_sum(num)
-        val = SymmetricPoly(n, 3 * g + n - 3)
+            return divide_by_variable_sum(linear_combination(2, 3 * g, (
+                (_simplex_power(2, 3 * a).mul(self.delta_power(2, g - a)),
+                 Fraction((-1) ** (g - a),
+                          24 ** a * factorial(a) * 8 ** (g - a)
+                          * (2 * (g - a) + 1) * factorial(g - a)))
+                for a in range(g + 1))))
+        return linear_combination(n, 3 * g + n - 3, self._direct_terms(n, g))
+
+    def _direct_terms(self, n: int, g: int):
+        # (24^a a!)^-1 (sum x)^(3a) * (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!)
         for a in range(g + 1):
-            pref = Fraction(1, 24 ** a * factorial(a))
             cube = _simplex_power(n, 3 * a)
             for r in range(g - a + 1):
                 s = g - a - r
-                c = pref * Fraction((-1) ** s,
-                                    8 ** s * (2 * r + 2 * s + n - 1) * factorial(s))
-                val.add_into(cube.mul(self.p_delta(n, r, s)), c)
-        return val
+                yield cube.mul(self.p_delta(n, r, s)), Fraction(
+                    (-1) ** s, 24 ** a * factorial(a) * 8 ** s
+                    * (2 * g - 2 * a + n - 1) * factorial(s))
 
     _ROUTES = {"normalized": _f_part_normalized, "direct": _f_part_direct}
 

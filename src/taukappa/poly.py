@@ -12,10 +12,11 @@ every run of equal exponents into a multiset of values, weighted by the
 number of exponent vectors that multiset stands for, instead of walking
 the exponent vectors one by one.
 
-Coefficients are `Fraction`s at the boundary, but the inner sums of `mul`
-and `divide_by_variable_sum` run on integers: each operand is put over the
-lcm of its denominators (`SymmetricPoly.integer_form`, built on the spot
-and never stored), and one `Fraction` is formed per output class.
+Coefficients are `Fraction`s at the boundary, but the inner sums of `mul`,
+`divide_by_variable_sum` and `linear_combination` run on integers: each
+operand is put over the lcm of its denominators
+(`SymmetricPoly.integer_form`, built on the spot and never stored), and one
+`Fraction` is formed per output class.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from math import factorial, lcm
 
 from .core import partitions
 
-__all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum"]
+__all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum",
+           "linear_combination"]
 
 
 def class_key(vec) -> tuple:
@@ -54,13 +56,6 @@ class SymmetricPoly:
     def __bool__(self):
         return bool(self.classes)
 
-    def scaled(self, scalar) -> "SymmetricPoly":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return SymmetricPoly(self.nvars, self.degree)
-        return SymmetricPoly(self.nvars, self.degree,
-                             {k: c * scalar for k, c in self.classes.items()})
-
     def integer_form(self) -> tuple[int, dict]:
         """(den, {key: int}) with classes[key] == ints[key] / den, where den
         is the lcm of the coefficients' denominators."""
@@ -72,18 +67,6 @@ class SymmetricPoly:
         if other.nvars != self.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs "
                              f"{other.nvars}")
-
-    def add_into(self, other: "SymmetricPoly", scalar=1) -> None:
-        self._check_nvars(other)
-        if other.classes and other.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        scalar = Fraction(scalar)
-        for k, c in other.classes.items():
-            s = self.classes.get(k, Fraction(0)) + c * scalar
-            if s:
-                self.classes[k] = s
-            else:
-                self.classes.pop(k, None)
 
     def mul(self, other: "SymmetricPoly") -> "SymmetricPoly":
         """Class-wise product, one target class at a time.
@@ -105,11 +88,12 @@ class SymmetricPoly:
         out = {}
         for ev in partitions(deg, n):
             tot = 0
+            # split parts hold no zeros, so sorting makes their class keys
             for f, h, ways in _vector_splits(ev, self.degree):
-                ca = ia.get(class_key(f), 0)
+                ca = ia.get(tuple(sorted(f, reverse=True)), 0)
                 if not ca:
                     continue
-                cb = ib.get(class_key(h), 0)
+                cb = ib.get(tuple(sorted(h, reverse=True)), 0)
                 if cb:
                     tot += ways * ca * cb
             if tot:
@@ -119,6 +103,41 @@ class SymmetricPoly:
     def __repr__(self):
         return (f"SymmetricPoly(nvars={self.nvars}, degree={self.degree}, "
                 f"classes={len(self.classes)})")
+
+
+def linear_combination(nvars: int, degree: int, terms) -> SymmetricPoly:
+    """sum of scalar * poly over the (poly, scalar) terms, in nvars
+    variables and of the given degree.
+
+    Each term enters through its integer form; the running sum keeps one
+    integer per class over the lcm of the denominators seen so far, and
+    one `Fraction` per class is formed at the end.  Terms are read one at
+    a time, so an iterator of products is never held all at once.
+    """
+    den = 1
+    acc = {}
+    for poly, scalar in terms:
+        if poly.nvars != nvars:
+            raise ValueError(f"variable count mismatch: {nvars} vs "
+                             f"{poly.nvars}")
+        if poly.classes and poly.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {poly.degree}")
+        scalar = Fraction(scalar)
+        if not scalar or not poly.classes:
+            continue
+        pden, ints = poly.integer_form()
+        tden = pden * scalar.denominator
+        common = lcm(den, tden)
+        if common != den:
+            up = common // den
+            for k in acc:
+                acc[k] *= up
+            den = common
+        mult = scalar.numerator * (common // tden)
+        for k, c in ints.items():
+            acc[k] = acc.get(k, 0) + mult * c
+    return SymmetricPoly(nvars, degree, {k: Fraction(c, den)
+                                         for k, c in acc.items() if c})
 
 
 # (v, c) -> {sum: [(part, complement, ways)]}; depends on (v, c) alone,

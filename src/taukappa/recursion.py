@@ -300,16 +300,20 @@ class RecursionEngine:
                         den = val.denominator
                         acc[den] = acc.get(den, 0) + coef * val.numerator
 
-        # stable splits: kappa index splits three ways, insertions two ways
+        # stable splits: kappa index splits three ways, insertions two ways;
+        # the insertion splits depend on rest alone, each with its part of
+        # the first factor's dimension
+        splits = [(part, other, ways, sum(part) - len(part) + 2)
+                  for part, other, ways in multiset_splits(rest)]
         for left, e, f in enumerate_triple_splits(b):
             m = left.weight + d1 - 2
             if m < 0:
                 continue
             acc = groups[left]
             tri = multiindex_multinomial(b, (left, e, f))
-            for part, other, ways in multiset_splits(rest):
+            for part, other, ways, shift in splits:
                 # genus of the first factor is fixed by its dimension
-                base = sum(part) + e.weight - len(part) + 2
+                base = shift + e.weight
                 for r in range(m + 1):
                     gp, remdr = divmod(base + r, 3)
                     if remdr or gp < 0 or gp > g:

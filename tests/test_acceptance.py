@@ -91,16 +91,16 @@ def test_criterion_03_two_and_three_point_forms():
     # for r <= 3, its numerator built class by class
     from math import comb
     for r in range(4):
+        scale = Fraction(factorial(r), 2 ** r * factorial(2 * r + 1))
         classes = {}
         for e in _partitions(3 * r + 1, 3):
             c = sum(comb(r + 1, e[i] - r)
                     for i, j in ((0, 1), (0, 2), (1, 2))
                     if e[3 - i - j] == 0 and min(e[i], e[j]) >= r)
             if c:
-                classes[class_key(e)] = Fraction(c)
+                classes[class_key(e)] = c * scale
         num = SymmetricPoly(3, 3 * r + 1, classes)
-        scale = Fraction(factorial(r), 2 ** r * factorial(2 * r + 1))
-        want = divide_by_variable_sum(num).scaled(scale)
+        want = divide_by_variable_sum(num)
         got = npe.p_poly(3, r)
         assert (got.nvars, got.degree, got.classes) == \
             (want.nvars, want.degree, want.classes), r

@@ -364,6 +364,21 @@ def test_unopenable_cache_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []       # nothing appended or created
 
 
+
+def test_unwritable_cache_exit_code(tmp_path, capsys):
+    """A cache path in a missing directory loads nothing; the result is
+    printed, then writing the new records fails with exit 4."""
+    cache = tmp_path / "missing" / "x.cache"
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out.strip() == "1/24"
+    assert captured.err.startswith(f"error: cannot write cache {cache}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []       # nothing created
+
+
 PROP11 = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taukappa.npoint import NPointEngine
-from taukappa.poly import SymmetricPoly, class_key, divide_by_variable_sum
-from taukappa.core import double_factorial
+from taukappa.poly import (SymmetricPoly, class_key, divide_by_variable_sum,
+                           linear_combination)
+from taukappa.core import bucket_sum, double_factorial, multiset_splits
 from taukappa.recursion import RecursionEngine
 
 
@@ -26,6 +27,29 @@ def _partitions(total, slots):
 
 def _shape(p):
     return p.nvars, p.degree, p.classes
+
+
+def _reference_add_into(self, other, scalar=1):
+    """self += scalar * other, one Fraction multiply and add per class: the
+    loop `SymmetricPoly.add_into` ran before `linear_combination`."""
+    if other.nvars != self.nvars:
+        raise ValueError(f"variable count mismatch: {self.nvars} vs "
+                         f"{other.nvars}")
+    if other.classes and other.degree != self.degree:
+        raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+    scalar = Fraction(scalar)
+    for k, c in other.classes.items():
+        s = self.classes.get(k, Fraction(0)) + c * scalar
+        if s:
+            self.classes[k] = s
+        else:
+            self.classes.pop(k, None)
+
+
+def _scaled(p, scalar):
+    out = SymmetricPoly(p.nvars, p.degree)
+    _reference_add_into(out, p, scalar)
+    return out
 
 
 def test_delta_power_small():
@@ -64,7 +88,7 @@ def test_p_1_three_variables_closed_form():
     got = NPointEngine().p_poly(3, 1)
     # the numerator by class: x_i^3 x_j once, x_i^2 x_j^2 twice
     num = SymmetricPoly(3, 4, {(3, 1): Fraction(1), (2, 2): Fraction(2)})
-    expected = divide_by_variable_sum(num).scaled(Fraction(1, 12))
+    expected = _scaled(divide_by_variable_sum(num), Fraction(1, 12))
     assert _shape(got) == _shape(expected)
 
 
@@ -84,7 +108,7 @@ def test_p_r_three_variables_printed_formula():
                 classes[class_key(e)] = Fraction(c)
         num = SymmetricPoly(3, 3 * r + 1, classes)
         scale = Fraction(factorial(r), 2 ** r * factorial(2 * r + 1))
-        expected = divide_by_variable_sum(num).scaled(scale)
+        expected = _scaled(divide_by_variable_sum(num), scale)
         assert _shape(eng.p_poly(3, r)) == _shape(expected), r
 
 
@@ -318,7 +342,7 @@ class _PositionEngine(NPointEngine):
                     tot += a_i * a_j
             if tot:
                 num.classes[class_key(ev)] = 2 * tot
-        val = divide_by_variable_sum(num).scaled(Fraction(1, 2))
+        val = _scaled(divide_by_variable_sum(num), Fraction(1, 2))
         self._p[key] = val
         return val
 
@@ -356,8 +380,9 @@ def test_kernel_matches_position_reference(position_engine):
 
 
 @st.composite
-def symmetric_polys(draw, nvars):
-    degree = draw(st.integers(0, 5))
+def symmetric_polys(draw, nvars, degree=None):
+    if degree is None:
+        degree = draw(st.integers(0, 5))
     classes = {}
     for ev in _partitions(degree, nvars):
         c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=60))
@@ -383,11 +408,58 @@ def test_mul_rejects_mismatched_nvars():
         xyz.mul(xy)
 
 
-def test_add_into_rejects_mismatched_nvars():
+def test_linear_combination_rejects_mismatched_nvars():
     xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
     with pytest.raises(ValueError, match="variable count"):
-        xyz.add_into(SymmetricPoly(2, 1, {(1,): Fraction(1)}))
+        linear_combination(3, 1, [(xyz, 1),
+                                  (SymmetricPoly(2, 1, {(1,): Fraction(1)}), 1)])
     assert xyz.classes == {(1,): Fraction(1)}
+
+
+def test_linear_combination_rejects_mismatched_degree():
+    xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="degree mismatch"):
+        linear_combination(3, 1, [(xyz, 1),
+                                  (SymmetricPoly(3, 2, {(2,): Fraction(1)}), 1)])
+    assert xyz.classes == {(1,): Fraction(1)}
+    # a zero polynomial has no classes to misplace, as in the Fraction loop
+    got = linear_combination(3, 1, [(xyz, 2), (SymmetricPoly(3, 2), 1)])
+    assert got.classes == {(1,): Fraction(2)}
+
+
+@st.composite
+def combination_terms(draw):
+    """(nvars, degree, terms): polynomials over mixed denominators, some
+    scalars zero, and on request every term again with its scalar negated,
+    so that the whole sum cancels to the empty polynomial."""
+    nvars = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 5))
+    scalars = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-5, max_value=5,
+                                     max_denominator=90))
+    terms = draw(st.lists(st.tuples(symmetric_polys(nvars, degree), scalars),
+                          max_size=5))
+    if draw(st.booleans()):
+        terms += [(p, -c) for p, c in terms]
+    return nvars, degree, terms
+
+
+_P = SymmetricPoly(3, 2, {(2,): Fraction(1, 6), (1, 1): Fraction(-3, 4)})
+_Q = SymmetricPoly(3, 2, {(2,): Fraction(1, 10)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(combination_terms())
+@example((3, 2, []))
+@example((3, 2, [(_P, Fraction(2, 3)), (_Q, 0), (_P, Fraction(-2, 3))]))
+def test_linear_combination_matches_fraction_reference(drawn):
+    nvars, degree, terms = drawn
+    want = SymmetricPoly(nvars, degree)
+    for p, c in terms:
+        _reference_add_into(want, p, c)
+    got = linear_combination(nvars, degree, iter(terms))
+    assert _shape(got) == _shape(want)
+    assert all(got.classes.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,6 +483,51 @@ def test_exact_division_roundtrip(drawn):
     key = data.draw(st.sampled_from(ties))
     c = data.draw(st.fractions(min_value=-3, max_value=3,
                                max_denominator=60).filter(bool))
-    prod.add_into(SymmetricPoly(n, prod.degree, {key: c}))
+    prod = linear_combination(n, prod.degree, [
+        (prod, 1), (SymmetricPoly(n, prod.degree, {key: c}), 1)])
     with pytest.raises(ValueError, match="not divisible"):
         divide_by_variable_sum(prod)
+
+
+class _UnfilteredSplitEngine(NPointEngine):
+    """p_poly over every split `core.multiset_splits` yields, each tested
+    for an admissible first-factor genus only after its tuples are built."""
+
+    def p_poly(self, n, r):
+        key = (n, r)
+        hit = self._p.get(key)
+        if hit is not None:
+            return hit
+        deg_num = 3 * r + n - 2
+        num = SymmetricPoly(n, deg_num)
+        for ev in _partitions(deg_num, n):
+            acc = {}
+            for part, rest, ways in multiset_splits(ev[1:]):
+                if not rest:
+                    continue
+                m = len(part) + 1
+                d_i = ev[0] + sum(part)
+                r1, rem = divmod(d_i - m + 1, 3)
+                if rem or r1 < 0 or r1 > r:
+                    continue
+                a_i = self.a_factor(m, r1).classes.get(class_key((ev[0],) + part))
+                if not a_i:
+                    continue
+                a_j = self.a_factor(n - m, r - r1).classes.get(class_key(rest))
+                if a_j:
+                    den = a_i.denominator * a_j.denominator
+                    acc[den] = (acc.get(den, 0)
+                                + ways * a_i.numerator * a_j.numerator)
+            tot = bucket_sum(acc)
+            if tot:
+                num.classes[class_key(ev)] = tot
+        val = divide_by_variable_sum(num)
+        self._p[key] = val
+        return val
+
+
+def test_p_poly_matches_unfiltered_splits():
+    eng, ref = NPointEngine(), _UnfilteredSplitEngine()
+    for n in range(3, 8):
+        for r in range(4):
+            assert _shape(eng.p_poly(n, r)) == _shape(ref.p_poly(n, r)), (n, r)
