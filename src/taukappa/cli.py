@@ -90,8 +90,9 @@ def _emit(args, payload: dict, plain: str):
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        keys = sorted(payload)
-        print(",".join(str(payload[k]) for k in keys))
+        import csv      # only here, so that start-up does not load it
+        csv.writer(sys.stdout, lineterminator="\n").writerow(
+            payload[k] for k in sorted(payload))
     else:
         print(plain)
 

@@ -11,9 +11,12 @@ Two independent expansions of F are implemented:
   (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!).
 
 Both agree coefficientwise; the second is used as a cross-check of the
-first.  The one- and two-point normalized functions x^-2 and 1/(x+y) are
-not polynomials, and `component` refuses those two shapes.  They enter
-only through the certified products (sum_I x)^2 * x^-2 = 1 and
+first.  Every product either route forms multiplies by a power of
+e1 = sum x or of p3 = sum x^3, or by Delta, one factor at a time as
+Delta f = (e1^3 f - p3 f)/3, so all of them go through
+`poly.times_power_sum`.  The one- and two-point normalized functions x^-2
+and 1/(x+y) are not polynomials, and `component` refuses those two shapes.
+They enter only through the certified products (sum_I x)^2 * x^-2 = 1 and
 (x+y)^2 * 1/(x+y) = x+y, and the two-point routes through (x+y) P_0 = 1,
 which keep every assembled numerator a genuine polynomial.
 """
@@ -27,41 +30,17 @@ from operator import mul
 
 from .core import bucket_sum, double_factorial, partitions
 from .poly import (SymmetricPoly, class_key, divide_by_variable_sum,
-                   linear_combination)
+                   linear_combination, times_power_sum)
 
 __all__ = ["NPointEngine"]
 
 
-def _multinomial(total: int, parts) -> int:
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def _simplex_power(n: int, p: int) -> SymmetricPoly:
-    """(x_1 + ... + x_n)^p by classes."""
-    return SymmetricPoly(n, p, {class_key(ev): Fraction(_multinomial(p, ev))
-                                for ev in partitions(p, n)})
-
-
-def _cube_sum_power(n: int, k: int) -> SymmetricPoly:
-    """(x_1^3 + ... + x_n^3)^k by classes."""
-    classes = {}
-    for mu in partitions(k, n):
-        key = tuple(3 * v for v in mu if v)
-        classes[key] = Fraction(_multinomial(k, mu))
-    return SymmetricPoly(n, 3 * k, classes)
-
-
-def _delta_classes(n: int) -> SymmetricPoly:
-    """Delta = ((sum x)^3 - sum x^3)/3; integer coefficients by construction."""
-    classes = {}
-    if n >= 2:
-        classes[(2, 1)] = Fraction(1)
-    if n >= 3:
-        classes[(1, 1, 1)] = Fraction(2)
-    return SymmetricPoly(n, 3, classes)
+def _times_delta(f: SymmetricPoly) -> SymmetricPoly:
+    """f * Delta with Delta = ((sum x)^3 - sum x^3)/3, as two power-sum
+    products; the division by 3 is exact on f's integer form."""
+    return linear_combination(f.nvars, f.degree + 3, [
+        (times_power_sum(f, 1, 3), Fraction(1, 3)),
+        (times_power_sum(f, 3), Fraction(-1, 3))])
 
 
 class NPointEngine:
@@ -121,7 +100,7 @@ class NPointEngine:
         if hit is None:
             # one more factor on the cached Delta^(s-1)
             hit = (SymmetricPoly(n, 0, {(): Fraction(1)}) if s == 0
-                   else self.delta_power(n, s - 1).mul(_delta_classes(n)))
+                   else _times_delta(self.delta_power(n, s - 1)))
             self._delta_pow[key] = hit
         return hit
 
@@ -130,9 +109,9 @@ class NPointEngine:
         key = (n, r, s)
         hit = self._p_delta.get(key)
         if hit is None:
-            hit = self.p_poly(n, r)
-            if s:
-                hit = hit.mul(self.delta_power(n, s))
+            # one more factor on the cached P_r * Delta^(s-1)
+            hit = (self.p_poly(n, r) if s == 0
+                   else _times_delta(self.p_delta(n, r, s - 1)))
             self._p_delta[key] = hit
         return hit
 
@@ -266,12 +245,12 @@ class NPointEngine:
         if n == 2:
             # work with (x+y)*F-part, using (x+y)*G_m = Delta^m/(4^m (2m+1)!!)
             return divide_by_variable_sum(linear_combination(2, 3 * g, (
-                (_cube_sum_power(2, k).mul(self.delta_power(2, g - k)),
+                (times_power_sum(self.delta_power(2, g - k), 3, k),
                  Fraction(1, 24 ** k * factorial(k) * 4 ** (g - k)
                           * double_factorial(2 * (g - k) + 1)))
                 for k in range(g + 1))))
         return linear_combination(n, 3 * g + n - 3, (
-            (_cube_sum_power(n, k).mul(self.component(n, g - k)),
+            (times_power_sum(self.component(n, g - k), 3, k),
              Fraction(1, 24 ** k * factorial(k)))
             for k in range(g + 1)))
 
@@ -279,7 +258,7 @@ class NPointEngine:
         if n == 2:
             # (x+y)*F-part with (x+y)*P_0 = 1; P_r = 0 for r > 0
             return divide_by_variable_sum(linear_combination(2, 3 * g, (
-                (_simplex_power(2, 3 * a).mul(self.delta_power(2, g - a)),
+                (times_power_sum(self.delta_power(2, g - a), 1, 3 * a),
                  Fraction((-1) ** (g - a),
                           24 ** a * factorial(a) * 8 ** (g - a)
                           * (2 * (g - a) + 1) * factorial(g - a)))
@@ -289,12 +268,11 @@ class NPointEngine:
     def _direct_terms(self, n: int, g: int):
         # (24^a a!)^-1 (sum x)^(3a) * (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!)
         for a in range(g + 1):
-            cube = _simplex_power(n, 3 * a)
             for r in range(g - a + 1):
                 s = g - a - r
-                yield cube.mul(self.p_delta(n, r, s)), Fraction(
-                    (-1) ** s, 24 ** a * factorial(a) * 8 ** s
-                    * (2 * g - 2 * a + n - 1) * factorial(s))
+                yield (times_power_sum(self.p_delta(n, r, s), 1, 3 * a),
+                       Fraction((-1) ** s, 24 ** a * factorial(a) * 8 ** s
+                                * (2 * g - 2 * a + n - 1) * factorial(s)))
 
     _ROUTES = {"normalized": _f_part_normalized, "direct": _f_part_direct}
 

@@ -7,14 +7,18 @@ class key is the exponent vector sorted descending with trailing zeros
 dropped; `(2, 1)` in three variables stands for all six monomials of
 shape x_i^2 x_j.
 
-`SymmetricPoly.mul` works on classes too: for each target class it splits
-every run of equal exponents into a multiset of values, weighted by the
-number of exponent vectors that multiset stands for, instead of walking
-the exponent vectors one by one.
+`SymmetricPoly.mul` is the general product and works on classes too: for
+each target class it splits every run of equal exponents into a multiset
+of values, weighted by the number of exponent vectors that multiset stands
+for, instead of walking the exponent vectors one by one.
+`times_power_sum` multiplies by a power of a power sum x_1^k + ... + x_n^k
+in one linear pass over the classes per factor, with no splits at all; it
+is the only product the n-point engines use, and the exactness check of
+`divide_by_variable_sum` is its k = 1 pass.
 
 Coefficients are `Fraction`s at the boundary, but the inner sums of `mul`,
-`divide_by_variable_sum` and `linear_combination` run on integers: each
-operand is put over the lcm of its denominators
+`times_power_sum`, `divide_by_variable_sum` and `linear_combination` run
+on integers: each operand is put over the lcm of its denominators
 (`SymmetricPoly.integer_form`, built on the spot and never stored), and one
 `Fraction` is formed per output class.
 """
@@ -28,7 +32,7 @@ from math import factorial, lcm
 from .core import partitions
 
 __all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum",
-           "linear_combination"]
+           "linear_combination", "times_power_sum"]
 
 
 def class_key(vec) -> tuple:
@@ -194,13 +198,52 @@ def _vector_splits(ev, degree: int) -> list:
     return states.get(degree, [])
 
 
+def times_power_sum(poly: SymmetricPoly, k: int,
+                    times: int = 1) -> SymmetricPoly:
+    """poly * (x_1^k + ... + x_n^k)^times, one pass over the classes per
+    factor, on poly's integer form; k >= 1."""
+    den, ints = poly.integer_form()
+    for _ in range(times):
+        ints = _push_power_sum(ints, poly.nvars, k)
+    return SymmetricPoly(poly.nvars, poly.degree + k * times,
+                         {key: Fraction(c, den)
+                          for key, c in ints.items() if c})
+
+
+def _push_power_sum(ints: dict, nvars: int, k: int) -> dict:
+    """{class: int} times x_1^k + ... + x_n^k.
+
+    Multiplying the monomial class `key` by p_k raises one entry u of it
+    to u + k, for each distinct value u of key and for u = 0 when key
+    has fewer than nvars entries.  In the target class t, each of the
+    t.count(u + k) entries equal to u + k can be the raised one, and each
+    choice lowers t back to key (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2).
+    """
+    out = {}
+    for key, c in ints.items():
+        if not c:
+            continue
+        prev = None
+        for i, u in enumerate(key):
+            if u == prev:
+                continue
+            prev = u
+            t = tuple(sorted(key[:i] + (u + k,) + key[i + 1:], reverse=True))
+            out[t] = out.get(t, 0) + c * t.count(u + k)
+        if len(key) < nvars:
+            t = tuple(sorted(key + (k,), reverse=True))
+            out[t] = out.get(t, 0) + c * t.count(k)
+    return out
+
+
 def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
     """Exact quotient num / (x_1 + ... + x_n) for symmetric num.
 
     Solves the triangular system Q[f] = num[f + e_1] - (other unit moves),
-    walking quotient classes in descending lex order, then verifies every
-    class of num against the reconstructed product.  Raises ValueError if
-    the division is not exact.  Both passes run on num's integer form: by
+    walking quotient classes in descending lex order, then checks that
+    the quotient times the variable sum is num.  Raises ValueError if the
+    division is not exact.  Both passes run on num's integer form: by
     Gauss's lemma the quotient of an integer polynomial by the primitive
     x_1 + ... + x_n has integer coefficients.
     """
@@ -223,13 +266,10 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
                 continue
             acc -= mult * out.get(kk, 0)
         out[f] = acc
-    # exactness: reconstruct every class of num
-    for ev in partitions(deg, n):
-        s = 0
-        for kk, mult in _unit_decrements(ev):
-            s += mult * out[kk]
-        if s != ints.get(class_key(ev), 0):
-            raise ValueError("polynomial is not divisible by the variable sum")
+    back = _push_power_sum(out, n, 1)
+    if ({k: v for k, v in back.items() if v}
+            != {k: v for k, v in ints.items() if v}):
+        raise ValueError("polynomial is not divisible by the variable sum")
     return SymmetricPoly(n, deg - 1, {k: Fraction(v, den)
                                       for k, v in out.items() if v})
 

@@ -1,6 +1,8 @@
 import ast
+import csv
 import hashlib
 import importlib
+import io
 import json
 import pkgutil
 import subprocess
@@ -48,6 +50,20 @@ def test_compute_json_format(capsys):
                         "--genus", "2", "--d", "2,3")
     assert code == 0
     assert json.loads(out)["value"] == "29/5760"
+
+
+def test_compute_csv_format_parses(capsys):
+    """Fields that hold commas are quoted, so a CSV reader gets one field
+    per payload key, in sorted key order."""
+    code, out = run_cli(capsys, "--format", "csv", "compute", "psi",
+                        "--genus", "2", "--d", "3,2")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["[3, 2]", "2", "29/5760"]]
+    code, out = run_cli(capsys, "--format", "csv", "compute", "kappa",
+                        "--genus", "2", "--b", "1:1,2:1")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["1:1,2:1", "[]", "2", "1/240"]]
 
 
 def test_usage_error_exit_code(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from taukappa.npoint import NPointEngine
 from taukappa.poly import (SymmetricPoly, class_key, divide_by_variable_sum,
-                           linear_combination)
+                           linear_combination, times_power_sum)
 from taukappa.core import bucket_sum, double_factorial, multiset_splits
 from taukappa.recursion import RecursionEngine
 
@@ -281,6 +282,15 @@ def _reference_mul(self, other):
     return SymmetricPoly(n, deg, out)
 
 
+def _reference_times_power_sum(poly, k, times=1):
+    """poly * (x_1^k + ... + x_n^k)^times as `times` position-loop
+    products with the explicitly built power sum."""
+    p_k = SymmetricPoly(poly.nvars, k, {(k,): Fraction(1)})
+    for _ in range(times):
+        poly = _reference_mul(p_k, poly)
+    return poly
+
+
 class _PositionEngine(NPointEngine):
     """a_factor over ordered position pairs (i, j) and p_poly over the
     2^(n-1) subsets I that hold position 0."""
@@ -358,6 +368,8 @@ def position_engine():
     eng = _PositionEngine()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SymmetricPoly, "mul", _reference_mul)
+        mp.setattr("taukappa.npoint.times_power_sum",
+                   _reference_times_power_sum)
         for n, g in SHAPES_DIM10:
             for route in ("normalized", "direct"):
                 eng.f_part(n, g, route)
@@ -399,6 +411,32 @@ def test_mul_matches_position_reference(pair):
     got = a.mul(b)
     assert (got.nvars, got.degree) == (a.nvars, a.degree + b.degree)
     assert got.classes == _reference_mul(a, b).classes
+
+
+def _position_power_sum(n, k, times):
+    """(x_1^k + ... + x_n^k)^times: each class counts the position
+    sequences (i_1, ..., i_times) whose exponent vector is its sorted
+    representative."""
+    classes = {}
+    for seq in product(range(n), repeat=times):
+        ev = [0] * n
+        for i in seq:
+            ev[i] += k
+        if ev == sorted(ev, reverse=True):
+            key = class_key(ev)
+            classes[key] = classes.get(key, 0) + Fraction(1)
+    return SymmetricPoly(n, k * times, classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    symmetric_polys(n), st.integers(1, 3), st.integers(0, 3))))
+def test_times_power_sum_matches_position_reference(drawn):
+    p, k, times = drawn
+    got = times_power_sum(p, k, times)
+    want = _reference_mul(p, _position_power_sum(p.nvars, k, times))
+    assert _shape(got) == _shape(want)
+    assert all(got.classes.values())
 
 
 def test_mul_rejects_mismatched_nvars():
@@ -470,7 +508,7 @@ def test_exact_division_roundtrip(drawn):
     of the product that is not a multiple makes the division raise."""
     p, data = drawn
     n = p.nvars
-    prod = p.mul(SymmetricPoly(n, 1, {(1,): Fraction(1)}))
+    prod = _reference_mul(p, SymmetricPoly(n, 1, {(1,): Fraction(1)}))
     q = divide_by_variable_sum(prod)
     assert (q.nvars, q.degree, q.classes) == (n, p.degree, p.classes)
     # a monomial symmetric function whose two largest exponents are equal
