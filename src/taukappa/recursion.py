@@ -63,44 +63,114 @@ def corr_key(g: int, d, b: MultiIndex) -> tuple:
     return (g, tuple(sorted(d, reverse=True)), b)
 
 
-_LINE = re.compile(r"^(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+)/(\d+)$")
+def _d_field(d) -> str:
+    return ",".join(map(str, d))
+
+
+def _b_field(b: MultiIndex) -> str:
+    return ",".join(f"{i}:{m}" for i, m in b.entries)
+
+
+def key_text(key: tuple) -> str:
+    """The `g|d|b` text of a canonical key, as a cache line spells it."""
+    g, d, b = key
+    return f"{g}|{_d_field(d)}|{_b_field(b)}"
+
+
+def _parse_key(text: str) -> tuple:
+    g, d, b = text.split("|")
+    return (int(g), tuple(map(int, d.split(","))) if d else (),
+            MultiIndex.parse(b))
+
+
+def _parse_value(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den))
+
+
+# one cache line: blank, a comment or a g|d|b|num/den record, with
+# whitespace around it; neither "." nor [^\S\n] crosses a line's end
+_LINES = re.compile(r"^[^\S\n]*(?:(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+/(\d+))"
+                    r"|#.*)?[^\S\n]*$", re.M)
 
 
 class CorrelatorTable:
     """Write-once map from correlator keys to exact values.
 
     Every entry carries a provenance tag naming the engine that produced
-    it.  Engines, workers and cache files all insert through `record`:
-    recording a key twice with the same value is a no-op (the first tag
-    wins); recording a different value raises EngineDisagreement.
-    Persists to a line-oriented text cache, one `g|d,...|i:b,...|num/den`
-    record per line.  `record` lists the new keys that did not come from
-    a file, so `append_new` writes them without rescanning the table
-    (load the cache first: a key computed before is written again).
+    it.  Engines and workers insert through `record`: recording a key
+    twice with the same value is a no-op (the first tag wins); recording a
+    different value raises EngineDisagreement.  Persists to a
+    line-oriented text cache, one `g|d,...|i:b,...|num/den` record per
+    line.  `record` lists the new keys that did not come from a file, so
+    `append_new` writes them without rescanning the table (load the cache
+    first: a key computed before is written again).
+
+    The table has two parts that never share a key.  `parsed` maps
+    canonical keys to Fractions.  `load` checks every line of a file and
+    files each record in an index from its canonical `g|d|b` text
+    (`key_text`) to its `num/den` text.  The first `get`, `record` or
+    engine lookup of a key moves its record into `parsed`, tagged
+    "cache", so a loaded value still meets the write-once check.
+    `values` and `provenance` move every record left in the index first.
     """
 
     def __init__(self):
-        self.values: dict[tuple, Fraction] = {}
-        self.provenance: dict[tuple, str] = {}
+        self.parsed: dict[tuple, Fraction] = {}
+        self._tags: dict[tuple, str] = {}
+        self._index: dict[str, str] = {}
         self._unsaved: list[tuple] = []
 
     def __len__(self):
-        return len(self.values)
+        return len(self.parsed) + len(self._index)
+
+    @property
+    def values(self) -> dict[tuple, Fraction]:
+        self._read_all()
+        return self.parsed
+
+    @property
+    def provenance(self) -> dict[tuple, str]:
+        self._read_all()
+        return self._tags
 
     def get(self, g: int, d, b: MultiIndex = EMPTY):
-        return self.values.get(corr_key(g, d, b))
+        key = corr_key(g, d, b)
+        hit = self.parsed.get(key)
+        return hit if hit is not None else self.read_loaded(key)
+
+    def read_loaded(self, key: tuple) -> Fraction | None:
+        """The loaded record under a canonical key, moved into `parsed` on
+        its first read; None when the index has no such record."""
+        if not self._index:
+            return None
+        text = self._index.pop(key_text(key), None)
+        if text is None:
+            return None
+        value = self.parsed[key] = _parse_value(text)
+        self._tags[key] = "cache"
+        return value
+
+    def _read_all(self):
+        for text, value in self._index.items():
+            key = _parse_key(text)
+            self.parsed[key] = _parse_value(value)
+            self._tags[key] = "cache"
+        self._index.clear()
 
     def record(self, g: int, d, b: MultiIndex, value: Fraction, engine: str) -> Fraction:
         key = corr_key(g, d, b)
-        size = len(self.values)
-        old = self.values.setdefault(key, value)
-        if len(self.values) > size:
-            self.provenance[key] = engine
+        if self._index and key not in self.parsed:
+            self.read_loaded(key)
+        size = len(self.parsed)
+        old = self.parsed.setdefault(key, value)
+        if len(self.parsed) > size:
+            self._tags[key] = engine
             if engine != "cache":
                 self._unsaved.append(key)
         elif old != value:
             raise EngineDisagreement(
-                f"{key}: {self.provenance[key]} computed {old}, "
+                f"{key}: {self._tags[key]} computed {old}, "
                 f"{engine} computed {value}")
         return value
 
@@ -108,37 +178,57 @@ class CorrelatorTable:
 
     @staticmethod
     def _format_line(key: tuple, value: Fraction) -> str:
-        g, d, b = key
-        dfield = ",".join(str(x) for x in d)
-        bfield = ",".join(f"{i}:{m}" for i, m in b.entries)
-        return f"{g}|{dfield}|{bfield}|{value.numerator}/{value.denominator}"
+        return f"{key_text(key)}|{value.numerator}/{value.denominator}"
 
     def load(self, path: str) -> int:
-        """Merge records from a cache file; returns the number loaded."""
+        """Check every line of a cache file and index its records; returns
+        the number of records read."""
         if not os.path.exists(path):
             return 0
         with open(path, "r", encoding="ascii") as fh:
-            # split at "\n" alone, as iterating the file does;
-            # str.splitlines() would also end a line at a form feed
-            lines = fh.read().split("\n")
-        # a file repeats few kappa fields and few insertion degrees
-        kappa, ints = Memo(MultiIndex.parse), Memo(int)
-        count = 0
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = _LINE.match(line)
-            if not m:
-                raise ValueError(f"malformed cache line: {line!r}")
-            g, d, b, num, den = m.groups()
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in cache line: {line!r}")
-            d = map(ints.__getitem__, filter(None, d.split(",")))
-            # record() sorts d, once
-            self.record(int(g), d, kappa[b], Fraction(int(num), int(den)),
-                        "cache")
+            text = fh.read()
+        # canonical field texts, each worked out once per distinct spelling
+        genus = Memo(lambda t: str(int(t)))
+        descending = Memo(lambda t: _d_field(
+            sorted(map(int, filter(None, t.split(","))), reverse=True)))
+        kappa = Memo(lambda t: _b_field(MultiIndex.parse(t)))
+        index = self._index
+        # a line for a key already parsed goes through the write-once record()
+        filed = {key_text(key) for key in self.parsed}
+        count = pos = 0
+        # lines end at "\n" alone, as iterating the file does; a form feed
+        # inside a line does not end it
+        for m in _LINES.finditer(text):
+            start, end = m.span()
+            if start != pos:
+                break           # the line at pos does not match
+            pos = end + 1
+            g, d, b, value, den = m.groups()
+            if g is None:
+                continue        # blank or comment
+            if not den.strip("0"):
+                raise ValueError(
+                    f"zero denominator in cache line: {m.group().strip()!r}")
+            # single digits in descending order are canonical as they stand,
+            # which spares most lines converting and sorting d
+            parts = d.split(",")
+            if (2 * len(parts) - 1 != len(d)
+                    or parts != sorted(parts, reverse=True)):
+                d = descending[d]
+            key = f"{genus[g]}|{d}|{kappa[b]}"
             count += 1
+            if filed and key in filed:
+                self.record(*_parse_key(key), _parse_value(value), "cache")
+                continue
+            old = index.setdefault(key, value)
+            # two spellings of one value, such as 1/2 and 2/4, agree
+            if old != value and _parse_value(old) != _parse_value(value):
+                raise EngineDisagreement(
+                    f"{_parse_key(key)}: cache computed {_parse_value(old)}, "
+                    f"cache computed {_parse_value(value)}")
+        if pos <= len(text):
+            line = text[pos:].split("\n", 1)[0].strip()
+            raise ValueError(f"malformed cache line: {line!r}")
         return count
 
     def append_new(self, path: str) -> int:
@@ -153,7 +243,7 @@ class CorrelatorTable:
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")
             for key in fresh:
-                line = self._format_line(key, self.values[key]) + "\n"
+                line = self._format_line(key, self.parsed[key]) + "\n"
                 fh.write(line.encode("ascii"))
         self._unsaved.clear()
         return len(fresh)
@@ -212,9 +302,11 @@ class RecursionEngine:
             return self.table.record(g, d, b, Fraction(1), "wk")
         if g == 1 and d == (1,) and not b:
             return self.table.record(g, d, b, Fraction(1, 24), "wk")
-        # d is sorted already, so (g, d, b) is the corr_key; misses still
-        # record() under it
-        hit = self.table.values.get((g, d, b))
+        # d is sorted already, so (g, d, b) is the corr_key; a loaded record
+        # is parsed on its first read, and misses still record() under it
+        hit = self.table.parsed.get((g, d, b))
+        if hit is None:
+            hit = self.table.read_loaded((g, d, b))
         if hit is not None:
             return hit
         if d[-1] == 0 or (d[-1] == 1 and n >= 2):

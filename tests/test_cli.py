@@ -517,6 +517,40 @@ def test_cache_duplicate_records(tmp_path, capsys):
     assert cache.read_text() == "2|4||1/1152\n2|4||1/1153\n"
 
 
+def test_cache_spellings_of_one_key_disagree_at_load(tmp_path, capsys):
+    """Two spellings of one key with different values exit 1 while the
+    file loads, though the query never reads that key."""
+    text = "2|3,2||29/5760\n2|2,3||1/1\n"
+    cache = tmp_path / "spellings.cache"
+    cache.write_text(text)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("engine disagreement: ")
+    assert cache.read_text() == text
+
+
+@pytest.mark.parametrize("bad", [
+    "2|3,2||29/5760/1",           # malformed
+    "2|3,2||29/0",                # zero denominator
+    "2|2|0:1|1/1152",             # kappa positions start at 1
+])
+def test_unread_bad_record_fails_the_load(tmp_path, capsys, bad):
+    """Every line is checked when the file loads, not when its record is
+    first read: a bad record that the query never reads still exits 4,
+    and the file is left as it is."""
+    text = f"1|1||1/24\n{bad}\n"
+    cache = tmp_path / "bad.cache"
+    cache.write_text(text)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: unreadable cache ")
+    assert cache.read_text() == text
+
+
 # stdout and exit code of CLI commands, pinned verbatim: the series-layer
 # checks first
 GOLDEN = {

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 from math import comb, factorial
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taukappa.core import (EMPTY, MultiIndex, double_factorial,
+from taukappa.core import (EMPTY, Memo, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
                            genus_for_dimension, multiindex_binomial,
                            multiindex_multinomial, multiindices_of_weight,
@@ -539,3 +540,147 @@ def test_table_file_round_trip_property(records):
         assert fresh.values == table.values
         assert fresh.append_new(path) == 0
         assert table.append_new(path) == 0
+
+
+# -- the cache index against the eager loader --------------------------------
+
+_REFERENCE_LINE = re.compile(r"^(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+)/(\d+)$")
+
+
+def reference_load(table, path):
+    """The eager loader that the index replaced: every record line becomes
+    a key and a Fraction and goes through record(), in file order."""
+    if not os.path.exists(path):
+        return 0
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    kappa, ints = Memo(MultiIndex.parse), Memo(int)
+    count = 0
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _REFERENCE_LINE.match(line)
+        if not m:
+            raise ValueError(f"malformed cache line: {line!r}")
+        g, d, b, num, den = m.groups()
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in cache line: {line!r}")
+        d = map(ints.__getitem__, filter(None, d.split(",")))
+        table.record(int(g), d, kappa[b], Fraction(int(num), int(den)),
+                     "cache")
+        count += 1
+    return count
+
+
+_SPACE = st.sampled_from(["", "", " ", "\t", "  \t", "\r", " \r"])
+
+
+@st.composite
+def _spelled_record(draw, key, value):
+    """One line for (key, value), spelled as a hand-edited file might:
+    d in any order, b out of order or without its multiplicities, the
+    value unreduced, a leading zero, whitespace around it."""
+    g, d, b = key
+    d = draw(st.permutations(d))
+    dtext = ",".join(draw(st.sampled_from(["{}", "{}", "0{}"])).format(v)
+                     for v in d)
+    chunks = []
+    for i, m in draw(st.permutations(b.entries)):
+        if m == 1 and draw(st.booleans()):
+            chunks.append(str(i))
+        elif m > 1 and draw(st.booleans()):
+            chunks += [f"{i}:{m - 1}", str(i)]
+        else:
+            chunks.append(f"{i}:{m}")
+    if draw(st.booleans()):
+        chunks.append(f"{draw(st.integers(1, 4))}:0")
+    scale = draw(st.integers(1, 3))
+    text = (f"{draw(st.sampled_from(['{}', '0{}'])).format(g)}|{dtext}|"
+            f"{','.join(chunks)}|{value.numerator * scale}/"
+            f"{value.denominator * scale}")
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+_LOAD_KEYS = st.tuples(
+    st.integers(0, 12),
+    st.lists(st.integers(0, 14), max_size=5).map(
+        lambda v: tuple(sorted(v, reverse=True))),
+    st.dictionaries(st.integers(1, 4), st.integers(1, 3),
+                    max_size=3).map(MultiIndex))
+_FAULTS = ("malformed", "zero", "position", "disagree")
+
+
+@st.composite
+def cache_files(draw):
+    """(lines of a cache file, records recorded before the load, faults
+    put in the file)."""
+    records = draw(st.dictionaries(
+        _LOAD_KEYS, st.fractions(max_denominator=10 ** 6), max_size=8))
+    lines = []
+    for key, value in records.items():
+        for _ in range(draw(st.integers(1, 3))):     # repeated records
+            lines.append(draw(_spelled_record(key, value)))
+    lines += draw(st.lists(st.sampled_from(
+        ["", "   ", "# comment", "  # g|d|b|1/0", "\r"]), max_size=4))
+    faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=2))
+    for fault in faults:
+        if fault == "malformed":
+            line = draw(st.sampled_from(
+                ["1|1|1/24", "1|1||1/24|", "1| 1||1/24", "1|1||1/-24",
+                 "x", "1|1||1/24\x0c2|4||1/1152"]))
+        elif fault == "zero":
+            line = draw(st.sampled_from(["1|1||1/0", "3|2,0|1:1|-5/00"]))
+        elif fault == "position":
+            line = draw(st.sampled_from(["1|1|0:1|1/24", "2|3|1:1,0:2|1/2"]))
+        elif records:
+            key = draw(st.sampled_from(sorted(records, key=repr)))
+            line = draw(_spelled_record(key, records[key] + 1))
+        else:
+            line = "1|1||1/24\n1|1||1/25"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    # keys recorded by an engine before the load, some with another value
+    earlier = {}
+    for key in draw(st.lists(st.sampled_from(sorted(records, key=repr)),
+                             max_size=2, unique=True)) if records else []:
+        earlier[key] = records[key] + draw(st.sampled_from([0, 0, 1]))
+    return lines, earlier, faults
+
+
+def _outcome(load, table, path):
+    try:
+        return "loaded", load(table, path)
+    except (ValueError, EngineDisagreement) as exc:
+        return "raised", type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cache_files())
+def test_index_load_matches_eager_reference(case):
+    """Loading into the index gives the table the eager loader gives: the
+    same values, provenance, length and count, or the same exception
+    class on a malformed, zero-denominator, position-0 or disagreeing
+    line."""
+    lines, earlier, faults = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.txt")
+        with open(path, "wb") as fh:
+            fh.write("\n".join(lines).encode("ascii"))
+        indexed, eager = CorrelatorTable(), CorrelatorTable()
+        for table in (indexed, eager):
+            for (g, d, b), value in earlier.items():
+                table.record(g, d, b, value, "wk")
+        got = _outcome(CorrelatorTable.load, indexed, path)
+        want = _outcome(reference_load, eager, path)
+    assert got == want, (lines, earlier)
+    if got[0] == "raised":
+        return
+    assert not faults
+    assert len(indexed) == len(eager)
+    # a record read by key is parsed on first use; the rest on `values`
+    for (g, d, b), value in list(eager.values.items())[::2]:
+        assert indexed.get(g, d[::-1], b) == value
+    assert len(indexed) == len(eager)
+    assert indexed.values == eager.values
+    assert indexed.provenance == eager.provenance
+    assert len(indexed) == len(eager)
