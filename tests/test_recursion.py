@@ -579,8 +579,9 @@ _SPACE = st.sampled_from(["", "", " ", "\t", "  \t", "\r", " \r"])
 @st.composite
 def _spelled_record(draw, key, value):
     """One line for (key, value), spelled as a hand-edited file might:
-    d in any order, b out of order or without its multiplicities, the
-    value unreduced, a leading zero, whitespace around it."""
+    d in any order, b out of order, split, with a zero entry or without
+    its multiplicities, the value unreduced, leading zeros, whitespace
+    around it."""
     g, d, b = key
     d = draw(st.permutations(d))
     dtext = ",".join(draw(st.sampled_from(["{}", "{}", "0{}"])).format(v)
@@ -676,6 +677,7 @@ def test_index_load_matches_eager_reference(case):
     if got[0] == "raised":
         return
     assert not faults
+    assert indexed.parsed.keys() == earlier.keys()    # nothing parsed yet
     assert len(indexed) == len(eager)
     # a record read by key is parsed on first use; the rest on `values`
     for (g, d, b), value in list(eager.values.items())[::2]:
