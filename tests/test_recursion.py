@@ -511,6 +511,16 @@ def test_table_lines_end_at_newline_only(tmp_path):
         CorrelatorTable().load(str(path))
 
 
+def test_table_load_is_linear_in_a_long_blank_run(tmp_path):
+    """A bad character after a long run of blanks fails the load at once;
+    a line pattern whose blank runs could trade characters would take
+    minutes on this line."""
+    path = tmp_path / "cache.txt"
+    path.write_text("1|1||1/24\n" + " " * 200_000 + "x\n")
+    with pytest.raises(ValueError, match="malformed cache line: 'x'"):
+        CorrelatorTable().load(str(path))
+
+
 _KEYS = st.tuples(
     st.integers(0, 30),
     st.lists(st.integers(0, 90), max_size=6).map(
