@@ -90,9 +90,8 @@ def _parse_value(text: str) -> Fraction:
 
 # one cache line: blank, a comment or a g|d|b|num/den record, with
 # whitespace around it; neither "." nor [^\S\n] crosses a line's end.  Only
-# a record takes trailing whitespace, so no two runs of [^\S\n]* can trade
-# characters, and a long blank run before a bad character fails in linear
-# time
+# a record takes trailing whitespace, so the two blank runs cannot trade
+# characters and a bad line fails in linear time
 _LINES = re.compile(r"^[^\S\n]*(?:(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+/(\d+))"
                     r"[^\S\n]*|#.*)?$", re.M)
 
