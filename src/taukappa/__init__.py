@@ -6,7 +6,7 @@ the verification workbench.
 """
 
 from .core import (MultiIndex, double_factorial, enumerate_sub_multiindices,
-                   invert_coefficient_family, multiindex_binomial)
+                   multiindex_binomial)
 from .npoint import NPointEngine
 from .recursion import (CorrelatorTable, EngineDisagreement, RecursionEngine,
                         alpha_constant)
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MultiIndex", "double_factorial",
     "multiindex_binomial", "enumerate_sub_multiindices",
-    "invert_coefficient_family",
     "NPointEngine",
     "CorrelatorTable", "EngineDisagreement",
     "RecursionEngine", "alpha_constant",

@@ -22,8 +22,6 @@ __all__ = [
     "multiindex_multinomial",
     "partitions",
     "multiset_splits",
-    "invert_coefficient_family",
-    "CoefficientFamilyInverse",
     "Memo",
     "bucket_total",
     "bucket_sum",
@@ -313,37 +311,3 @@ def multiindices_up_to_weight(bmax: int) -> list[MultiIndex]:
         out.extend(multiindices_of_weight(w))
     return out
 
-
-class CoefficientFamilyInverse:
-    """Inverse of a coefficient family under multi-index convolution.
-
-    Given beta with beta(0) != 0, the inverse alpha is the unique family
-    with alpha(0)*beta(0) = 1 and sum_{L+L'=b} alpha(L)*beta(L') = 0 for
-    every b != 0.  Values are memoized by multi-index and computed on
-    demand, so the family is usable up to any weight bound.
-    """
-
-    def __init__(self, beta):
-        self._beta = beta
-        b0 = beta(EMPTY)
-        if b0 == 0:
-            raise ValueError("family has beta(0) = 0; no inverse exists")
-        self._cache = {EMPTY: Fraction(1, 1) / b0}
-
-    def __call__(self, b: MultiIndex) -> Fraction:
-        hit = self._cache.get(b)
-        if hit is not None:
-            return hit
-        acc = Fraction(0)
-        for left, right in enumerate_sub_multiindices(b):
-            if not right:
-                continue
-            acc += self(left) * self._beta(right)
-        val = -acc / self._beta(EMPTY)
-        self._cache[b] = val
-        return val
-
-
-def invert_coefficient_family(beta) -> CoefficientFamilyInverse:
-    """Memoized inverse family of ``beta`` (see CoefficientFamilyInverse)."""
-    return CoefficientFamilyInverse(beta)

@@ -97,10 +97,9 @@ def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
                              factorize(value))
 
 
-def check_proposition17(g: int, nmax: int, engine: RecursionEngine,
-                        include_script: bool | None = None):
+def check_proposition17(g: int, nmax: int, engine: RecursionEngine):
     """Divisibility ladder D(g, n) | D(g, n+1) up to nmax, plus
-    D(g, n) | script-D(g) when the pure-kappa invariant is computed.
+    D(g, n) | script-D(g) at g = 2 and 3.
 
     Returns a list of (description, verdict) pairs, all expected True.
     """
@@ -112,9 +111,7 @@ def check_proposition17(g: int, nmax: int, engine: RecursionEngine,
     for n in range(nmin, nmax):
         verdicts.append((f"D({g},{n}) | D({g},{n+1})",
                          values[n + 1] % values[n] == 0))
-    if include_script is None:
-        include_script = 2 <= g <= 3
-    if include_script and g >= 2:
+    if 2 <= g <= 3:
         script = compute_script_D(g, engine).value
         for n in sorted(values):
             if n <= 3 * g - 3:
@@ -172,6 +169,10 @@ def load_fixture_orders(path: str):
             if len(parts) < 2:
                 raise ValueError(f"fixture row needs an order and a genus: "
                                  f"{line!r}")
-            rows.append((int(parts[0]), int(parts[1]),
+            order = int(parts[0])
+            if order < 1:
+                raise ValueError(f"fixture order must be at least 1: "
+                                 f"{line!r}")
+            rows.append((order, int(parts[1]),
                          parts[2] if len(parts) > 2 else ""))
     return rows

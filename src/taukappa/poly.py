@@ -7,16 +7,13 @@ class key is the exponent vector sorted descending with trailing zeros
 dropped; `(2, 1)` in three variables stands for all six monomials of
 shape x_i^2 x_j.
 
-`SymmetricPoly.mul` is the general product and works on classes too: for
-each target class it splits every run of equal exponents into a multiset
-of values, weighted by the number of exponent vectors that multiset stands
-for, instead of walking the exponent vectors one by one.
 `times_power_sum` multiplies by a power of a power sum x_1^k + ... + x_n^k
-in one linear pass over the classes per factor, with no splits at all; it
-is the only product the n-point engines use, and the exactness check of
-`divide_by_variable_sum` is its k = 1 pass.
+in one linear pass over the classes per factor; it is the only product
+the n-point engines use, and the exactness check of
+`divide_by_variable_sum` is its k = 1 pass.  `SymmetricPoly.mul` is the
+general product, a plain sum over exponent vectors.
 
-Coefficients are `Fraction`s at the boundary, but the inner sums of `mul`,
+Coefficients are `Fraction`s at the boundary, but the inner sums of
 `times_power_sum`, `divide_by_variable_sum` and `linear_combination` run
 on integers: each operand is put over the lcm of its denominators
 (`SymmetricPoly.integer_form`, built on the spot and never stored), and one
@@ -26,8 +23,8 @@ on integers: each operand is put over the lcm of its denominators
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
-from math import factorial, lcm
+from itertools import product
+from math import lcm
 
 from .core import partitions
 
@@ -67,42 +64,22 @@ class SymmetricPoly:
         return den, {k: c.numerator * (den // c.denominator)
                      for k, c in self.classes.items()}
 
-    def _check_nvars(self, other: "SymmetricPoly") -> None:
+    def mul(self, other: "SymmetricPoly") -> "SymmetricPoly":
+        """Product: the coefficient at a sorted exponent vector ev is the
+        sum of a[f] * b[ev - f] over the exponent vectors 0 <= f <= ev of
+        degree self.degree."""
         if other.nvars != self.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs "
                              f"{other.nvars}")
-
-    def mul(self, other: "SymmetricPoly") -> "SymmetricPoly":
-        """Class-wise product, one target class at a time.
-
-        The coefficient at a sorted exponent vector ev is the sum of
-        a[f] * b[ev - f] over the vectors 0 <= f <= ev of degree
-        self.degree.  Each run of c equal entries v of ev contributes a
-        multiset of c values in [0, v] to f; a choice of multisets stands
-        for prod c!/prod(mult!) vectors f, all in the same pair of classes
-        (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
-        The sum runs on both factors' integer forms.
-        """
-        self._check_nvars(other)
-        n = self.nvars
         deg = self.degree + other.degree
-        da, ia = self.integer_form()
-        db, ib = other.integer_form()
-        den = da * db
         out = {}
-        for ev in partitions(deg, n):
-            tot = 0
-            # split parts hold no zeros, so sorting makes their class keys
-            for f, h, ways in _vector_splits(ev, self.degree):
-                ca = ia.get(tuple(sorted(f, reverse=True)), 0)
-                if not ca:
-                    continue
-                cb = ib.get(tuple(sorted(h, reverse=True)), 0)
-                if cb:
-                    tot += ways * ca * cb
+        for ev in partitions(deg, self.nvars):
+            tot = sum(self.get(f) * other.get([e - x for e, x in zip(ev, f)])
+                      for f in product(*(range(e + 1) for e in ev))
+                      if sum(f) == self.degree)
             if tot:
-                out[class_key(ev)] = Fraction(tot, den)
-        return SymmetricPoly(n, deg, out)
+                out[class_key(ev)] = tot
+        return SymmetricPoly(self.nvars, deg, out)
 
     def __repr__(self):
         return (f"SymmetricPoly(nvars={self.nvars}, degree={self.degree}, "
@@ -142,60 +119,6 @@ def linear_combination(nvars: int, degree: int, terms) -> SymmetricPoly:
             acc[k] = acc.get(k, 0) + mult * c
     return SymmetricPoly(nvars, degree, {k: Fraction(c, den)
                                          for k, c in acc.items() if c})
-
-
-# (v, c) -> {sum: [(part, complement, ways)]}; depends on (v, c) alone,
-# so one memo serves every polynomial
-_RUN_SPLITS: dict[tuple, dict] = {}
-
-
-def _run_splits(v: int, c: int) -> dict:
-    """The multisets of c values in [0, v], grouped by their sum.
-
-    Each entry is (part, complement, ways): the nonzero values of the
-    multiset and of v minus it, and the number c!/prod(mult!) of orderings
-    of the multiset over c labeled positions.
-    """
-    hit = _RUN_SPLITS.get((v, c))
-    if hit is not None:
-        return hit
-    out = {}
-    for part in combinations_with_replacement(range(v, -1, -1), c):
-        ways = factorial(c)
-        for x in set(part):
-            ways //= factorial(part.count(x))
-        out.setdefault(sum(part), []).append(
-            (tuple(x for x in part if x),
-             tuple(v - x for x in reversed(part) if x < v), ways))
-    _RUN_SPLITS[(v, c)] = out
-    return out
-
-
-def _vector_splits(ev, degree: int) -> list:
-    """(f, ev - f, ways) over the multisets of sub-vectors 0 <= f <= ev
-    with sum(f) == degree, taken run by run of equal entries of ev.
-
-    f and ev - f come as unsorted tuples of their nonzero entries; ways
-    counts the sub-vectors of ev the pair stands for.
-    """
-    room = sum(ev)
-    states = {0: [((), (), 1)]}       # partial sum -> partial splits
-    for v, run in groupby(ev):
-        if not v:
-            break
-        c = len(tuple(run))
-        room -= v * c
-        nxt = {}
-        for t, parts in _run_splits(v, c).items():
-            for s, partial in states.items():
-                if not degree - room <= s + t <= degree:
-                    continue
-                bucket = nxt.setdefault(s + t, [])
-                for f, h, w in partial:
-                    for pf, ph, pw in parts:
-                        bucket.append((f + pf, h + ph, w * pw))
-        states = nxt
-    return states.get(degree, [])
 
 
 def times_power_sum(poly: SymmetricPoly, k: int,

@@ -49,7 +49,7 @@ from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
-    "RecursionEngine",
+    "gamma_constant", "RecursionEngine",
 ]
 
 
@@ -257,21 +257,23 @@ class CorrelatorTable:
 _ALPHA_CACHE: dict[MultiIndex, Fraction] = {EMPTY: Fraction(1)}
 
 
+def gamma_constant(L: MultiIndex) -> Fraction:
+    """gamma_L = (-1)^||L|| / (L! (2|L|+1)!!), the s-weights of the
+    Virasoro operators."""
+    return Fraction((-1) ** L.size,
+                    L.factorial() * double_factorial(2 * L.weight + 1))
+
+
 def alpha_constant(L: MultiIndex) -> Fraction:
-    """alpha_b = b! sum_{L+L'=b, L'!=0} (-1)^(||L'||-1) alpha_L
-    / (L! L'! (2|L'|+1)!!), with alpha_0 = 1."""
+    """alpha_L = L! (gamma^-1)(L) for the inverse gamma^-1 of gamma under
+    multi-index convolution: alpha_0 = 1 and
+    alpha_b = -b! sum_{L+L'=b, L'!=0} alpha_L gamma_L' / L!."""
     hit = _ALPHA_CACHE.get(L)
     if hit is not None:
         return hit
-    acc = Fraction(0)
-    for left, right in enumerate_sub_multiindices(L):
-        if not right:
-            continue
-        acc += (Fraction((-1) ** (right.size - 1))
-                * alpha_constant(left)
-                / (left.factorial() * right.factorial()
-                   * double_factorial(2 * right.weight + 1)))
-    val = L.factorial() * acc
+    val = -L.factorial() * sum(
+        alpha_constant(left) / left.factorial() * gamma_constant(right)
+        for left, right in enumerate_sub_multiindices(L) if right)
     _ALPHA_CACHE[L] = val
     return val
 

@@ -199,18 +199,17 @@ class TruncatedSeries:
                 z[m] = acc / _degree(m)
         return TruncatedSeries(z, order)
 
-    def derivative(self, idx: int, kind: str = "t") -> "TruncatedSeries":
-        """d/dt_idx (or d/ds_idx); admission shifts along the derivative."""
-        slot = 0 if kind == "t" else 1
-        unit = (((idx, 1),), ()) if slot == 0 else ((), ((idx, 1),))
+    def derivative(self, idx: int) -> "TruncatedSeries":
+        """d/dt_idx; admission shifts along the derivative."""
+        unit = (((idx, 1),), ())
         terms = {}
         for m, c in self.terms.items():
-            e = dict(m[slot]).get(idx, 0)
+            e = dict(m[0]).get(idx, 0)
             if e:
                 mm = mono_mul(m, unit, -1)
                 terms[mm] = terms.get(mm, Fraction(0)) + c * e
         adm = (None if self.admitted is None
-               else set(shifted_down(self.admitted, slot, idx)))
+               else set(shifted_down(self.admitted, idx)))
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
@@ -241,12 +240,12 @@ def _intersect(a, b):
     return frozenset(a) & frozenset(b)
 
 
-def shifted_down(admitted, slot: int, idx: int):
-    """m / v for every m in `admitted` that the variable v divides, where
-    v is t_idx for slot 0 and s_idx for slot 1."""
+def shifted_down(admitted, idx: int):
+    """m / t_idx for every m in `admitted` that t_idx divides."""
     for m in admitted:
-        part = m[slot]
-        for k, (i, e) in enumerate(part):
+        t = m[0]
+        for k, (i, e) in enumerate(t):
             if i == idx:
-                lower = part[:k] + (((i, e - 1),) if e > 1 else ()) + part[k + 1:]
-                yield (lower, m[1]) if slot == 0 else (m[0], lower)
+                yield (t[:k] + (((i, e - 1),) if e > 1 else ()) + t[k + 1:],
+                       m[1])
+                break

@@ -24,23 +24,17 @@ from math import comb, prod
 from .core import (Memo, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
                    multiindices_of_weight, multiindices_up_to_weight)
-from .recursion import RecursionEngine
+from .recursion import RecursionEngine, gamma_constant
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
                      merge_exponents, shifted_down, symmetry_factor)
 
 __all__ = [
-    "gamma_constant", "VirasoroOperator", "mixed_generating_series",
+    "VirasoroOperator", "mixed_generating_series",
     "build_partition_function", "virasoro_residual_report",
     "commutator_check", "p_polynomial", "substitution_check", "kdv_residual",
 ]
 
 V0_CONSTANT = Fraction(1, 16)
-
-
-def gamma_constant(L: MultiIndex) -> Fraction:
-    """gamma_L = (-1)^||L|| / (L! (2|L|+1)!!)."""
-    return Fraction((-1) ** L.size,
-                    L.factorial() * double_factorial(2 * L.weight + 1))
 
 
 class VirasoroOperator:
@@ -80,22 +74,6 @@ class VirasoroOperator:
                         Fraction(double_factorial(2 * d1 + 1)
                                  * double_factorial(2 * k - 2 * d1 - 1), 4))
                        for d1 in range(max(k, 0))]
-
-    def term_list(self, s_weight_bound: int, j_bound: int):
-        """Explicit symbolic terms with the s-sum cut at the given weight."""
-        k = self.k
-        terms = [("s_shift", coef, MultiIndex(sp), w + k + 1)
-                 for w in range(s_weight_bound + 1)
-                 for sp, coef in self._raised[((), w + k + 1)]]
-        terms += [("scale", self._scale[j + k], j, j + k)
-                  for j in range(j_bound + 1) if j + k >= 0]
-        terms += [("second", coef, d1, d2)
-                  for ((d1, _), (d2, _)), coef in self._pairs]
-        if k == -1:
-            terms.append(("const_t0sq", Fraction(1, 4)))
-        if k == 0:
-            terms.append(("const", V0_CONSTANT))
-        return terms
 
     # -- forward action ----------------------------------------------------
 
@@ -154,7 +132,7 @@ class VirasoroOperator:
         adm = None
         if series.admitted is not None:
             admitted = series.admitted
-            adm = {m for m in shifted_down(admitted, 0, self.k + 1)
+            adm = {m for m in shifted_down(admitted, self.k + 1)
                    if all(p in admitted for p in self._preimages(m))}
         terms: dict[Monomial, Fraction] = {}
         for m, c in series.terms.items():

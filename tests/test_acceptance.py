@@ -19,11 +19,11 @@ from taukappa.identities import (check_theorem7, check_theorem8,
                                  identity_grid, run_identity)
 from taukappa.npoint import NPointEngine
 from taukappa.poly import SymmetricPoly, class_key, divide_by_variable_sum
-from taukappa.recursion import RecursionEngine, alpha_constant
+from taukappa.recursion import RecursionEngine, alpha_constant, gamma_constant
 from taukappa.series import TruncatedSeries
 from taukappa.virasoro import (build_partition_function, commutator_check,
-                               gamma_constant, p_polynomial,
-                               substitution_check, virasoro_residual_report)
+                               p_polynomial, substitution_check,
+                               virasoro_residual_report)
 
 
 def _report(num, label, t0, budget):
@@ -219,7 +219,7 @@ def test_criterion_09_denominators():
     rep2 = compute_script_D(2, eng)     # recomputes and compares both paths
     assert rep2.value == compute_D(2, 3, eng).value
     for g in (0, 1, 2):
-        for desc, ok in check_proposition17(g, 4, eng, include_script=False):
+        for desc, ok in check_proposition17(g, 4, eng):
             assert ok, desc
     for g in range(2, 6):
         for p, order, ok in check_lemma20(g, eng):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
-                           invert_coefficient_family, multiindex_binomial,
-                           multiindex_multinomial, multiindices_of_weight,
+                           multiindex_binomial, multiindex_multinomial, multiindices_of_weight,
                            multiindices_up_to_weight, multiset_splits)
 
 
@@ -137,6 +136,43 @@ def test_multiindices_of_weight():
     assert len(w3) == 3        # partitions of 3
     assert all(m.weight == 3 for m in w3)
     assert len(multiindices_up_to_weight(4)) == 1 + 1 + 2 + 3 + 5
+
+
+class CoefficientFamilyInverse:
+    """Inverse of a coefficient family under multi-index convolution: the
+    reference that `recursion.alpha_constant`, which inverts gamma alone,
+    is checked against.
+
+    Given beta with beta(0) != 0, the inverse alpha is the unique family
+    with alpha(0)*beta(0) = 1 and sum_{L+L'=b} alpha(L)*beta(L') = 0 for
+    every b != 0.  Values are memoized by multi-index and computed on
+    demand, so the family is usable up to any weight bound.
+    """
+
+    def __init__(self, beta):
+        self._beta = beta
+        b0 = beta(EMPTY)
+        if b0 == 0:
+            raise ValueError("family has beta(0) = 0; no inverse exists")
+        self._cache = {EMPTY: Fraction(1, 1) / b0}
+
+    def __call__(self, b: MultiIndex) -> Fraction:
+        hit = self._cache.get(b)
+        if hit is not None:
+            return hit
+        acc = Fraction(0)
+        for left, right in enumerate_sub_multiindices(b):
+            if not right:
+                continue
+            acc += self(left) * self._beta(right)
+        val = -acc / self._beta(EMPTY)
+        self._cache[b] = val
+        return val
+
+
+def invert_coefficient_family(beta) -> CoefficientFamilyInverse:
+    """Memoized inverse family of ``beta`` (see CoefficientFamilyInverse)."""
+    return CoefficientFamilyInverse(beta)
 
 
 def _beta_theorem4(L: MultiIndex) -> Fraction:

@@ -569,3 +569,48 @@ def test_p_poly_matches_unfiltered_splits():
     for n in range(3, 8):
         for r in range(4):
             assert _shape(eng.p_poly(n, r)) == _shape(ref.p_poly(n, r)), (n, r)
+
+
+def _dict_mul(p, q):
+    """Product of two-variable polynomials held as {(a, b): coefficient}."""
+    out = {}
+    for (a, b), c in p.items():
+        for (e, f), d in q.items():
+            out[a + e, b + f] = out.get((a + e, b + f), 0) + c * d
+    return out
+
+
+def test_dijkgraaf_two_point_function():
+    """Every <tau_a tau_b>_g with g <= 25 against Dijkgraaf's two-point
+    function exp((x^3+y^3)/24)/(x+y) sum_n n!/(2n+1)! (xy(x+y)/2)^n
+    (R. Dijkgraaf, "Intersection theory, integrable hierarchies and
+    topological field theory", 1992), built on dict polynomials that share
+    no code with `poly`.  Genus g is the part of degree 3g-1."""
+    gmax = 25
+    cube = {(3, 0): Fraction(1, 24), (0, 3): Fraction(1, 24)}
+    half_delta = {(2, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)}
+    # exp_parts[k] = ((x^3+y^3)/24)^k / k!, sum_parts[n] = n!/(2n+1)! (...)^n
+    exp_parts, sum_parts = [{(0, 0): Fraction(1)}], [{(0, 0): Fraction(1)}]
+    for k in range(1, gmax + 1):
+        exp_parts.append({m: c / k for m, c
+                          in _dict_mul(exp_parts[-1], cube).items()})
+        sum_parts.append({m: c / (2 * (2 * k + 1)) for m, c
+                          in _dict_mul(sum_parts[-1], half_delta).items()})
+    eng = NPointEngine()
+    checked = 0
+    for g in range(1, gmax + 1):
+        top = 3 * g
+        num = {}
+        for k in range(g + 1):
+            for m, c in _dict_mul(exp_parts[k], sum_parts[g - k]).items():
+                num[m] = num.get(m, 0) + c
+        # num / (x + y), solved from the y^top end; the x^top end checks it
+        quo = {}
+        for a in range(top):
+            quo[a, top - 1 - a] = (num.get((a, top - a), 0)
+                                   - quo.get((a - 1, top - a), 0))
+        assert quo[top - 1, 0] == num.get((top, 0), 0), g
+        for (a, b), c in quo.items():
+            assert eng.correlator(g, (a, b)) == c, (g, a, b)
+            checked += 1
+    assert checked == 975

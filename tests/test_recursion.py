@@ -57,7 +57,7 @@ def test_alpha_orthogonality_up_to_weight_8():
 
 
 def test_alpha_matches_generic_inversion():
-    from taukappa.core import invert_coefficient_family
+    from test_core import invert_coefficient_family
 
     def beta(L):
         return Fraction((-1) ** L.size,

@@ -28,11 +28,11 @@ from hypothesis import strategies as st
 from taukappa.core import (MultiIndex, double_factorial,
                            enumerate_sub_multiindices, multiindices_of_weight,
                            multiindices_up_to_weight)
-from taukappa.recursion import RecursionEngine
+from taukappa.recursion import RecursionEngine, gamma_constant
 from taukappa.series import EMPTY_MONO, TruncatedSeries, mono_mul
 from taukappa.virasoro import (VirasoroOperator, build_partition_function,
-                               gamma_constant, mixed_generating_series,
-                               p_polynomial, substitution_check)
+                               mixed_generating_series, p_polynomial,
+                               substitution_check)
 
 TRUNCATIONS = [(1, 4, 0), (2, 3, 1), (3, 4, 2)]
 KS = range(-1, 4)

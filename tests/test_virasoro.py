@@ -8,10 +8,10 @@ from taukappa.series import (EMPTY_MONO, TruncatedSeries, format_monomial,
                              mono_mul, mono_splits)
 from taukappa.virasoro import (V0_CONSTANT, VirasoroOperator,
                                build_partition_function, commutator_check,
-                               gamma_constant, kdv_residual,
-                               mixed_generating_series, p_polynomial,
-                               substitution_check, virasoro_residual_report)
-from taukappa.recursion import RecursionEngine
+                               kdv_residual, mixed_generating_series,
+                               p_polynomial, substitution_check,
+                               virasoro_residual_report)
+from taukappa.recursion import RecursionEngine, gamma_constant
 
 K1 = MultiIndex({1: 1})
 
@@ -62,28 +62,31 @@ def test_series_arithmetic_and_admission():
     assert (t + a).admitted == frozenset({_mono([(0, 1)])})
 
 
-def test_operator_term_list_matches_displayed_groups():
-    op = VirasoroOperator(0)
-    terms = op.term_list(s_weight_bound=1, j_bound=2)
-    kinds = {}
-    for t in terms:
-        kinds.setdefault(t[0], []).append(t)
-    # L = 0 branch: -1/2 * 3!! * gamma_0 d/dt_1
-    lead = [t for t in kinds["s_shift"] if t[2] == EMPTY][0]
-    assert lead[1] == Fraction(-3, 2) and lead[3] == 1
-    # L = kappa_1 branch carries gamma_{(1)} = -1/3 and target t_2
-    k1term = [t for t in kinds["s_shift"] if t[2] == K1][0]
-    assert k1term[1] == Fraction(-1, 2) * 15 * Fraction(-1, 3)
-    assert k1term[3] == 2
-    # scaling branch (2j+1) t_j d/dt_j
-    assert [(t[2], t[1]) for t in kinds["scale"]] == [
+def _act(k, tpairs=()):
+    """V_k applied to the exact one-monomial series t^tpairs."""
+    return VirasoroOperator(k).apply(
+        TruncatedSeries({_mono(tpairs): Fraction(1)}))
+
+
+def test_operator_action_matches_displayed_groups():
+    one = EMPTY_MONO
+    # (a), L = 0 branch: -1/2 * 3!! * gamma_0 d/dt_1
+    assert _act(0, [(1, 1)]).coefficient(one) == Fraction(-3, 2)
+    # (a), L = kappa_1 branch carries gamma_{(1)} = -1/3 and target t_2
+    assert (_act(0, [(2, 1)]).coefficient(_mono(spairs=[(1, 1)]))
+            == Fraction(-1, 2) * 15 * Fraction(-1, 3))
+    # (d) at k = 0: the constant 1/16, which also adds to every t_j
+    assert _act(0).terms == {one: V0_CONSTANT}
+    # (b) scaling branch (2j+1)/2 t_j d/dt_j
+    assert [(j, _act(0, [(j, 1)]).coefficient(_mono([(j, 1)]))
+             - V0_CONSTANT) for j in range(3)] == [
         (0, Fraction(1, 2)), (1, Fraction(3, 2)), (2, Fraction(5, 2))]
-    assert kinds["const"][0][1] == V0_CONSTANT
-    vm1 = VirasoroOperator(-1).term_list(0, 1)
-    assert ("const_t0sq", Fraction(1, 4)) in vm1
-    second = [t for t in VirasoroOperator(2).term_list(0, 0)
-              if t[0] == "second"]
-    assert {(t[2], t[3]) for t in second} == {(0, 1), (1, 0)}
+    # (d) at k = -1: t_0^2 / 4
+    assert _act(-1).terms == {_mono([(0, 2)]): Fraction(1, 4)}
+    # (c) at k = 2: 1/4 1!! 3!! d^2/dt_0 dt_1 for (d1, d2) = (0, 1) and
+    # (1, 0), and no pair with d1 = d2
+    assert _act(2, [(0, 1), (1, 1)]).terms == {one: 2 * Fraction(3, 4)}
+    assert not _act(2, [(0, 2)]).terms and not _act(2, [(1, 2)]).terms
 
 
 def test_v1_kills_constants():
