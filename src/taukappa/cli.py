@@ -5,8 +5,9 @@ identity (3) and a cache file that is unreadable, cannot be opened or
 cannot be written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
 an empty `--k` range, a negative grid bound and `--workers` below 1 are
 rejected by the argument parser, an unreadable or malformed `--iz-fixture`
-file and a `--prop17` run that would compare nothing by `denom`, and `--b`
-on `compute psi` by `compute`: all are usage errors, one line on stderr.
+file and a `--prop17` run that would compare nothing by `denom`, a grid
+that checks nothing by `verify`, and `--b` on `compute psi` by `compute`:
+all are usage errors, one line on stderr.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
@@ -140,8 +141,17 @@ def _run_identity_chunk(work):
     return reports, records
 
 
+def _check_grid_nonempty(args, name: str, grid: list):
+    """A grid that checks nothing is a usage error, never an empty success."""
+    if not grid:
+        raise SystemExit2(f"verify {name} checks nothing with --gmax "
+                          f"{args.gmax} --nmax {args.nmax} --bmax {args.bmax}; "
+                          f"raise a bound")
+
+
 def _verify_identities(args, name: str, eng) -> int:
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
+    _check_grid_nonempty(args, name, grid)
     # one chunk per worker: each chunk starts a fresh engine, so more
     # chunks would repeat the recursion work that the grid shares
     size = max(1, -(-len(grid) // args.workers))
@@ -182,33 +192,29 @@ def _verify_string_dilaton(args, which: str, eng) -> int:
     from .npoint import NPointEngine
     npe = NPointEngine()
     residual_fn = string_residual if which == "string" else dilaton_residual
+    shift = 0 if which == "string" else 1
+    # stable base shapes (g, n); d takes the degree that the inserted
+    # tau and kappa(b) leave, and there is no d when that is negative
+    grid = [(g, d, b) for g in range(args.gmax + 1)
+            for n in range(args.nmax + 1) if 2 * g - 2 + n > 0
+            for b in multiindices_up_to_weight(args.bmax)
+            for d in partitions(3 * g - 2 + n - shift - b.weight, n)]
+    _check_grid_nonempty(args, which, grid)
     failures = 0
-    count = 0
-    for g in range(args.gmax + 1):
-        for n in range(args.nmax + 1):
-            if 2 * g - 2 + n <= 0:
-                continue        # the base shape must be stable
-            for b in multiindices_up_to_weight(args.bmax):
-                budget = 3 * g - 3 + n + 1 - b.weight
-                shift = 0 if which == "string" else 1
-                budget -= shift
-                if budget < 0:
-                    continue
-                for d in partitions(budget, n):
-                    res = residual_fn(g, d, b, eng, npe)
-                    count += 1
-                    status = "holds" if res == 0 else "fails"
-                    if res != 0:
-                        failures += 1
-                    if args.format == "json":
-                        print(json.dumps({
-                            "identity": which, "params": {
-                                "g": g, "d": list(d), "b": str(b)},
-                            "residual": f"{res.numerator}/{res.denominator}",
-                            "status": status}, sort_keys=True))
-                    else:
-                        print(f"{which} g={g} d={list(d)} b={b}: {status}")
-    print(f"# {which}: {count} checked, {count - failures} hold")
+    for g, d, b in grid:
+        res = residual_fn(g, d, b, eng, npe)
+        status = "holds" if res == 0 else "fails"
+        if res != 0:
+            failures += 1
+        if args.format == "json":
+            print(json.dumps({
+                "identity": which, "params": {
+                    "g": g, "d": list(d), "b": str(b)},
+                "residual": f"{res.numerator}/{res.denominator}",
+                "status": status}, sort_keys=True))
+        else:
+            print(f"{which} g={g} d={list(d)} b={b}: {status}")
+    print(f"# {which}: {len(grid)} checked, {len(grid) - failures} hold")
     return 3 if failures else 0
 
 
@@ -371,10 +377,7 @@ def _cmd_denom(args, eng) -> int:
     else:
         rep = compute_D(args.genus, args.n, eng)
         plain = f"{rep.value}"
-    if args.format == "json":
-        print(rep.to_json())
-    else:
-        print(plain)
+    _emit(args, rep.payload(), plain)
     return 0
 
 

@@ -8,6 +8,7 @@ finitely supported integer sequences that index kappa monomials: the index
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
@@ -244,7 +245,7 @@ def enumerate_triple_splits(b: MultiIndex):
 
 def partitions(total: int, slots: int) -> list[tuple]:
     """Sorted-desc tuples of length `slots`, entries >= 0, summing to total,
-    in descending lexicographic order."""
+    in descending lexicographic order; none when total < 0."""
     out = []
     cur = [0] * slots
 
@@ -284,24 +285,9 @@ def multiset_splits(values: tuple):
 
 
 def multiindices_of_weight(w: int) -> list[MultiIndex]:
-    """All multi-indices of weight exactly w (partitions of w by part counts)."""
-    if w == 0:
-        return [EMPTY]
-    out = []
-
-    def rec(rem, cap, counts):
-        if rem == 0:
-            out.append(MultiIndex(dict(counts)))
-            return
-        for p in range(min(rem, cap), 0, -1):
-            counts[p] = counts.get(p, 0) + 1
-            rec(rem - p, p, counts)
-            counts[p] -= 1
-            if not counts[p]:
-                del counts[p]
-
-    rec(w, w, {})
-    return out
+    """All multi-indices of weight exactly w: the partitions of w, each by
+    its part counts, in `partitions`' order."""
+    return [MultiIndex(Counter(filter(None, p))) for p in partitions(w, w)]
 
 
 def multiindices_up_to_weight(bmax: int) -> list[MultiIndex]:

@@ -10,7 +10,6 @@ both definitions and refuses to report unless they agree.
 
 from __future__ import annotations
 
-import json
 from math import lcm
 
 from .core import multiindices_of_weight, partitions
@@ -33,14 +32,14 @@ class DenominatorReport:
         self.correlator_count = correlator_count
         self.factorization = factorization
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def payload(self) -> dict:
+        return {
             "genus": self.genus,
             "n": self.point_count,
             "value": str(self.value),
             "correlators": self.correlator_count,
             "factorization": {str(p): e for p, e in self.factorization.items()},
-        }, sort_keys=True)
+        }
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -183,6 +183,42 @@ def check_theorem8(g: int, d, k: int, engine: RecursionEngine
     return IdentityReport("thm8", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
+def _split_ladder(eng: RecursionEngine, g: int, d, b1: MultiIndex = EMPTY,
+                  b2: MultiIndex = EMPTY) -> Fraction:
+    """sum_j (-1)^j of the k = 2g split sums with heads (tau_j tau_0^2,
+    tau_{2g-j} tau_0^2) and (tau_j tau_{2g-j} tau_0^2, tau_0^2), the two
+    factors carrying kappa(b1) and kappa(b2)."""
+    total = Fraction(0)
+    for j in range(2 * g + 1):
+        total += (-1) ** j * (
+            _split_pair_value(eng, g, (j, 0, 0), (2 * g - j, 0, 0), d, b1, b2)
+            + _split_pair_value(eng, g, (j, 2 * g - j, 0, 0), (0, 0), d,
+                                b1, b2))
+    return total
+
+
+def _tau_m_sides(g: int, d: tuple, b: MultiIndex, M: int,
+                 engine: RecursionEngine) -> tuple[Fraction, Fraction]:
+    """Both sides of the kappa tau_M recursion (Theorem 12) for sorted d,
+    with no check of M: the kappa(b) sum over tau_{M+|L|} insertions, and
+    the d_j + M - 1 shifts less half the alternating split sum."""
+    lhs = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
+                * engine.value(g, d + (left.weight + M,), right))
+    rhs = Fraction(0)
+    for j in range(len(d)):
+        rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
+    half = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        bin_l = multiindex_binomial(b, left)
+        for j in range(M - 1):
+            half += ((-1) ** j * bin_l
+                     * _split_pair_value(engine, g, (j,), (M - 2 - j,), d,
+                                         left, right))
+    return lhs, rhs - Fraction(1, 2) * half
+
+
 def check_proposition9(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Split form of the k = 2g pair sum against its three-point collapse."""
@@ -190,13 +226,7 @@ def check_proposition9(g: int, d, engine: RecursionEngine
     n = len(d)
     if any(x < 0 for x in d):
         raise ValueError("needs d_j >= 0")
-    lhs = Fraction(0)
-    for j in range(2 * g + 1):
-        sign = (-1) ** j
-        lhs += sign * _split_pair_value(
-            engine, g, (j, 0, 0), (2 * g - j, 0, 0), d)
-        lhs += sign * _split_pair_value(
-            engine, g, (j, 2 * g - j, 0, 0), (0, 0), d)
+    lhs = _split_ladder(engine, g, d)
     rhs = Fraction(0)
     for j in range(2 * g + 1):
         rhs += (-1) ** j * engine.value(g, (0, j, 2 * g - j) + d, EMPTY)
@@ -215,15 +245,9 @@ def check_theorem10(g: int, d, k: int, engine: RecursionEngine
         raise ValueError("need d_j >= 0")
     if 3 * g + n - k - 2 < 0:
         raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
-    lhs = engine.value(g, d + (k,), EMPTY)
-    for j in range(n):
-        lhs -= engine.value(g, d[:j] + (d[j] + k - 1,) + d[j + 1:], EMPTY)
-    half = Fraction(0)
-    for j in range(k - 1):
-        half += (-1) ** j * _split_pair_value(engine, g, (j,), (k - 2 - j,), d)
-    lhs += Fraction(1, 2) * half
+    lhs, rhs = _tau_m_sides(g, d, EMPTY, k, engine)
     return IdentityReport("thm10", {"g": g, "d": list(d), "k": k},
-                          lhs, Fraction(0))
+                          lhs - rhs, Fraction(0))
 
 
 def check_proposition11(g: int, d, b: MultiIndex,
@@ -237,13 +261,8 @@ def check_proposition11(g: int, d, b: MultiIndex,
         lhs += (-1) ** j * engine.value(g, (0, 1, j, 2 * g - j) + d, b)
     rhs = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
-        bin_l = multiindex_binomial(b, left)
-        for j in range(2 * g + 1):
-            sign = (-1) ** j * bin_l
-            rhs += sign * _split_pair_value(
-                engine, g, (j, 0, 0), (2 * g - j, 0, 0), d, left, right)
-            rhs += sign * _split_pair_value(
-                engine, g, (j, 2 * g - j, 0, 0), (0, 0), d, left, right)
+        rhs += (multiindex_binomial(b, left)
+                * _split_ladder(engine, g, d, left, right))
     return IdentityReport("prop11", {"g": g, "d": list(d), "b": str(b)},
                           lhs, rhs)
 
@@ -252,58 +271,44 @@ def check_theorem12(g: int, d, b: MultiIndex, M: int,
                     engine: RecursionEngine) -> IdentityReport:
     """Kappa generalization of the tau_M vanishing recursion (M even, >= 2g)."""
     d = tuple(sorted(d, reverse=True))
-    n = len(d)
     if M % 2 or M < 2 * g or M < 2:
         raise ValueError("M must be a positive even number with M >= 2g")
     if any(x < 0 for x in d):
         raise ValueError("need d_j >= 0")
-    lhs = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                * engine.value(g, d + (left.weight + M,), right))
-    rhs = Fraction(0)
-    for j in range(n):
-        rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
-    half = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        bin_l = multiindex_binomial(b, left)
-        for j in range(M - 1):
-            half += ((-1) ** j * bin_l
-                     * _split_pair_value(engine, g, (j,), (M - 2 - j,), d,
-                                         left, right))
-    rhs -= Fraction(1, 2) * half
+    lhs, rhs = _tau_m_sides(g, d, b, M, engine)
     return IdentityReport("thm12", {"g": g, "d": list(d), "b": str(b), "M": M},
                           lhs, rhs)
 
 
 def check_conjecture13(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
-    """Experimental closed form at k = 2g-2; reported, never asserted."""
+    """Experimental closed form of the tau_M sum at M = 2g-2, below the
+    range of Theorem 10; reported, never asserted."""
     d = tuple(sorted(d, reverse=True))
-    n = len(d)
     if g < 2:
         raise ValueError("needs g >= 2")
     if any(x < 1 for x in d) or sum(x - 1 for x in d) != g:
         raise ValueError("needs d_j >= 1 and sum(d_j - 1) = g")
-    lhs = engine.value(g, d + (2 * g - 2,), EMPTY)
-    for j in range(n):
-        lhs -= engine.value(g, d[:j] + (d[j] + 2 * g - 3,) + d[j + 1:], EMPTY)
-    half = Fraction(0)
-    for j in range(2 * g - 3):
-        half += (-1) ** j * _split_pair_value(
-            engine, g, (j,), (2 * g - 4 - j,), d)
-    lhs += Fraction(1, 2) * half
+    lhs, rhs = _tau_m_sides(g, d, EMPTY, 2 * g - 2, engine)
     denom = 2 ** (2 * g + 1) * factorial(2 * g - 3)
     for x in d:
         denom *= double_factorial(2 * x - 1)
-    rhs = Fraction(factorial(2 * g - 3 + n), denom)
-    return IdentityReport("conj13", {"g": g, "d": list(d)}, lhs, rhs,
+    closed = Fraction(factorial(2 * g - 3 + len(d)), denom)
+    return IdentityReport("conj13", {"g": g, "d": list(d)}, lhs - rhs, closed,
                           conjectural=True)
 
 
 # -- parameter grids ---------------------------------------------------------
 
-IDENTITY_NAMES = ("thm7", "thm8", "prop9", "thm10", "prop11", "thm12", "conj13")
+# each grid's keys are its check's parameter names
+_CHECKS = {
+    "thm7": check_theorem7, "thm8": check_theorem8,
+    "prop9": check_proposition9, "thm10": check_theorem10,
+    "prop11": check_proposition11, "thm12": check_theorem12,
+    "conj13": check_conjecture13,
+}
+
+IDENTITY_NAMES = tuple(_CHECKS)
 
 
 def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
@@ -364,17 +369,6 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
         raise ValueError(f"unknown identity {name!r}")
 
 
-_CHECKS = {
-    "thm7": lambda p, eng: check_theorem7(p["g"], p["d"], p["k"], eng),
-    "thm8": lambda p, eng: check_theorem8(p["g"], p["d"], p["k"], eng),
-    "prop9": lambda p, eng: check_proposition9(p["g"], p["d"], eng),
-    "thm10": lambda p, eng: check_theorem10(p["g"], p["d"], p["k"], eng),
-    "prop11": lambda p, eng: check_proposition11(p["g"], p["d"], p["b"], eng),
-    "thm12": lambda p, eng: check_theorem12(p["g"], p["d"], p["b"], p["M"], eng),
-    "conj13": lambda p, eng: check_conjecture13(p["g"], p["d"], eng),
-}
-
-
 def run_identity(name: str, params: dict,
                  engine: RecursionEngine) -> IdentityReport:
-    return _CHECKS[name](params, engine)
+    return _CHECKS[name](**params, engine=engine)

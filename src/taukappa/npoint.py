@@ -28,7 +28,7 @@ from itertools import groupby, product
 from math import comb, factorial
 from operator import mul
 
-from .core import bucket_sum, double_factorial, partitions
+from .core import Memo, bucket_sum, double_factorial, partitions
 from .poly import (SymmetricPoly, class_key, divide_by_variable_sum,
                    linear_combination, times_power_sum)
 
@@ -48,16 +48,18 @@ class NPointEngine:
 
     Components depend on the variable set only through its size, so all
     caches are keyed by (variable count, genus index) with the variables
-    canonically renamed.
+    canonically renamed.  Each cache builds a missing value from the
+    public methods, so a subclass that overrides one of them is used by
+    every value built after it.
     """
 
     def __init__(self):
-        self._component = {}   # (n, g) -> SymmetricPoly
-        self._afactor = {}     # (m, r) -> SymmetricPoly, (sum x)^2 * G_r
-        self._p = {}           # (n, r) -> SymmetricPoly, n >= 3
-        self._delta_pow = {}   # (n, s) -> SymmetricPoly
-        self._p_delta = {}     # (n, r, s) -> SymmetricPoly, P_r * Delta^s
-        self._fpart = {}       # (route, n, g) -> SymmetricPoly
+        self._component = Memo(self._new_component)   # (n, g)
+        self._afactor = Memo(self._new_a_factor)      # (m, r), (sum x)^2 * G_r
+        self._p = Memo(self._new_p_poly)              # (n, r), n >= 3
+        self._delta_pow = Memo(self._new_delta_power)  # (n, s)
+        self._p_delta = Memo(self._new_p_delta)       # (n, r, s), P_r * Delta^s
+        self._fpart = Memo(self._new_f_part)          # (route, n, g)
 
     # -- normalized components -------------------------------------------
 
@@ -67,53 +69,48 @@ class NPointEngine:
         Only polynomial components may be requested: (n, g) with
         3g + n - 3 >= 0 and (n, g) not in {(1, 0), (2, 0)}.
         """
-        key = (n, g)
-        hit = self._component.get(key)
-        if hit is not None:
-            return hit
+        return self._component[n, g]
+
+    def _new_component(self, key) -> SymmetricPoly:
+        n, g = key
         if n < 1 or g < 0:
             raise ValueError(f"invalid component ({n}, {g})")
         if n == 1:
             if g == 0:
                 raise ValueError("the one-point normalized function is the "
                                  "Laurent atom x^-2, not a polynomial")
-            val = SymmetricPoly(1, 3 * g - 2)   # identically zero
-        elif n == 2:
+            return SymmetricPoly(1, 3 * g - 2)   # identically zero
+        if n == 2:
             if g == 0:
                 raise ValueError("the two-point normalized function is the "
                                  "Laurent atom 1/(x+y), not a polynomial")
             scale = Fraction(1, 4 ** g * double_factorial(2 * g + 1))
-            val = linear_combination(2, 3 * g - 1, [
+            return linear_combination(2, 3 * g - 1, [
                 (divide_by_variable_sum(self.delta_power(2, g)), scale)])
-        else:
-            val = linear_combination(n, 3 * g + n - 3, (
-                (self.p_delta(n, r, g - r),
-                 Fraction(double_factorial(2 * r + n - 3),
-                          4 ** (g - r) * double_factorial(2 * g + n - 1)))
-                for r in range(g + 1)))
-        self._component[key] = val
-        return val
+        return linear_combination(n, 3 * g + n - 3, (
+            (self.p_delta(n, r, g - r),
+             Fraction(double_factorial(2 * r + n - 3),
+                      4 ** (g - r) * double_factorial(2 * g + n - 1)))
+            for r in range(g + 1)))
 
     def delta_power(self, n: int, s: int) -> SymmetricPoly:
-        key = (n, s)
-        hit = self._delta_pow.get(key)
-        if hit is None:
-            # one more factor on the cached Delta^(s-1)
-            hit = (SymmetricPoly(n, 0, {(): Fraction(1)}) if s == 0
-                   else _times_delta(self.delta_power(n, s - 1)))
-            self._delta_pow[key] = hit
-        return hit
+        return self._delta_pow[n, s]
+
+    def _new_delta_power(self, key) -> SymmetricPoly:
+        # one more factor on the cached Delta^(s-1)
+        n, s = key
+        return (SymmetricPoly(n, 0, {(): Fraction(1)}) if s == 0
+                else _times_delta(self.delta_power(n, s - 1)))
 
     def p_delta(self, n: int, r: int, s: int) -> SymmetricPoly:
         """P_r * Delta^s on n >= 3 variables, formed once for both routes."""
-        key = (n, r, s)
-        hit = self._p_delta.get(key)
-        if hit is None:
-            # one more factor on the cached P_r * Delta^(s-1)
-            hit = (self.p_poly(n, r) if s == 0
-                   else _times_delta(self.p_delta(n, r, s - 1)))
-            self._p_delta[key] = hit
-        return hit
+        return self._p_delta[n, r, s]
+
+    def _new_p_delta(self, key) -> SymmetricPoly:
+        # one more factor on the cached P_r * Delta^(s-1)
+        n, r, s = key
+        return (self.p_poly(n, r) if s == 0
+                else _times_delta(self.p_delta(n, r, s - 1)))
 
     def a_factor(self, m: int, r: int) -> SymmetricPoly:
         """(sum_{i<=m} x_i)^2 * G_r(x_1..x_m), a polynomial for every shape.
@@ -121,51 +118,48 @@ class NPointEngine:
         The m = 1 and m = 2 genus-0 values are the certified atom products
         1 and x_1 + x_2.
         """
-        key = (m, r)
-        hit = self._afactor.get(key)
-        if hit is not None:
-            return hit
+        return self._afactor[m, r]
+
+    def _new_a_factor(self, key) -> SymmetricPoly:
+        m, r = key
         if m == 1:
-            val = (SymmetricPoly(1, 0, {(): Fraction(1)}) if r == 0
-                   else SymmetricPoly(1, 3 * r))
-        elif m == 2 and r == 0:
-            val = SymmetricPoly(2, 1, {(1,): Fraction(1)})
-        else:
-            comp = self.component(m, r)
-            deg = comp.degree + 2
-            den, ints = comp.integer_form()
-            classes = {}
-            for ev in partitions(deg, m):
-                # sum over ordered position pairs (i, j) of comp at
-                # ev - e_i - e_j, by runs of equal entries: the last
-                # position of each run stands for all c of them
-                runs = []
-                end = 0
-                for v, run in groupby(ev):
-                    c = len(tuple(run))
-                    end += c
-                    if v:
-                        runs.append((v, c, end - 1))
-                tot = 0
-                for t, (u, cu, pu) in enumerate(runs):
-                    w = list(ev)
+            return (SymmetricPoly(1, 0, {(): Fraction(1)}) if r == 0
+                    else SymmetricPoly(1, 3 * r))
+        if m == 2 and r == 0:
+            return SymmetricPoly(2, 1, {(1,): Fraction(1)})
+        comp = self.component(m, r)
+        deg = comp.degree + 2
+        den, ints = comp.integer_form()
+        classes = {}
+        for ev in partitions(deg, m):
+            # sum over ordered position pairs (i, j) of comp at
+            # ev - e_i - e_j, by runs of equal entries: the last
+            # position of each run stands for all c of them
+            runs = []
+            end = 0
+            for v, run in groupby(ev):
+                c = len(tuple(run))
+                end += c
+                if v:
+                    runs.append((v, c, end - 1))
+            tot = 0
+            for t, (u, cu, pu) in enumerate(runs):
+                w = list(ev)
+                w[pu] -= 1
+                for _, cv, pv in runs[t + 1:]:      # i, j in two runs
+                    w[pv] -= 1
+                    tot += 2 * cu * cv * ints.get(class_key(w), 0)
+                    w[pv] += 1
+                if cu > 1:                          # i != j in one run
+                    w[pu - 1] -= 1
+                    tot += cu * (cu - 1) * ints.get(class_key(w), 0)
+                    w[pu - 1] += 1
+                if u > 1:                           # i == j
                     w[pu] -= 1
-                    for _, cv, pv in runs[t + 1:]:      # i, j in two runs
-                        w[pv] -= 1
-                        tot += 2 * cu * cv * ints.get(class_key(w), 0)
-                        w[pv] += 1
-                    if cu > 1:                          # i != j in one run
-                        w[pu - 1] -= 1
-                        tot += cu * (cu - 1) * ints.get(class_key(w), 0)
-                        w[pu - 1] += 1
-                    if u > 1:                           # i == j
-                        w[pu] -= 1
-                        tot += cu * ints.get(class_key(w), 0)
-                if tot:
-                    classes[class_key(ev)] = Fraction(tot, den)
-            val = SymmetricPoly(m, deg, classes)
-        self._afactor[key] = val
-        return val
+                    tot += cu * ints.get(class_key(w), 0)
+            if tot:
+                classes[class_key(ev)] = Fraction(tot, den)
+        return SymmetricPoly(m, deg, classes)
 
     def p_poly(self, n: int, r: int) -> SymmetricPoly:
         """P_r(x_1..x_n) for n >= 3: split-sum numerator over ordered pairs
@@ -180,10 +174,10 @@ class NPointEngine:
         Each class sums ways * a_I * a_J as integers in buckets keyed by
         the product of the two denominators.
         """
-        key = (n, r)
-        hit = self._p.get(key)
-        if hit is not None:
-            return hit
+        return self._p[n, r]
+
+    def _new_p_poly(self, key) -> SymmetricPoly:
+        n, r = key
         if n < 3:
             raise ValueError("p_poly handles n >= 3; the two-point P_r are "
                              "the atom (r=0) and zero (r>0)")
@@ -220,25 +214,21 @@ class NPointEngine:
             tot = bucket_sum(acc)
             if tot:
                 num.classes[class_key(ev)] = tot
-        val = divide_by_variable_sum(num)
-        self._p[key] = val
-        return val
+        return divide_by_variable_sum(num)
 
     # -- F-parts and correlators -----------------------------------------
 
     def f_part(self, n: int, g: int, route: str = "normalized") -> SymmetricPoly:
         """Degree 3g+n-3 part of the n-point function F, n >= 2."""
-        key = (route, n, g)
-        hit = self._fpart.get(key)
-        if hit is not None:
-            return hit
+        return self._fpart[route, n, g]
+
+    def _new_f_part(self, key) -> SymmetricPoly:
+        route, n, g = key
         if n < 2:
             raise ValueError("f_part requires n >= 2")
         if n == 2 and g == 0:
             raise ValueError("the (0,2) part of F is the Laurent atom")
-        val = self._route(route)(self, n, g)
-        self._fpart[key] = val
-        return val
+        return self._route(route)(self, n, g)
 
     def _f_part_normalized(self, n: int, g: int) -> SymmetricPoly:
         # exp(sum x^3/24) * G, collected in degree 3g+n-3

@@ -284,8 +284,8 @@ _ZERO = Fraction(0)
 class RecursionEngine:
     """Memoized evaluator for mixed correlators, backed by a CorrelatorTable."""
 
-    def __init__(self, table: CorrelatorTable | None = None):
-        self.table = table if table is not None else CorrelatorTable()
+    def __init__(self):
+        self.table = CorrelatorTable()
         self._oracle_cache: dict[tuple, Fraction] = {}
 
     # -- main recursion ----------------------------------------------------

@@ -217,13 +217,6 @@ class TruncatedSeries:
         return [(m, c) for m, c in sorted(self.terms.items())
                 if c and self.is_admitted(m)]
 
-    def to_json(self) -> str:
-        """JSON map from monomial strings ("t0^2*s1") to "num/den"."""
-        import json
-        return json.dumps(
-            {format_monomial(m): f"{c.numerator}/{c.denominator}"
-             for m, c in sorted(self.terms.items())}, sort_keys=True)
-
     def __len__(self):
         return len(self.terms)
 

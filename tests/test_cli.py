@@ -64,6 +64,11 @@ def test_compute_csv_format_parses(capsys):
     assert code == 0
     assert list(csv.reader(io.StringIO(out))) == [
         ["1:1,2:1", "[]", "2", "1/240"]]
+    code, out = run_cli(capsys, "--format", "csv", "denom", "--genus", "2",
+                        "--n", "3")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["7", "{'2': 7, '3': 2, '5': 1}", "2", "3", "5760"]]
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
@@ -118,6 +123,24 @@ def test_denom_prop17_with_nothing_to_compare_is_a_usage_error(capsys, argv):
     assert code == 2 and captured.out == "", argv
     assert len(captured.err.splitlines()) == 1, argv
     assert captured.err.startswith("error: --prop17 at genus "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    "verify thm8 --gmax 0 --nmax 1",
+    "verify conj13 --gmax 1",
+    "verify string --gmax 0 --nmax 2",
+    "--format json verify dilaton --gmax 0 --nmax 2",
+])
+def test_verify_grid_with_nothing_to_check_is_a_usage_error(capsys, argv):
+    """A grid with no admissible parameters checks nothing: exit 2 with
+    one line on stderr, never an empty success."""
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", argv
+    assert len(captured.err.splitlines()) == 1, argv
+    target = argv.split("verify ")[1].split()[0]
+    assert captured.err.startswith(
+        f"error: verify {target} checks nothing with --gmax "), argv
 
 
 def _assert_argument_error(capsys, argv: str):
@@ -442,8 +465,7 @@ def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys):
     assert run_cli(capsys, "--workers", "4", *PROP11) == serial
     assert asked == [3]
     empty = ("verify", "thm8", "--gmax", "0", "--nmax", "0", "--bmax", "0")
-    assert run_cli(capsys, "--workers", "4", *empty) == (
-        0, "# thm8: 0 checked, 0 hold\n")
+    assert run_cli(capsys, "--workers", "4", *empty) == (2, "")
     assert asked == [3]
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, enumerate_triple_splits,
                            multiindex_binomial, multiindex_multinomial, multiindices_of_weight,
-                           multiindices_up_to_weight, multiset_splits)
+                           multiindices_up_to_weight, multiset_splits,
+                           partitions)
 
 
 def test_double_factorial_conventions():
@@ -136,6 +137,18 @@ def test_multiindices_of_weight():
     assert len(w3) == 3        # partitions of 3
     assert all(m.weight == 3 for m in w3)
     assert len(multiindices_up_to_weight(4)) == 1 + 1 + 2 + 3 + 5
+
+
+def test_partitions_order_and_negative_total():
+    """Descending lexicographic order, zero-padded; a negative total has
+    none.  multiindices_of_weight reads its multi-indices off partitions(w, w)
+    in the same order."""
+    assert partitions(4, 3) == [(4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1)]
+    assert partitions(0, 2) == [(0, 0)]
+    assert all(partitions(-t, n) == [] for t in (1, 2, 5) for n in range(5))
+    assert multiindices_of_weight(4) == [
+        MultiIndex({4: 1}), MultiIndex({3: 1, 1: 1}), MultiIndex({2: 2}),
+        MultiIndex({2: 1, 1: 2}), MultiIndex({1: 4})]
 
 
 class CoefficientFamilyInverse:

@@ -1,4 +1,3 @@
-import json
 from math import prod
 
 import pytest
@@ -30,8 +29,9 @@ def test_compute_D_known_values():
 def test_report_factorization_multiplies_back():
     rep = compute_D(2, 3, RecursionEngine())
     assert prod(p ** e for p, e in rep.factorization.items()) == rep.value
-    payload = json.loads(rep.to_json())
-    assert payload["value"] == str(rep.value)
+    assert rep.payload() == {"genus": 2, "n": 3, "value": "5760",
+                             "correlators": 7,
+                             "factorization": {"2": 7, "3": 2, "5": 1}}
 
 
 def test_script_D_two_paths_agree():

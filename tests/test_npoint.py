@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -614,3 +615,48 @@ def test_dijkgraaf_two_point_function():
             assert eng.correlator(g, (a, b)) == c, (g, a, b)
             checked += 1
     assert checked == 975
+
+
+class _CountingEngine(NPointEngine):
+    """Counts the calls to each cached public method, then defers to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def component(self, n, g):
+        self.calls["component"] += 1
+        return super().component(n, g)
+
+    def delta_power(self, n, s):
+        self.calls["delta_power"] += 1
+        return super().delta_power(n, s)
+
+    def p_delta(self, n, r, s):
+        self.calls["p_delta"] += 1
+        return super().p_delta(n, r, s)
+
+    def a_factor(self, m, r):
+        self.calls["a_factor"] += 1
+        return super().a_factor(m, r)
+
+    def p_poly(self, n, r):
+        self.calls["p_poly"] += 1
+        return super().p_poly(n, r)
+
+    def f_part(self, n, g, route="normalized"):
+        self.calls["f_part"] += 1
+        return super().f_part(n, g, route)
+
+
+def test_cached_values_are_built_through_the_public_methods():
+    """Every value a cache builds asks the public methods for its parts,
+    hits included, so an override such as `_PositionEngine`'s is used for
+    all of them and the reference tests compare two kernels, not one."""
+    eng, plain = _CountingEngine(), NPointEngine()
+    for route in ("normalized", "direct"):
+        for n in (5, 2):
+            assert eng.f_part(n, 2, route).classes == \
+                plain.f_part(n, 2, route).classes, (route, n)
+    assert eng.calls == {"f_part": 4, "component": 11, "p_delta": 33,
+                         "p_poly": 9, "a_factor": 258, "delta_power": 10}

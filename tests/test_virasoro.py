@@ -204,10 +204,3 @@ def test_kdv_residual():
     quad = empty.mul(empty.derivative(0))
     assert not (empty.derivative(1) - quad).terms
 
-
-def test_series_json_dump():
-    s = TruncatedSeries({_mono([(0, 2)], [(1, 1)]): Fraction(1, 3),
-                         _mono(): Fraction(2)})
-    import json
-    payload = json.loads(s.to_json())
-    assert payload == {"t0^2*s1": "1/3", "1": "2/1"}
