@@ -31,8 +31,7 @@ from .core import EMPTY, MultiIndex, partitions
 from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
-from .identities import (IDENTITY_NAMES, dilaton_residual, identity_grid,
-                         run_identity, string_residual)
+from .identities import IDENTITY_NAMES, identity_grid, run_identity
 from .recursion import EngineDisagreement, RecursionEngine
 from .series import format_monomial
 from .virasoro import (build_partition_function, commutator_check,
@@ -41,7 +40,7 @@ from .virasoro import (build_partition_function, commutator_check,
 CACHE_ENV = "TAUKAPPA_CACHE"
 
 VERIFY_TARGETS = IDENTITY_NAMES + (
-    "string", "dilaton", "virasoro", "commutators", "substitution", "engines")
+    "virasoro", "commutators", "substitution", "engines")
 
 
 def _argument(parse):
@@ -92,8 +91,10 @@ def _emit(args, payload: dict, plain: str):
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
         import csv      # only here, so that start-up does not load it
+        # list and dict fields as JSON, scalars as they print
         csv.writer(sys.stdout, lineterminator="\n").writerow(
-            payload[k] for k in sorted(payload))
+            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict))
+            else v for v in (payload[k] for k in sorted(payload)))
     else:
         print(plain)
 
@@ -172,61 +173,22 @@ def _verify_identities(args, name: str, eng) -> int:
                     eng.table.record(g, d, b, value, tag)
     else:
         reports = [run_identity(name, p, eng) for p in grid]
-    failures = 0
     for rep in reports:
-        if args.format == "json":
-            print(rep.to_json())
-        else:
-            print(f"{rep.identity} {rep.params}: {rep.status} "
-                  f"(residual {rep.residual})")
-        if rep.status != "holds" and not rep.conjectural:
-            failures += 1
+        print(rep.to_json() if args.format == "json" else rep.line())
     conj_note = " (conjectural, never gates)" if name == "conj13" else ""
     print(f"# {name}: {len(reports)} checked, "
           f"{sum(r.status == 'holds' for r in reports)} hold{conj_note}")
-    return 3 if failures else 0
-
-
-def _verify_string_dilaton(args, which: str, eng) -> int:
-    from .core import multiindices_up_to_weight
-    from .npoint import NPointEngine
-    npe = NPointEngine()
-    residual_fn = string_residual if which == "string" else dilaton_residual
-    shift = 0 if which == "string" else 1
-    # stable base shapes (g, n); d takes the degree that the inserted
-    # tau and kappa(b) leave, and there is no d when that is negative
-    grid = [(g, d, b) for g in range(args.gmax + 1)
-            for n in range(args.nmax + 1) if 2 * g - 2 + n > 0
-            for b in multiindices_up_to_weight(args.bmax)
-            for d in partitions(3 * g - 2 + n - shift - b.weight, n)]
-    _check_grid_nonempty(args, which, grid)
-    failures = 0
-    for g, d, b in grid:
-        res = residual_fn(g, d, b, eng, npe)
-        status = "holds" if res == 0 else "fails"
-        if res != 0:
-            failures += 1
-        if args.format == "json":
-            print(json.dumps({
-                "identity": which, "params": {
-                    "g": g, "d": list(d), "b": str(b)},
-                "residual": f"{res.numerator}/{res.denominator}",
-                "status": status}, sort_keys=True))
-        else:
-            print(f"{which} g={g} d={list(d)} b={b}: {status}")
-    print(f"# {which}: {len(grid)} checked, {len(grid) - failures} hold")
-    return 3 if failures else 0
+    return 3 if any(r.status != "holds" and not r.conjectural
+                    for r in reports) else 0
 
 
 def _verify_virasoro(args, eng) -> int:
     ks = args.k if args.k is not None else [-1, 0, 1, 2, 3]
     partition = build_partition_function(args.gmax, args.nmax, args.bmax, eng)
-    failures = 0
-    for k in ks:
-        nonzero, checked = virasoro_residual_report(k, partition)
+    reports = [(k, *virasoro_residual_report(k, partition)) for k in ks]
+    _check_grid_nonempty(args, "virasoro", [c for _, _, c in reports if c])
+    for k, nonzero, checked in reports:
         status = "holds" if not nonzero else "fails"
-        if nonzero:
-            failures += 1
         if args.format == "json":
             print(json.dumps({
                 "identity": "virasoro", "k": k, "checked": checked,
@@ -235,7 +197,7 @@ def _verify_virasoro(args, eng) -> int:
                 "status": status}, sort_keys=True))
         else:
             print(f"virasoro k={k}: {checked} admitted coefficients, {status}")
-    return 3 if failures else 0
+    return 3 if any(nonzero for _, nonzero, _ in reports) else 0
 
 
 def _verify_commutators(args) -> int:
@@ -276,8 +238,6 @@ def _verify_substitution(args, eng) -> int:
 
 
 def _verify_engines(args, eng) -> int:
-    from .npoint import NPointEngine
-    npe = NPointEngine()
     dmax = args.dmax
     failures = 0
     count = 0
@@ -288,8 +248,8 @@ def _verify_engines(args, eng) -> int:
                 continue
             for d in partitions(dim, n):
                 a = eng.value(g, d)
-                b = npe.correlator(g, d, "normalized")
-                c = npe.correlator(g, d, "direct") if n >= 2 else b
+                b = eng.npoint.correlator(g, d, "normalized")
+                c = eng.npoint.correlator(g, d, "direct") if n >= 2 else b
                 count += 1
                 # write-once discipline escalates any cross-route mismatch
                 eng.table.record(g, d, MultiIndex(), b, "npoint")
@@ -305,8 +265,6 @@ def _cmd_verify(args, eng) -> int:
     name = args.target
     if name in IDENTITY_NAMES:
         return _verify_identities(args, name, eng)
-    if name in ("string", "dilaton"):
-        return _verify_string_dilaton(args, name, eng)
     if name == "virasoro":
         return _verify_virasoro(args, eng)
     if name == "commutators":

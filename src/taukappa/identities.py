@@ -2,14 +2,15 @@
 
 Each check evaluates both sides of one identity with the exact engines and
 reports the residual lhs - rhs.  Identity names follow the workbench's
-verification grammar (thm7, thm8, prop9, thm10, prop11, thm12, conj13).
+verification grammar (thm7, thm8, prop9, thm10, prop11, thm12, conj13,
+string, dilaton).
 Split sums run over ordered pairs of complementary labeled subsets, empty
 parts allowed, and the genus of each split factor is the unique one
 permitted by the dimension constraint (terms with no such genus vanish).
 conj13 is experimental: its reports never gate a verification run.
-The generalized string and dilaton residuals read pure psi values from
-the n-point function and kappa values from the reduction oracle, so they
-test the recursion's string/dilaton step instead of restating it.
+The generalized string and dilaton checks read pure psi values from the
+engine's n-point function and kappa values from the reduction oracle, so
+they test the recursion's string/dilaton step instead of restating it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,18 @@ from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
                    multiindex_binomial, multiindices_up_to_weight,
                    multiset_splits, partitions)
-from .npoint import NPointEngine
 from .recursion import RecursionEngine
 
 __all__ = [
-    "IdentityReport", "string_residual", "dilaton_residual",
-    "check_theorem7", "check_theorem8",
+    "IdentityReport", "check_theorem7", "check_theorem8",
     "check_proposition9", "check_theorem10", "check_proposition11",
-    "check_theorem12", "check_conjecture13", "identity_grid", "run_identity",
-    "IDENTITY_NAMES",
+    "check_theorem12", "check_conjecture13", "check_string", "check_dilaton",
+    "identity_grid", "run_identity", "IDENTITY_NAMES",
 ]
+
+
+def _text(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
 
 
 class IdentityReport:
@@ -45,20 +48,36 @@ class IdentityReport:
         self.residual = lhs - rhs
         self.status = "holds" if self.residual == 0 else "fails"
 
+    def line(self) -> str:
+        return (f"{self.identity} {self.params}: {self.status} "
+                f"(residual {self.residual})")
+
     def to_json(self) -> str:
-        def fmt(v: Fraction) -> str:
-            return f"{v.numerator}/{v.denominator}"
         payload = {
             "identity": self.identity,
             "params": self.params,
-            "lhs": fmt(self.lhs),
-            "rhs": fmt(self.rhs),
-            "residual": fmt(self.residual),
+            "lhs": _text(self.lhs),
+            "rhs": _text(self.rhs),
+            "residual": _text(self.residual),
             "status": self.status,
         }
         if self.conjectural:
             payload["conjectural"] = True
         return json.dumps(payload, sort_keys=True)
+
+
+class EquationReport(IdentityReport):
+    """A generalized string or dilaton report, on params g, d and b: its
+    line names the shape and its JSON carries the residual alone."""
+
+    def line(self) -> str:
+        p = self.params
+        return f"{self.identity} g={p['g']} d={p['d']} b={p['b']}: {self.status}"
+
+    def to_json(self) -> str:
+        return json.dumps({"identity": self.identity, "params": self.params,
+                           "residual": _text(self.residual),
+                           "status": self.status}, sort_keys=True)
 
 
 def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
@@ -83,44 +102,47 @@ def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
     return total
 
 
-def _unreduced_value(g: int, d, b: MultiIndex, engine: RecursionEngine,
-                     npe: NPointEngine) -> Fraction:
+def _unreduced_value(g: int, d, b: MultiIndex,
+                     engine: RecursionEngine) -> Fraction:
     """<kappa(b) prod tau_d>_g by routes that never take the recursion's
     string/dilaton step with kappa classes: the n-point function for pure
     psi, and the kappa reduction oracle otherwise (a pure kappa volume when
     d is empty)."""
-    return engine.reduction_oracle(g, d, b) if b else npe.correlator(g, d)
+    return (engine.reduction_oracle(g, d, b) if b
+            else engine.npoint.correlator(g, d))
 
 
-def string_residual(g: int, d, b: MultiIndex, engine: RecursionEngine,
-                    npe: NPointEngine) -> Fraction:
-    """LHS - RHS of the generalized string identity (contract: zero on
-    stable base shapes, 2g - 2 + n > 0)."""
-    d = tuple(d)
-    lhs = Fraction(0)
+def _inserted_sum(g: int, d: tuple, b: MultiIndex, s: int,
+                  engine: RecursionEngine) -> Fraction:
+    """sum_{L <= b} (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) prod tau_d>_g,
+    the side of the string (s = 0) or dilaton (s = 1) equation that
+    carries the new insertion."""
+    total = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
-        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                * _unreduced_value(g, d + (left.weight,), right, engine, npe))
-    rhs = Fraction(0)
-    for j in range(len(d)):
-        if d[j] >= 1:
-            rhs += _unreduced_value(g, d[:j] + (d[j] - 1,) + d[j + 1:], b,
-                                    engine, npe)
-    return lhs - rhs
+        total += ((-1) ** left.size * multiindex_binomial(b, left)
+                  * _unreduced_value(g, d + (left.weight + s,), right, engine))
+    return total
 
 
-def dilaton_residual(g: int, d, b: MultiIndex, engine: RecursionEngine,
-                     npe: NPointEngine) -> Fraction:
-    """LHS - RHS of the generalized dilaton identity (contract: zero on
-    stable base shapes)."""
+def check_string(g: int, d, b: MultiIndex,
+                 engine: RecursionEngine) -> IdentityReport:
+    """Generalized string equation on a stable base shape, 2g - 2 + n > 0:
+    the inserted sum at s = 0 equals sum_j <kappa(b) prod tau_d, d_j - 1>_g."""
     d = tuple(d)
-    lhs = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                * _unreduced_value(g, d + (left.weight + 1,), right,
-                                   engine, npe))
-    rhs = (2 * g - 2 + len(d)) * _unreduced_value(g, d, b, engine, npe)
-    return lhs - rhs
+    rhs = sum((_unreduced_value(g, d[:j] + (d[j] - 1,) + d[j + 1:], b, engine)
+               for j in range(len(d)) if d[j]), Fraction(0))
+    return EquationReport("string", {"g": g, "d": list(d), "b": str(b)},
+                          _inserted_sum(g, d, b, 0, engine), rhs)
+
+
+def check_dilaton(g: int, d, b: MultiIndex,
+                  engine: RecursionEngine) -> IdentityReport:
+    """Generalized dilaton equation on a stable base shape: the inserted
+    sum at s = 1 equals (2g - 2 + n) <kappa(b) prod tau_d>_g."""
+    d = tuple(d)
+    rhs = (2 * g - 2 + len(d)) * _unreduced_value(g, d, b, engine)
+    return EquationReport("dilaton", {"g": g, "d": list(d), "b": str(b)},
+                          _inserted_sum(g, d, b, 1, engine), rhs)
 
 
 def check_theorem7(g: int, d, k: int, engine: RecursionEngine
@@ -305,7 +327,8 @@ _CHECKS = {
     "thm7": check_theorem7, "thm8": check_theorem8,
     "prop9": check_proposition9, "thm10": check_theorem10,
     "prop11": check_proposition11, "thm12": check_theorem12,
-    "conj13": check_conjecture13,
+    "conj13": check_conjecture13, "string": check_string,
+    "dilaton": check_dilaton,
 }
 
 IDENTITY_NAMES = tuple(_CHECKS)
@@ -365,8 +388,24 @@ def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
             for n in range(1, nmax + 1):
                 for e in partitions(g, n):
                     yield {"g": g, "d": tuple(x + 1 for x in e)}
+    elif name == "string":
+        yield from _equation_grid(gmax, nmax, bmax, 0)
+    elif name == "dilaton":
+        yield from _equation_grid(gmax, nmax, bmax, 1)
     else:
         raise ValueError(f"unknown identity {name!r}")
+
+
+def _equation_grid(gmax: int, nmax: int, bmax: int, s: int):
+    """Stable base shapes (g, n) and kappa(b); d takes the degree that
+    tau_{|L|+s} and kappa(b) leave, and there is none when that is < 0."""
+    for g in range(gmax + 1):
+        for n in range(nmax + 1):
+            if 2 * g - 2 + n <= 0:
+                continue
+            for b in multiindices_up_to_weight(bmax):
+                for d in partitions(3 * g - 2 + n - s - b.weight, n):
+                    yield {"g": g, "d": d, "b": b}
 
 
 def run_identity(name: str, params: dict,

@@ -122,44 +122,11 @@ class NPointEngine:
 
     def _new_a_factor(self, key) -> SymmetricPoly:
         m, r = key
-        if m == 1:
-            return (SymmetricPoly(1, 0, {(): Fraction(1)}) if r == 0
-                    else SymmetricPoly(1, 3 * r))
+        if m == 1:      # component(1, r > 0) is the zero polynomial
+            return SymmetricPoly(1, 3 * r, {} if r else {(): Fraction(1)})
         if m == 2 and r == 0:
             return SymmetricPoly(2, 1, {(1,): Fraction(1)})
-        comp = self.component(m, r)
-        deg = comp.degree + 2
-        den, ints = comp.integer_form()
-        classes = {}
-        for ev in partitions(deg, m):
-            # sum over ordered position pairs (i, j) of comp at
-            # ev - e_i - e_j, by runs of equal entries: the last
-            # position of each run stands for all c of them
-            runs = []
-            end = 0
-            for v, run in groupby(ev):
-                c = len(tuple(run))
-                end += c
-                if v:
-                    runs.append((v, c, end - 1))
-            tot = 0
-            for t, (u, cu, pu) in enumerate(runs):
-                w = list(ev)
-                w[pu] -= 1
-                for _, cv, pv in runs[t + 1:]:      # i, j in two runs
-                    w[pv] -= 1
-                    tot += 2 * cu * cv * ints.get(class_key(w), 0)
-                    w[pv] += 1
-                if cu > 1:                          # i != j in one run
-                    w[pu - 1] -= 1
-                    tot += cu * (cu - 1) * ints.get(class_key(w), 0)
-                    w[pu - 1] += 1
-                if u > 1:                           # i == j
-                    w[pu] -= 1
-                    tot += cu * ints.get(class_key(w), 0)
-            if tot:
-                classes[class_key(ev)] = Fraction(tot, den)
-        return SymmetricPoly(m, deg, classes)
+        return times_power_sum(self.component(m, r), 1, 2)
 
     def p_poly(self, n: int, r: int) -> SymmetricPoly:
         """P_r(x_1..x_n) for n >= 3: split-sum numerator over ordered pairs

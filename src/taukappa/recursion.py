@@ -32,12 +32,13 @@ string/dilaton step has integer coefficients and sums into one bucket map.
 An independent reduction oracle trades one kappa index at a time for a
 psi power at a new point (inclusion-exclusion over sub-multi-indices)
 and is used only to cross-check the recursion; the string and dilaton
-residuals in `identities` read it and the n-point function, never the
-step above with kappa classes.
+checks in `identities` read it and the engine's n-point function, never
+the step above with kappa classes.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
                    double_factorial, enumerate_sub_multiindices,
                    enumerate_triple_splits, multiindex_binomial,
                    multiindex_multinomial, multiset_splits)
+from .npoint import NPointEngine
 
 __all__ = [
     "EngineDisagreement", "CorrelatorTable", "alpha_constant",
@@ -253,10 +255,6 @@ class CorrelatorTable:
 
 # -- tautological constants -------------------------------------------------
 
-# alpha_L depends on L alone, so one memo serves every engine
-_ALPHA_CACHE: dict[MultiIndex, Fraction] = {EMPTY: Fraction(1)}
-
-
 def gamma_constant(L: MultiIndex) -> Fraction:
     """gamma_L = (-1)^||L|| / (L! (2|L|+1)!!), the s-weights of the
     Virasoro operators."""
@@ -268,14 +266,15 @@ def alpha_constant(L: MultiIndex) -> Fraction:
     """alpha_L = L! (gamma^-1)(L) for the inverse gamma^-1 of gamma under
     multi-index convolution: alpha_0 = 1 and
     alpha_b = -b! sum_{L+L'=b, L'!=0} alpha_L gamma_L' / L!."""
-    hit = _ALPHA_CACHE.get(L)
-    if hit is not None:
-        return hit
-    val = -L.factorial() * sum(
-        alpha_constant(left) / left.factorial() * gamma_constant(right)
-        for left, right in enumerate_sub_multiindices(L) if right)
-    _ALPHA_CACHE[L] = val
-    return val
+    return _ALPHA_CACHE[L]
+
+
+# alpha_L depends on L alone, so one memo serves every engine; the fill
+# recurses through alpha_constant
+_ALPHA_CACHE = Memo(lambda L: -L.factorial() * sum(
+    alpha_constant(left) / left.factorial() * gamma_constant(right)
+    for left, right in enumerate_sub_multiindices(L) if right))
+_ALPHA_CACHE[EMPTY] = Fraction(1)
 
 
 _ZERO = Fraction(0)
@@ -287,6 +286,11 @@ class RecursionEngine:
     def __init__(self):
         self.table = CorrelatorTable()
         self._oracle_cache: dict[tuple, Fraction] = {}
+
+    @functools.cached_property
+    def npoint(self) -> NPointEngine:
+        """The n-point engine that checks this one, built on first use."""
+        return NPointEngine()
 
     # -- main recursion ----------------------------------------------------
 
@@ -410,9 +414,9 @@ class RecursionEngine:
             for part, other, ways, shift in splits:
                 # genus of the first factor is fixed by its dimension
                 base = shift + e.weight
-                for r in range(m + 1):
-                    gp, remdr = divmod(base + r, 3)
-                    if remdr or gp < 0 or gp > g:
+                for r in range(-base % 3, m + 1, 3):
+                    gp = (base + r) // 3
+                    if gp < 0 or gp > g:
                         continue
                     s = m - r
                     v1 = value(gp, part + (r,), e)

@@ -68,7 +68,7 @@ def test_compute_csv_format_parses(capsys):
                         "--n", "3")
     assert code == 0
     assert list(csv.reader(io.StringIO(out))) == [
-        ["7", "{'2': 7, '3': 2, '5': 1}", "2", "3", "5760"]]
+        ["7", '{"2": 7, "3": 2, "5": 1}', "2", "3", "5760"]]
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
@@ -130,6 +130,7 @@ def test_denom_prop17_with_nothing_to_compare_is_a_usage_error(capsys, argv):
     "verify conj13 --gmax 1",
     "verify string --gmax 0 --nmax 2",
     "--format json verify dilaton --gmax 0 --nmax 2",
+    "verify virasoro --gmax 0 --nmax 0 --bmax 0",
 ])
 def test_verify_grid_with_nothing_to_check_is_a_usage_error(capsys, argv):
     """A grid with no admissible parameters checks nothing: exit 2 with
@@ -425,18 +426,23 @@ def test_unwritable_cache_exit_code(tmp_path, capsys):
 
 
 PROP11 = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
+DILATON = ("verify", "dilaton", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 
 
-def test_workers_match_serial_run(tmp_path, capsys):
+@pytest.mark.parametrize("argv, summary, records", [
+    (PROP11, "# prop11: 9 checked, 9 hold", 20),
+    (DILATON, "# dilaton: 5 checked, 5 hold", 9),
+])
+def test_workers_match_serial_run(tmp_path, capsys, argv, summary, records):
     """--workers 2 merges each worker's table into the run's engine, so it
     prints the same reports and persists the same cache, byte for byte, as
     a serial run."""
     serial, parallel = tmp_path / "serial.cache", tmp_path / "parallel.cache"
-    out = run_cli(capsys, "--workers", "1", "--cache", str(serial), *PROP11)
-    assert out[0] == 0 and "# prop11: 9 checked, 9 hold" in out[1]
+    out = run_cli(capsys, "--workers", "1", "--cache", str(serial), *argv)
+    assert out[0] == 0 and summary in out[1]
     assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
-                   *PROP11) == out
-    assert serial.read_bytes().count(b"\n") == 20
+                   *argv) == out
+    assert serial.read_bytes().count(b"\n") == records
     assert parallel.read_bytes() == serial.read_bytes()
 
 
@@ -747,6 +753,14 @@ dilaton g=1 d=[0] b=1:1: holds
 dilaton g=1 d=[2, 0] b=-: holds
 dilaton g=1 d=[1, 1] b=-: holds
 dilaton g=1 d=[1, 0] b=1:1: holds
+# dilaton: 5 checked, 5 hold
+"""),
+    "--format json verify dilaton --gmax 1 --nmax 2 --bmax 1": (0, """\
+{"identity": "dilaton", "params": {"b": "-", "d": [1], "g": 1}, "residual": "0/1", "status": "holds"}
+{"identity": "dilaton", "params": {"b": "1:1", "d": [0], "g": 1}, "residual": "0/1", "status": "holds"}
+{"identity": "dilaton", "params": {"b": "-", "d": [2, 0], "g": 1}, "residual": "0/1", "status": "holds"}
+{"identity": "dilaton", "params": {"b": "-", "d": [1, 1], "g": 1}, "residual": "0/1", "status": "holds"}
+{"identity": "dilaton", "params": {"b": "1:1", "d": [1, 0], "g": 1}, "residual": "0/1", "status": "holds"}
 # dilaton: 5 checked, 5 hold
 """),
 }

@@ -14,7 +14,7 @@ from taukappa.core import (EMPTY, Memo, MultiIndex, double_factorial,
                            genus_for_dimension, multiindex_binomial,
                            multiindex_multinomial, multiindices_of_weight,
                            multiindices_up_to_weight)
-from taukappa.identities import dilaton_residual, string_residual
+from taukappa.identities import check_dilaton, check_string
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
                                 RecursionEngine, alpha_constant, corr_key)
@@ -224,18 +224,18 @@ def test_mixed_agrees_with_oracle():
 
 
 def test_string_dilaton_known_cases():
-    eng, npe = RecursionEngine(), NPointEngine()
-    assert string_residual(1, [1], EMPTY, eng, npe) == 0
-    assert string_residual(1, [0], K1, eng, npe) == 0
-    assert string_residual(2, [2], MultiIndex({1: 2}), eng, npe) == 0
-    assert dilaton_residual(1, [1], EMPTY, eng, npe) == 0
-    assert dilaton_residual(2, [4], EMPTY, eng, npe) == 0
-    assert dilaton_residual(2, [1], MultiIndex({1: 2}), eng, npe) == 0
+    eng = RecursionEngine()
+    assert check_string(1, [1], EMPTY, eng).residual == 0
+    assert check_string(1, [0], K1, eng).residual == 0
+    assert check_string(2, [2], MultiIndex({1: 2}), eng).residual == 0
+    assert check_dilaton(1, [1], EMPTY, eng).residual == 0
+    assert check_dilaton(2, [4], EMPTY, eng).residual == 0
+    assert check_dilaton(2, [1], MultiIndex({1: 2}), eng).residual == 0
 
 
 def test_string_dilaton_full_grid():
     """Residuals vanish on the whole grid g <= 3, |b| <= 3, stable bases."""
-    eng, npe = RecursionEngine(), NPointEngine()
+    eng = RecursionEngine()
     checked = 0
     for g in range(4):
         for n in range(4):
@@ -243,13 +243,13 @@ def test_string_dilaton_full_grid():
                 continue
             for bw in range(4):
                 for b in multiindices_of_weight(bw):
-                    for shift, fn in ((0, string_residual),
-                                      (1, dilaton_residual)):
+                    for shift, fn in ((0, check_string),
+                                      (1, check_dilaton)):
                         budget = 3 * g - 3 + n + 1 - bw - shift
                         if budget < 0:
                             continue
                         for d in _partitions(budget, n):
-                            assert fn(g, d, b, eng, npe) == 0, \
+                            assert fn(g, d, b, eng).residual == 0, \
                                 (fn.__name__, g, d, b)
                             checked += 1
     assert checked > 100
