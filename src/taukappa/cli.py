@@ -94,7 +94,7 @@ def _emit(args, payload: dict, plain: str):
         # list and dict fields as JSON, scalars as they print
         csv.writer(sys.stdout, lineterminator="\n").writerow(
             json.dumps(v, sort_keys=True) if isinstance(v, (list, dict))
-            else v for v in (payload[k] for k in sorted(payload)))
+            else v for _, v in sorted(payload.items()))
     else:
         print(plain)
 

@@ -429,21 +429,22 @@ PROP11 = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 DILATON = ("verify", "dilaton", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 
 
-@pytest.mark.parametrize("argv, summary, records", [
-    (PROP11, "# prop11: 9 checked, 9 hold", 20),
-    (DILATON, "# dilaton: 5 checked, 5 hold", 9),
-])
-def test_workers_match_serial_run(tmp_path, capsys, argv, summary, records):
+def test_workers_match_serial_run(tmp_path, capsys):
     """--workers 2 merges each worker's table into the run's engine, so it
     prints the same reports and persists the same cache, byte for byte, as
-    a serial run."""
-    serial, parallel = tmp_path / "serial.cache", tmp_path / "parallel.cache"
-    out = run_cli(capsys, "--workers", "1", "--cache", str(serial), *argv)
-    assert out[0] == 0 and summary in out[1]
-    assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
-                   *argv) == out
-    assert serial.read_bytes().count(b"\n") == records
-    assert parallel.read_bytes() == serial.read_bytes()
+    a serial run: on a theorem grid and on the dilaton grid, whose checks
+    also read the engine's n-point function."""
+    for argv, summary, records in (
+            (PROP11, "# prop11: 9 checked, 9 hold", 20),
+            (DILATON, "# dilaton: 5 checked, 5 hold", 9)):
+        serial = tmp_path / f"{argv[1]}-serial.cache"
+        parallel = tmp_path / f"{argv[1]}-parallel.cache"
+        out = run_cli(capsys, "--workers", "1", "--cache", str(serial), *argv)
+        assert out[0] == 0 and summary in out[1]
+        assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
+                       *argv) == out
+        assert serial.read_bytes().count(b"\n") == records
+        assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys):
