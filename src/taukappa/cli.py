@@ -1,13 +1,19 @@
 """Command-line driver: compute correlators, verify identities, analyze
 denominators.  Exact rationals print as `num/den`; exit codes separate
-usage errors (2), engine disagreement (1), a falsified proven
-identity (3) and a cache file that is unreadable, cannot be opened or
-cannot be written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or `--k` value,
-an empty `--k` range, a negative grid bound and `--workers` below 1 are
-rejected by the argument parser, an unreadable or malformed `--iz-fixture`
-file and a `--prop17` run that would compare nothing by `denom`, a grid
-that checks nothing by `verify`, and `--b` on `compute psi` by `compute`:
-all are usage errors, one line on stderr.
+usage errors (2), engine disagreement (1), a falsified proven identity (3)
+and a cache file that is unreadable, cannot be opened or cannot be
+written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or
+`--k` value, an empty `--k` range, a negative grid bound and `--workers`
+below 1 are rejected by the argument parser, an unreadable or malformed
+`--iz-fixture` file and a `--prop17` run that would compare nothing by
+`denom`, a grid that checks nothing by `verify`, and `--b` on `compute
+psi` by `compute`: all are usage errors, one line on stderr.
+
+Every command handler prints nothing: it returns its results and an
+optional `#` footer line.  `main` prints each result in the `--format`
+encoding, then the footer in plain text, and exits 3 when a result
+falsifies a proven statement.  An engine disagreement or usage error
+raised mid-run therefore leaves stdout empty.
 
 One invocation computes on one `RecursionEngine`, loaded from `--cache`
 at start and appended to it on exit.  `--workers N` splits an identity
@@ -26,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import EMPTY, MultiIndex, partitions
 from .denominators import (check_iz_fixture, check_lemma20,
@@ -38,9 +45,6 @@ from .virasoro import (build_partition_function, commutator_check,
                        substitution_check, virasoro_residual_report)
 
 CACHE_ENV = "TAUKAPPA_CACHE"
-
-VERIFY_TARGETS = IDENTITY_NAMES + (
-    "virasoro", "commutators", "substitution", "engines")
 
 
 def _argument(parse):
@@ -99,10 +103,18 @@ def _emit(args, payload: dict, plain: str):
         print(plain)
 
 
+class Result(NamedTuple):
+    """One result of a command: its payload for json and csv, its plain
+    text, and whether it falsifies a proven statement (exit 3)."""
+    payload: dict
+    plain: str
+    fails: bool = False
+
+
 # -- compute -----------------------------------------------------------------
 
 
-def _cmd_compute(args, eng) -> int:
+def _cmd_compute(args, eng):
     if args.genus < 0:
         raise SystemExit2("genus must be nonnegative")
     if args.kind == "psi":
@@ -111,8 +123,7 @@ def _cmd_compute(args, eng) -> int:
         if args.b is not None:
             raise SystemExit2("psi takes no --b; use compute kappa")
         val = eng.value(args.genus, args.d, EMPTY)
-        _emit(args, {"genus": args.genus, "d": list(args.d), "value": str(val)},
-              str(val))
+        payload = {"genus": args.genus, "d": list(args.d), "value": str(val)}
     else:
         b = args.b or EMPTY
         d = args.d or ()
@@ -122,9 +133,9 @@ def _cmd_compute(args, eng) -> int:
             if args.genus < 2:
                 raise SystemExit2("pure kappa volumes need --genus >= 2")
             val = eng.pure_kappa_volume(args.genus, b)
-        _emit(args, {"genus": args.genus, "d": list(d), "b": str(b),
-                     "value": str(val)}, str(val))
-    return 0
+        payload = {"genus": args.genus, "d": list(d), "b": str(b),
+                   "value": str(val)}
+    return [Result(payload, str(val))], None
 
 
 # -- verify ------------------------------------------------------------------
@@ -150,7 +161,8 @@ def _check_grid_nonempty(args, name: str, grid: list):
                           f"raise a bound")
 
 
-def _verify_identities(args, name: str, eng) -> int:
+def _verify_identities(args, eng):
+    name = args.target
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
     _check_grid_nonempty(args, name, grid)
     # one chunk per worker: each chunk starts a fresh engine, so more
@@ -173,38 +185,53 @@ def _verify_identities(args, name: str, eng) -> int:
                     eng.table.record(g, d, b, value, tag)
     else:
         reports = [run_identity(name, p, eng) for p in grid]
-    for rep in reports:
-        print(rep.to_json() if args.format == "json" else rep.line())
     conj_note = " (conjectural, never gates)" if name == "conj13" else ""
-    print(f"# {name}: {len(reports)} checked, "
-          f"{sum(r.status == 'holds' for r in reports)} hold{conj_note}")
-    return 3 if any(r.status != "holds" and not r.conjectural
-                    for r in reports) else 0
+    return ([Result(r.payload(), r.line(),
+                    r.status != "holds" and not r.conjectural)
+             for r in reports],
+            f"# {name}: {len(reports)} checked, "
+            f"{sum(r.status == 'holds' for r in reports)} hold{conj_note}")
 
 
-def _verify_virasoro(args, eng) -> int:
+def _series_result(head: str, payload: dict, nonzero: list,
+                   checked: int) -> Result:
+    """The result of a series identity: the (monomial text, coefficient)
+    pairs among its `checked` admitted coefficients that do not vanish."""
+    status = "fails" if nonzero else "holds"
+    return Result(
+        {**payload, "checked": checked, "status": status,
+         "nonzero": [[m, f"{c.numerator}/{c.denominator}"]
+                     for m, c in nonzero]},
+        "\n".join([f"{head}: {checked} admitted coefficients, {status}"]
+                  + [f"  nonzero {m}: {c}" for m, c in nonzero[:20]]),
+        bool(nonzero))
+
+
+def _verify_virasoro(args, eng):
     ks = args.k if args.k is not None else [-1, 0, 1, 2, 3]
     partition = build_partition_function(args.gmax, args.nmax, args.bmax, eng)
     reports = [(k, *virasoro_residual_report(k, partition)) for k in ks]
     _check_grid_nonempty(args, "virasoro", [c for _, _, c in reports if c])
-    for k, nonzero, checked in reports:
-        status = "holds" if not nonzero else "fails"
-        if args.format == "json":
-            print(json.dumps({
-                "identity": "virasoro", "k": k, "checked": checked,
-                "nonzero": [[m, f"{c.numerator}/{c.denominator}"]
-                            for m, c in nonzero],
-                "status": status}, sort_keys=True))
-        else:
-            print(f"virasoro k={k}: {checked} admitted coefficients, {status}")
-    return 3 if any(nonzero for _, nonzero, _ in reports) else 0
+    return [_series_result(f"virasoro k={k}", {"identity": "virasoro", "k": k},
+                           nonzero, checked)
+            for k, nonzero, checked in reports], None
 
 
-def _verify_commutators(args) -> int:
+def _verify_substitution(args, eng):
+    res = substitution_check(args.gmax, args.nmax, args.bmax, eng)
+    caps = {"gmax": args.gmax, "nmax": args.nmax, "bmax": args.bmax}
+    return [_series_result(
+        f"substitution @({args.gmax},{args.nmax},{args.bmax})",
+        {"identity": "substitution", **caps},
+        [(format_monomial(m), c) for m, c in res.nonzero_admitted()],
+        len(res.admitted))], None
+
+
+def _verify_commutators(args, eng):
     import random
     from .series import TruncatedSeries
     rng = random.Random(20240311)
-    failures = 0
+    results = []
     for n in range(-1, 4):
         for m in range(-1, n):
             terms = {}
@@ -217,29 +244,16 @@ def _verify_commutators(args) -> int:
                      for j in rng.sample([1, 2], rng.randint(0, 1))}.items()))
                 terms[(tpart, spart)] = Fraction(rng.randint(-4, 4),
                                                  rng.randint(1, 5))
-            res = commutator_check(n, m, TruncatedSeries(terms))
-            ok = not res.terms
-            if not ok:
-                failures += 1
-            print(f"[V_{n}, V_{m}] - ({n}-{m})V_{n+m}: "
-                  f"{'holds' if ok else 'fails'}")
-    return 3 if failures else 0
+            ok = not commutator_check(n, m, TruncatedSeries(terms)).terms
+            status = "holds" if ok else "fails"
+            results.append(Result(
+                {"identity": "commutators", "n": n, "m": m, "status": status},
+                f"[V_{n}, V_{m}] - ({n}-{m})V_{n+m}: {status}", not ok))
+    return results, None
 
 
-def _verify_substitution(args, eng) -> int:
-    res = substitution_check(args.gmax, args.nmax, args.bmax, eng)
-    nonzero = res.nonzero_admitted()
-    status = "holds" if not nonzero else "fails"
-    print(f"substitution @({args.gmax},{args.nmax},{args.bmax}): "
-          f"{len(res.admitted)} admitted coefficients, {status}")
-    for m, c in nonzero[:20]:
-        print(f"  nonzero {format_monomial(m)}: {c}")
-    return 3 if nonzero else 0
-
-
-def _verify_engines(args, eng) -> int:
+def _verify_engines(args, eng):
     dmax = args.dmax
-    failures = 0
     count = 0
     for g in range(dmax // 3 + 2):
         for n in range(1, dmax - 3 * g + 3 + 1):
@@ -247,39 +261,41 @@ def _verify_engines(args, eng) -> int:
             if dim < 0 or dim > dmax or 2 * g - 2 + n <= 0:
                 continue
             for d in partitions(dim, n):
-                a = eng.value(g, d)
-                b = eng.npoint.correlator(g, d, "normalized")
-                c = eng.npoint.correlator(g, d, "direct") if n >= 2 else b
+                eng.value(g, d)
                 count += 1
-                # write-once discipline escalates any cross-route mismatch
-                eng.table.record(g, d, MultiIndex(), b, "npoint")
-                if not (a == b == c):
-                    failures += 1
-                    print(f"DISAGREE g={g} d={list(d)}: {a} vs {b} vs {c}")
-    print(f"# engines: {count} correlators, "
-          f"{'all agree' if not failures else f'{failures} disagree'}")
-    return 3 if failures else 0
+                # write-once: a route whose value differs from the
+                # recursion's raises EngineDisagreement (n = 1 has one)
+                for route in ("normalized", "direct")[:n]:
+                    value = eng.npoint.correlator(g, d, route)
+                    eng.table.record(g, d, EMPTY, value, "npoint")
+    return [], f"# engines: {count} correlators, all agree"
 
 
-def _cmd_verify(args, eng) -> int:
-    name = args.target
-    if name in IDENTITY_NAMES:
-        return _verify_identities(args, name, eng)
-    if name == "virasoro":
-        return _verify_virasoro(args, eng)
-    if name == "commutators":
-        return _verify_commutators(args)
-    if name == "substitution":
-        return _verify_substitution(args, eng)
-    if name == "engines":
-        return _verify_engines(args, eng)
-    raise SystemExit2(f"unknown verify target {name!r}")
+VERIFIERS = {**dict.fromkeys(IDENTITY_NAMES, _verify_identities),
+             "virasoro": _verify_virasoro,
+             "commutators": _verify_commutators,
+             "substitution": _verify_substitution,
+             "engines": _verify_engines}
+
+
+def _cmd_verify(args, eng):
+    return VERIFIERS[args.target](args, eng)
 
 
 # -- denom -------------------------------------------------------------------
 
 
-def _cmd_denom(args, eng) -> int:
+def _check_rows(args, key: str, rows: list, head):
+    """A denominator check as one result: `rows` each end in their
+    verdict and go under `key`; `head(*row[:-1])` starts a row's line."""
+    ok = all(row[-1] for row in rows)
+    return [Result({"genus": args.genus, key: [list(row) for row in rows],
+                    "status": "holds" if ok else "fails"},
+                   "\n".join(f"{head(*row[:-1])} {'ok' if row[-1] else 'FAIL'}"
+                             for row in rows), not ok)], None
+
+
+def _cmd_denom(args, eng):
     # parameter preconditions surface as usage errors, not engine errors
     if args.genus < 0:
         raise SystemExit2("genus must be nonnegative")
@@ -293,40 +309,24 @@ def _cmd_denom(args, eng) -> int:
     if args.prop17 and args.nmax < (3 if args.genus == 0 else 1):
         raise SystemExit2("nmax is below the first stable point count")
     if args.lemma20:
-        rows = check_lemma20(args.genus, eng)
-        ok = all(v for _, _, v in rows)
-        _emit(args, {"genus": args.genus,
-                     "orders": [[p, o, v] for p, o, v in rows],
-                     "status": "holds" if ok else "fails"},
-              "\n".join(f"p={p}: ord={o} {'ok' if v else 'FAIL'}"
-                        for p, o, v in rows))
-        return 0 if ok else 3
+        return _check_rows(args, "orders", check_lemma20(args.genus, eng),
+                           lambda p, o: f"p={p}: ord={o}")
     if args.prop17:
         rows = check_proposition17(args.genus, args.nmax, eng)
         if not rows:
             raise SystemExit2(f"--prop17 at genus {args.genus} checks nothing "
                               f"with --nmax {args.nmax}; raise --nmax")
-        ok = all(v for _, v in rows)
-        _emit(args, {"genus": args.genus,
-                     "verdicts": [[t, v] for t, v in rows],
-                     "status": "holds" if ok else "fails"},
-              "\n".join(f"{t}: {'ok' if v else 'FAIL'}" for t, v in rows))
-        return 0 if ok else 3
+        return _check_rows(args, "verdicts", rows, lambda t: f"{t}:")
     if args.iz_fixture:
         try:
             rows = load_fixture_orders(args.iz_fixture)
         except (OSError, ValueError) as exc:
             raise SystemExit2(f"unreadable fixture {args.iz_fixture}: {exc}")
         orders = [o for o, gp, _ in rows if 1 < gp <= args.genus]
-        verdicts = check_iz_fixture(
-            orders, compute_script_D(args.genus, eng).value)
-        ok = all(v for _, v in verdicts)
-        _emit(args, {"genus": args.genus,
-                     "orders": [[o, v] for o, v in verdicts],
-                     "status": "holds" if ok else "fails"},
-              "\n".join(f"{o} | script-D({args.genus}): "
-                        f"{'ok' if v else 'FAIL'}" for o, v in verdicts))
-        return 0 if ok else 3
+        return _check_rows(
+            args, "orders",
+            check_iz_fixture(orders, compute_script_D(args.genus, eng).value),
+            lambda o: f"{o} | script-D({args.genus}):")
     if args.script_d:
         rep = compute_script_D(args.genus, eng)
         plain = (f"script-D({args.genus}) = {rep.value} "
@@ -335,8 +335,7 @@ def _cmd_denom(args, eng) -> int:
     else:
         rep = compute_D(args.genus, args.n, eng)
         plain = f"{rep.value}"
-    _emit(args, rep.payload(), plain)
-    return 0
+    return [Result(rep.payload(), plain)], None
 
 
 class SystemExit2(Exception):
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="kappa multi-index, e.g. 1:3,2:1")
 
     ver = sub.add_parser("verify", help="run a verification grid")
-    ver.add_argument("target", choices=VERIFY_TARGETS)
+    ver.add_argument("target", choices=tuple(VERIFIERS))
     bound = _int_at_least(0)
     ver.add_argument("--gmax", type=bound, default=2)
     ver.add_argument("--nmax", type=bound, default=3)
@@ -414,18 +413,18 @@ def main(argv=None) -> int:
                 print(f"error: unreadable cache {args.cache}: {exc}",
                       file=sys.stderr)
                 return 4
-        if args.command == "compute":
-            code = _cmd_compute(args, eng)
-        elif args.command == "verify":
-            code = _cmd_verify(args, eng)
-        else:
-            code = _cmd_denom(args, eng)
+        results, footer = {"compute": _cmd_compute, "verify": _cmd_verify,
+                           "denom": _cmd_denom}[args.command](args, eng)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineDisagreement as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return 1
+    for res in results:
+        _emit(args, res.payload, res.plain)
+    if footer:
+        print(footer)
     if args.cache:
         try:
             eng.table.append_new(args.cache)
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
             print(f"error: cannot write cache {args.cache}: {exc}",
                   file=sys.stderr)
             return 4
-    return code
+    return 3 if any(res.fails for res in results) else 0
 
 
 if __name__ == "__main__":

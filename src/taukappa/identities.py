@@ -15,7 +15,6 @@ they test the recursion's string/dilaton step instead of restating it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -52,7 +51,7 @@ class IdentityReport:
         return (f"{self.identity} {self.params}: {self.status} "
                 f"(residual {self.residual})")
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
         payload = {
             "identity": self.identity,
             "params": self.params,
@@ -63,21 +62,20 @@ class IdentityReport:
         }
         if self.conjectural:
             payload["conjectural"] = True
-        return json.dumps(payload, sort_keys=True)
+        return payload
 
 
 class EquationReport(IdentityReport):
     """A generalized string or dilaton report, on params g, d and b: its
-    line names the shape and its JSON carries the residual alone."""
+    line names the shape and its payload carries the residual alone."""
 
     def line(self) -> str:
         p = self.params
         return f"{self.identity} g={p['g']} d={p['d']} b={p['b']}: {self.status}"
 
-    def to_json(self) -> str:
-        return json.dumps({"identity": self.identity, "params": self.params,
-                           "residual": _text(self.residual),
-                           "status": self.status}, sort_keys=True)
+    def payload(self) -> dict:
+        return {"identity": self.identity, "params": self.params,
+                "residual": _text(self.residual), "status": self.status}
 
 
 def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,

@@ -7,11 +7,15 @@ import json
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from taukappa.cli import main
+from taukappa import denominators, virasoro
+from taukappa.cli import VERIFIERS, main
+from taukappa.npoint import NPointEngine
 from taukappa.recursion import CorrelatorTable, RecursionEngine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -303,6 +307,74 @@ def test_verify_json_stream(capsys):
                         "status"}
 
 
+FORMAT_CASES = [
+    *(f"verify {target} --gmax 2 --nmax 2 --bmax 1 --dmax 4"
+      for target in VERIFIERS),
+    "denom --genus 2 --n 3",
+    "denom --genus 2 --script-d",
+    "denom --genus 2 --lemma20",
+    "denom --genus 2 --prop17 --nmax 3",
+    f"denom --genus 3 --iz-fixture {ROOT}/src/taukappa/data/aut_orders.txt",
+]
+
+
+@pytest.mark.parametrize("argv", FORMAT_CASES)
+def test_every_command_honours_format(capsys, argv):
+    """Under --format json every line but the `#` footer is one JSON
+    result; under --format csv the same results come out as one CSV row
+    each, with one field per payload key."""
+    code, out = run_cli(capsys, "--format", "json", *argv.split())
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()
+               if not line.startswith("#")]
+    code, out = run_cli(capsys, "--format", "csv", *argv.split())
+    assert code == 0
+    rows = list(csv.reader(line for line in out.splitlines()
+                           if not line.startswith("#")))
+    assert [len(row) for row in rows] == [len(rec) for rec in records]
+
+
+def test_virasoro_failures_exit_3(monkeypatch, capsys):
+    """With the constant of V_0 away from 1/16, V_0 exp(G) no longer
+    vanishes and [V_1, V_-1] = 2 V_0 breaks: both runs exit 3, and the
+    failing k lists its nonzero coefficients."""
+    monkeypatch.setattr(virasoro, "V0_CONSTANT", Fraction(1, 8))
+    code, out = run_cli(capsys, "verify", "virasoro", "--k", "0",
+                        "--gmax", "1", "--nmax", "2", "--bmax", "0")
+    assert (code, out) == (3, """\
+virasoro k=0: 4 admitted coefficients, fails
+  nonzero 1: 1/16
+  nonzero t1: 1/384
+""")
+    code, out = run_cli(capsys, "verify", "commutators")
+    assert code == 3 and "[V_1, V_-1] - (1--1)V_0: fails\n" in out
+
+
+def test_substitution_failure_exit_3(monkeypatch, capsys):
+    p_polynomial = virasoro.p_polynomial
+    monkeypatch.setattr(virasoro, "p_polynomial", lambda k: {
+        L: 2 * v for L, v in p_polynomial(k).items()})
+    code, out = run_cli(capsys, "verify", "substitution", "--gmax", "1",
+                        "--nmax", "2", "--bmax", "1")
+    assert (code, out) == (3, """\
+substitution @(1,2,1): 19 admitted coefficients, fails
+  nonzero t0*s1: 1/24
+  nonzero t0*t1*s1: 1/12
+""")
+
+
+def test_denom_check_failures_exit_3(monkeypatch, capsys, tmp_path):
+    fixture = tmp_path / "orders.txt"
+    fixture.write_text("7 2 x\n")      # 7 does not divide 5760
+    assert run_cli(capsys, "denom", "--genus", "2", "--iz-fixture",
+                   str(fixture)) == (3, "7 | script-D(2): FAIL\n")
+    # a D(2, 3) without its factors of 3 breaks Lemma 20 at p = 3
+    monkeypatch.setattr(denominators, "compute_D",
+                        lambda g, n, engine: SimpleNamespace(value=2**7 * 5))
+    assert run_cli(capsys, "denom", "--genus", "2", "--lemma20") == (
+        3, "p=2: ord=7 ok\np=3: ord=0 FAIL\n")
+
+
 def test_cache_roundtrip_and_determinism(tmp_path, capsys):
     cache = tmp_path / "corr.cache"
     args = ("--cache", str(cache), "compute", "psi", "--genus", "2",
@@ -327,9 +399,29 @@ def test_engine_disagreement_exit_code(tmp_path, capsys):
     cache = tmp_path / "poisoned.cache"
     cache.write_text("1|1||1/25\n")
     code = main(["--cache", str(cache), "verify", "engines", "--dmax", "2"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "engine disagreement" in err
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "engine disagreement" in captured.err
+
+
+@pytest.mark.parametrize("route", ["normalized", "direct"])
+def test_engine_route_disagreement_exit_code(monkeypatch, capsys, route):
+    """A wrong <tau_2 tau_1 tau_0>_1 on either n-point route collides with
+    the recursion's value in the write-once table: exit 1, nothing on
+    stdout."""
+    correlator = NPointEngine.correlator
+
+    def wrong(self, g, d, r="normalized"):
+        value = correlator(self, g, d, r)
+        if r == route and (g, sorted(d)) == (1, [0, 1, 2]):
+            value += 1
+        return value
+
+    monkeypatch.setattr(NPointEngine, "correlator", wrong)
+    code = main(["verify", "engines", "--dmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("engine disagreement: ")
 
 
 @pytest.mark.parametrize("text", [

@@ -93,7 +93,7 @@ def test_conj13_examples():
 def test_report_json_serialization():
     eng = RecursionEngine()
     rep = check_theorem8(1, [1], 2, eng)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.payload()))
     assert payload["identity"] == "thm8"
     assert payload["lhs"] == "1/12" and payload["residual"] == "0/1"
     assert payload["status"] == "holds"
