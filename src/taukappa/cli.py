@@ -95,9 +95,9 @@ def _emit(args, payload: dict, plain: str):
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
         import csv      # only here, so that start-up does not load it
-        # list and dict fields as JSON, scalars as they print
+        # list, dict and boolean fields as JSON, other scalars as they print
         csv.writer(sys.stdout, lineterminator="\n").writerow(
-            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict))
+            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict, bool))
             else v for _, v in sorted(payload.items()))
     else:
         print(plain)
@@ -268,7 +268,9 @@ def _verify_engines(args, eng):
                 for route in ("normalized", "direct")[:n]:
                     value = eng.npoint.correlator(g, d, route)
                     eng.table.record(g, d, EMPTY, value, "npoint")
-    return [], f"# engines: {count} correlators, all agree"
+    # a disagreement raises above, so a returned result always agrees
+    return [Result({"dmax": dmax, "correlators": count, "agree": True},
+                   f"# engines: {count} correlators, all agree")], None
 
 
 VERIFIERS = {**dict.fromkeys(IDENTITY_NAMES, _verify_identities),

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import os
 import re
+import zlib
 from fractions import Fraction
 
 from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
@@ -97,6 +98,12 @@ def _parse_value(text: str) -> Fraction:
 _LINES = re.compile(r"^[^\S\n]*(?:(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+/(\d+))"
                     r"[^\S\n]*|#.*)?$", re.M)
 
+# the header line of a segment that `append_new` wrote: the count, byte
+# length and CRC-32 of the record lines after it; a comment to the line check.
+# Counts are bounded so that int() never meets its limit on digits
+_SEGMENT = re.compile(
+    r"#seg v1 records=(\d{1,18}) bytes=(\d{1,18}) crc32=([0-9a-f]{8})\n")
+
 
 class CorrelatorTable:
     """Write-once map from correlator keys to exact values.
@@ -110,13 +117,21 @@ class CorrelatorTable:
     `append_new` writes them without rescanning the table (load the cache
     first: a key computed before is written again).
 
+    `append_new` writes one segment in a single write: a header line
+    `#seg v1 records=N bytes=L crc32=H`, then N canonical record lines
+    whose byte length is L and whose `zlib.crc32` is H (8 hex digits).
+    To any reader the header is a comment.
+
     The table has two parts that never share a key.  `parsed` maps
-    canonical keys to Fractions.  `load` checks every line of a file and
-    files each record in an index from its canonical `g|d|b` text
-    (`key_text`) to its `num/den` text.  The first `get`, `record` or
-    engine lookup of a key moves its record into `parsed`, tagged
-    "cache", so a loaded value still meets the write-once check.
-    `values` and `provenance` move every record left in the index first.
+    canonical keys to Fractions.  `load` files each record in an index
+    from its canonical `g|d|b` text (`key_text`) to its `num/den` text.
+    A segment whose header matches its lines, none of whose keys is in
+    the table yet, is indexed as it stands; every other line is checked
+    and canonicalized (files of older versions, hand edits, torn or
+    damaged segments).  The first `get`, `record` or engine lookup of a
+    key moves its record into `parsed`, tagged "cache", so a loaded value
+    still meets the write-once check.  `values` and `provenance` move
+    every record left in the index first.
     """
 
     def __init__(self):
@@ -185,20 +200,59 @@ class CorrelatorTable:
         return f"{key_text(key)}|{value.numerator}/{value.denominator}"
 
     def load(self, path: str) -> int:
-        """Check every line of a cache file and index its records; returns
-        the number of records read."""
+        """Index the records of a cache file; returns the number read.
+
+        A segment whose header matches its record lines (count, byte
+        length and CRC-32) was written by `append_new`, so its lines are
+        canonical and are indexed as they stand, unless one of its keys is
+        already in the table.  Every other line is checked."""
         if not os.path.exists(path):
             return 0
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("ascii")
+        index = self._index
+        # a line for a key already parsed goes through the write-once record()
+        filed = {key_text(key) for key in self.parsed}
+        count = pos = 0
+        # segments and the text between them in file order, so the first
+        # fault in the file is the one reported
+        for m in _SEGMENT.finditer(text):
+            at, start = m.span()
+            end = start + int(m[2])
+            if at < pos or (at and text[at - 1] != "\n") or end > len(text):
+                continue
+            lines = text[start:end].split("\n")
+            if (lines.pop() or len(lines) != int(m[1]) or int(m[3], 16)
+                    != zlib.crc32(memoryview(data)[start:end])):
+                continue
+            count += self._check_lines(text[pos:at], filed)
+            segment = dict(line.rpartition("|")[::2] for line in lines)
+            keys = segment.keys()
+            if (len(segment) == len(lines) and keys.isdisjoint(filed)
+                    and keys.isdisjoint(index.keys())):
+                if index:
+                    index.update(segment)
+                else:           # the first records: no second table in memory
+                    self._index = index = segment
+                count += len(lines)
+            else:
+                count += self._check_lines(text[start:end], filed)
+            pos = end
+        return count + self._check_lines(text[pos:], filed)
+
+    def _check_lines(self, text: str, filed: set) -> int:
+        """Check every line of `text` and index its records, recording
+        those under a key in `filed`; returns the number of records."""
+        if "\r" in text:
+            # universal newlines, as a file read in text mode has them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         # canonical field texts, each worked out once per distinct spelling
         genus = Memo(lambda t: str(int(t)))
         descending = Memo(lambda t: _d_field(
             sorted(map(int, filter(None, t.split(","))), reverse=True)))
         kappa = Memo(lambda t: _b_field(MultiIndex.parse(t)))
         index = self._index
-        # a line for a key already parsed goes through the write-once record()
-        filed = {key_text(key) for key in self.parsed}
         count = pos = 0
         # lines end at "\n" alone, as iterating the file does; a form feed
         # inside a line does not end it
@@ -236,19 +290,26 @@ class CorrelatorTable:
         return count
 
     def append_new(self, path: str) -> int:
-        """Append entries not yet persisted; returns the number written."""
+        """Append entries not yet persisted as one segment, in one write;
+        returns the number written."""
         fresh = sorted(self._unsaved, key=lambda k: (k[0], k[1], k[2].entries))
         if not fresh:
             return 0
-        with open(path, "a+b") as fh:
+        # built in place, so no list of lines is held beside it
+        segment = bytearray()
+        for key in fresh:
+            line = self._format_line(key, self.parsed[key]) + "\n"
+            segment += line.encode("ascii")
+        segment[:0] = (f"#seg v1 records={len(fresh)} bytes={len(segment)} "
+                       f"crc32={zlib.crc32(segment):08x}\n").encode("ascii")
+        with open(path, "a+b", buffering=0) as fh:
             # a last line left without its newline gets one first
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
-                    fh.write(b"\n")
-            for key in fresh:
-                line = self._format_line(key, self.parsed[key]) + "\n"
-                fh.write(line.encode("ascii"))
+                    segment[:0] = b"\n"
+            if fh.write(segment) != len(segment):
+                raise OSError(f"short write to {path}")
         self._unsaved.clear()
         return len(fresh)
 

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def record_lines(path) -> list:
+    """The record lines of a cache file: every line but `#` headers."""
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
 
 
 def test_compute_psi(capsys):
@@ -203,8 +210,8 @@ def test_cache_default_read_on_every_call(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("TAUKAPPA_CACHE")
     assert run_cli(capsys, "compute", "psi", "--genus", "2",
                    "--d", "4") == (0, "1/1152\n")
-    assert first.read_text() == "1|1||1/24\n"
-    assert second.read_text() == "0|0,0,0||1/1\n"
+    assert record_lines(first) == ["1|1||1/24"]
+    assert record_lines(second) == ["0|0,0,0||1/1"]
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["first.cache", "second.cache"]
 
@@ -285,6 +292,30 @@ def test_verify_virasoro_with_range(capsys):
 def test_verify_engines(capsys):
     code, out = run_cli(capsys, "verify", "engines", "--dmax", "4")
     assert code == 0 and "all agree" in out
+
+
+def test_verify_engines_is_one_result(capsys):
+    """`verify engines` has one result: its plain line, a JSON line with
+    the bound, the count and the verdict, or one CSV row."""
+    argv = ("verify", "engines", "--dmax", "6")
+    assert run_cli(capsys, *argv) == (
+        0, "# engines: 70 correlators, all agree\n")
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"agree": True, "correlators": 70, "dmax": 6}]
+    assert run_cli(capsys, "--format", "csv", *argv) == (0, "true,70,6\n")
+
+
+def test_csv_booleans_are_json(capsys):
+    """A boolean field of a CSV row is spelled as JSON spells it, as a
+    boolean inside a list field is."""
+    code, out = run_cli(capsys, "--format", "csv", "verify", "conj13",
+                        "--gmax", "2", "--nmax", "1")
+    assert code == 0
+    rows = list(csv.reader(line for line in out.splitlines()
+                           if not line.startswith("#")))
+    assert rows and all(row[0] == "true" for row in rows)
 
 
 def test_verify_string_and_substitution(capsys):
@@ -460,15 +491,18 @@ def test_poisoned_base_case_exit_code(tmp_path, capsys, record, d):
 
 
 def test_denom_cache_file_is_pinned(tmp_path, capsys):
-    """The records script-D(3) writes from an empty cache, byte for byte."""
+    """The file script-D(3) writes from an empty cache: one segment
+    header, then its records byte for byte."""
     cache = tmp_path / "g3.cache"
     code = main(["--cache", str(cache), "denom", "--genus", "3",
                  "--script-d"])
     capsys.readouterr()
     assert code == 0
-    data = cache.read_bytes()
-    assert data.count(b"\n") == 240
-    assert hashlib.sha256(data).hexdigest() == \
+    header, records = cache.read_bytes().split(b"\n", 1)
+    assert header == b"#seg v1 records=240 bytes=5001 crc32=9f089665"
+    assert not records.startswith(b"#") and b"\n#" not in records
+    assert records.count(b"\n") == 240
+    assert hashlib.sha256(records).hexdigest() == \
         "407eb0d4e370c6c9162da9a1c8463006117866a028c2d49ed537a2e7b8542772"
 
 
@@ -535,7 +569,7 @@ def test_workers_match_serial_run(tmp_path, capsys):
         assert out[0] == 0 and summary in out[1]
         assert run_cli(capsys, "--workers", "2", "--cache", str(parallel),
                        *argv) == out
-        assert serial.read_bytes().count(b"\n") == records
+        assert len(record_lines(serial)) == records
         assert parallel.read_bytes() == serial.read_bytes()
 
 
@@ -577,6 +611,64 @@ def test_cli_import_leaves_the_process_pool_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cache_segments_load_no_openssl_hash(tmp_path):
+    """A segment's checksum is zlib's CRC-32, and zlib is loaded with the
+    interpreter: writing a cache and loading it again imports no
+    `_hashlib`, which would add OpenSSL to every job's start-up."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import taukappa.cli; "
+            "argv = ['--cache', sys.argv[2], 'compute', 'psi', '--genus', '2', "
+            "'--d', '2,3']; "
+            "assert taukappa.cli.main(argv) == taukappa.cli.main(argv) == 0; "
+            "print('_hashlib' in sys.modules)")
+    cache = tmp_path / "x.cache"
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"),
+                           str(cache)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "29/5760\n29/5760\nFalse\n"
+    assert cache.read_text().startswith("#seg v1 records=6 ")
+
+
+_RECORD_LINE = re.compile(rb"\d+\|[0-9,]*\|[0-9:,]*\|-?\d+/\d+")
+
+
+def test_torn_last_segment_reads_as_its_record_lines(tmp_path, capsys):
+    """A cache cut at any byte of its last segment gives the outcome that
+    the same record lines give without segment headers, as files of older
+    versions are read: exit 0 and the answer when the cut falls at a line
+    end or in the header, exit 4 with the file untouched when it leaves a
+    malformed partial record line.  A partial line that is itself a
+    record, such as 29/576 cut from 29/5760, is read as one, as it is
+    without headers."""
+    cache = tmp_path / "small.cache"
+    query = ("compute", "psi", "--genus", "2", "--d", "2,3")
+    for argv in (("compute", "psi", "--genus", "1", "--d", "1"), query):
+        assert run_cli(capsys, "--cache", str(cache), *argv)[0] == 0
+    data = cache.read_bytes()
+    start = data.rindex(b"\n#seg v1 ") + 1
+    codes = set()
+    for cut in range(start, len(data)):
+        torn = data[:cut]
+        got = {}
+        for name, blob in (
+                ("segments", torn),
+                ("records", b"".join(line for line in torn.splitlines(True)
+                                     if not line.startswith(b"#")))):
+            path = tmp_path / name
+            path.write_bytes(blob)
+            code, out = run_cli(capsys, "--cache", str(path), *query)
+            got[name] = code, out, record_lines(path), path.read_bytes() == blob
+        assert got["segments"] == got["records"], torn
+        code, out, _, untouched = got["segments"]
+        codes.add(code)
+        tail = torn.rsplit(b"\n", 1)[-1]
+        if not tail or tail.startswith(b"#"):
+            assert (code, out) == (0, "29/5760\n"), torn
+        elif not _RECORD_LINE.fullmatch(tail):
+            assert (code, out, untouched) == (4, "", True), torn
+    assert codes == {0, 4}
 
 
 def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):

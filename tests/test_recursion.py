@@ -696,3 +696,126 @@ def test_index_load_matches_eager_reference(case):
     assert indexed.values == eager.values
     assert indexed.provenance == eager.provenance
     assert len(indexed) == len(eager)
+
+
+# -- segments written by append_new -------------------------------------------
+
+
+def _segment(records: dict) -> bytes:
+    """The segment that `append_new` writes for `records` into an empty
+    file."""
+    table = CorrelatorTable()
+    for (g, d, b), value in records.items():
+        table.record(g, d, b, value, "wk")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "segment.txt")
+        table.append_new(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def segmented_files(draw):
+    """(the bytes of a cache file, records recorded before the load):
+    `cache_files` lines in runs with an `append_new` segment after each
+    run but the last, and perhaps one byte of a segment flipped, a
+    segment cut short, a segment glued to the end of a line, or a key of
+    the first segment repeated in a later one with the same or another
+    value."""
+    lines, earlier, _ = draw(cache_files())
+    keys = _LOAD_KEYS
+    if earlier:
+        keys = st.one_of(keys, st.sampled_from(sorted(earlier, key=repr)))
+    segments = draw(st.lists(st.dictionaries(
+        keys, st.fractions(max_denominator=10 ** 6), min_size=1, max_size=5),
+        min_size=1, max_size=3))
+    fault = draw(st.sampled_from([None, "flip", "flip", "cut", "glue",
+                                  "repeat"]))
+    if fault == "repeat" and len(segments) > 1:
+        key = draw(st.sampled_from(sorted(segments[0], key=repr)))
+        later = segments[draw(st.integers(1, len(segments) - 1))]
+        later[key] = segments[0][key] + draw(st.sampled_from([0, 1]))
+    blobs = [_segment(records) for records in segments]
+    if fault in ("flip", "cut"):
+        i = draw(st.integers(0, len(blobs) - 1))
+        at = draw(st.integers(0, len(blobs[i]) - 1))
+        if fault == "flip":
+            # mostly to a byte a cache line may hold, so the file decodes
+            byte = draw(st.sampled_from(b"0123456789|,:/-# \n\r\x0cx\xff")
+                        .filter(lambda c: c != blobs[i][at]))
+            blobs[i] = blobs[i][:at] + bytes([byte]) + blobs[i][at + 1:]
+        else:
+            blobs[i] = blobs[i][:at]
+    cuts = sorted(draw(st.lists(st.integers(0, len(lines)),
+                                min_size=len(blobs), max_size=len(blobs))))
+    runs = ["\n".join(lines[a:b])
+            for a, b in zip([0] + cuts, cuts + [len(lines)])]
+    # a run ends its last line before the next segment, but for a glued one
+    glued = draw(st.integers(0, len(blobs) - 1)) if fault == "glue" else None
+    data = b"".join((run + ("\n" if run and i != glued else "")).encode("ascii")
+                    + blob for i, (run, blob) in enumerate(zip(runs, blobs)))
+    return data + runs[-1].encode("ascii"), earlier
+
+
+@settings(max_examples=150, deadline=None)
+@given(segmented_files())
+def test_segmented_load_matches_eager_reference(case):
+    """A file of segments between hand-written lines, with a segment
+    flipped, cut short, glued to a line or repeating a key, loads as the
+    eager loader loads it, which reads every header as a comment and
+    checks every record line: the same values, provenance, length and
+    count, or the same exception class."""
+    data, earlier = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        indexed, eager = CorrelatorTable(), CorrelatorTable()
+        for table in (indexed, eager):
+            for (g, d, b), value in earlier.items():
+                table.record(g, d, b, value, "wk")
+        got = _outcome(CorrelatorTable.load, indexed, path)
+        assert got == _outcome(reference_load, eager, path), (data, earlier)
+    if got[0] == "loaded":
+        assert len(indexed) == len(eager)
+        assert indexed.values == eager.values
+        assert indexed.provenance == eager.provenance
+
+
+def test_clean_segments_skip_the_line_check(tmp_path, monkeypatch):
+    """The records of a segment that matches its header never reach the
+    line check, unless one of its keys is in the table already: loaded
+    from an earlier segment, or recorded before the load."""
+    path = tmp_path / "cache.txt"
+    seen = {(1, (1,), EMPTY): Fraction(1, 24),
+            (2, (4,), EMPTY): Fraction(1, 1152),
+            (0, (0, 0, 0), EMPTY): Fraction(1)}
+    keys = list(seen)
+    for segment in (keys[:2], keys[2:], keys[:1]):
+        with open(path, "ab") as fh:
+            fh.write(_segment({key: seen[key] for key in segment}))
+    checked = []
+    check = CorrelatorTable._check_lines
+    monkeypatch.setattr(CorrelatorTable, "_check_lines",
+                        lambda self, text, filed: checked.append(text)
+                        or check(self, text, filed))
+    assert CorrelatorTable().load(str(path)) == 4
+    assert [text for text in checked if text] == ["1|1||1/24\n"]
+    checked.clear()
+    table = CorrelatorTable()
+    table.record(0, (0, 0, 0), EMPTY, Fraction(1), "wk")
+    assert table.load(str(path)) == 4
+    assert [text for text in checked if text] == ["0|0,0,0||1/1\n",
+                                                  "1|1||1/24\n"]
+    assert table.values == seen
+
+
+def test_header_with_overlong_counts_is_a_comment(tmp_path):
+    """A header whose counts have more digits than int() reads is no
+    segment header, only a comment, as it is to the eager loader."""
+    path = tmp_path / "cache.txt"
+    path.write_text(f"#seg v1 records=1 bytes={'9' * 5000} crc32=00000000\n"
+                    "1|1||1/24\n")
+    table = CorrelatorTable()
+    assert table.load(str(path)) == reference_load(CorrelatorTable(), str(path))
+    assert table.values == {(1, (1,), EMPTY): Fraction(1, 24)}
