@@ -128,7 +128,8 @@ class CorrelatorTable:
     A segment whose header matches its lines, none of whose keys is in
     the table yet, is indexed as it stands; every other line is checked
     and canonicalized (files of older versions, hand edits, torn or
-    damaged segments).  The first `get`, `record` or engine lookup of a
+    damaged segments), but a torn segment's last line, cut short of its
+    newline, is refused.  The first `get`, `record` or engine lookup of a
     key moves its record into `parsed`, tagged "cache", so a loaded value
     still meets the write-once check.  `values` and `provenance` move
     every record left in the index first.
@@ -205,7 +206,10 @@ class CorrelatorTable:
         A segment whose header matches its record lines (count, byte
         length and CRC-32) was written by `append_new`, so its lines are
         canonical and are indexed as they stand, unless one of its keys is
-        already in the table.  Every other line is checked."""
+        already in the table.  Every other line is checked.  When a header
+        counts more bytes than the file holds, a write was cut short: a
+        last line without its newline is refused with ValueError, as it
+        may be a record cut inside its value."""
         if not os.path.exists(path):
             return 0
         with open(path, "rb") as fh:
@@ -215,31 +219,40 @@ class CorrelatorTable:
         # a line for a key already parsed goes through the write-once record()
         filed = {key_text(key) for key in self.parsed}
         count = pos = 0
+        torn = False
         # segments and the text between them in file order, so the first
         # fault in the file is the one reported
         for m in _SEGMENT.finditer(text):
             at, start = m.span()
             end = start + int(m[2])
-            if at < pos or (at and text[at - 1] != "\n") or end > len(text):
+            if at < pos or (at and text[at - 1] != "\n"):
+                continue
+            if end > len(text):
+                torn = True     # a write cut short, or a damaged header
                 continue
             lines = text[start:end].split("\n")
             if (lines.pop() or len(lines) != int(m[1]) or int(m[3], 16)
                     != zlib.crc32(memoryview(data)[start:end])):
                 continue
-            count += self._check_lines(text[pos:at], filed)
+            if pos != at:
+                count += self._check_lines(text[pos:at], filed)
             segment = dict(line.rpartition("|")[::2] for line in lines)
             keys = segment.keys()
             if (len(segment) == len(lines) and keys.isdisjoint(filed)
                     and keys.isdisjoint(index.keys())):
-                if index:
-                    index.update(segment)
-                else:           # the first records: no second table in memory
-                    self._index = index = segment
+                index.update(segment)
                 count += len(lines)
             else:
                 count += self._check_lines(text[start:end], filed)
             pos = end
-        return count + self._check_lines(text[pos:], filed)
+        rest = text[pos:]
+        if torn and rest and not rest.endswith(("\n", "\r")):
+            # the last line of a segment that runs past the end of the file
+            # may be a record cut inside its value, such as 29/57 of 29/5760
+            cut = max(rest.rfind("\n"), rest.rfind("\r")) + 1
+            self._check_lines(rest[:cut], filed)
+            raise ValueError(f"cache line cut short: {rest[cut:].strip()!r}")
+        return count + self._check_lines(rest, filed)
 
     def _check_lines(self, text: str, filed: set) -> int:
         """Check every line of `text` and index its records, recording
@@ -295,19 +308,16 @@ class CorrelatorTable:
         fresh = sorted(self._unsaved, key=lambda k: (k[0], k[1], k[2].entries))
         if not fresh:
             return 0
-        # built in place, so no list of lines is held beside it
-        segment = bytearray()
-        for key in fresh:
-            line = self._format_line(key, self.parsed[key]) + "\n"
-            segment += line.encode("ascii")
-        segment[:0] = (f"#seg v1 records={len(fresh)} bytes={len(segment)} "
-                       f"crc32={zlib.crc32(segment):08x}\n").encode("ascii")
+        body = "".join(self._format_line(key, self.parsed[key]) + "\n"
+                       for key in fresh).encode("ascii")
+        segment = (f"#seg v1 records={len(fresh)} bytes={len(body)} "
+                   f"crc32={zlib.crc32(body):08x}\n").encode("ascii") + body
         with open(path, "a+b", buffering=0) as fh:
             # a last line left without its newline gets one first
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
-                    segment[:0] = b"\n"
+                    segment = b"\n" + segment
             if fh.write(segment) != len(segment):
                 raise OSError(f"short write to {path}")
         self._unsaved.clear()

@@ -5,7 +5,6 @@ import importlib
 import io
 import json
 import pkgutil
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -631,24 +630,19 @@ def test_cache_segments_load_no_openssl_hash(tmp_path):
     assert cache.read_text().startswith("#seg v1 records=6 ")
 
 
-_RECORD_LINE = re.compile(rb"\d+\|[0-9,]*\|[0-9:,]*\|-?\d+/\d+")
-
-
-def test_torn_last_segment_reads_as_its_record_lines(tmp_path, capsys):
-    """A cache cut at any byte of its last segment gives the outcome that
-    the same record lines give without segment headers, as files of older
-    versions are read: exit 0 and the answer when the cut falls at a line
-    end or in the header, exit 4 with the file untouched when it leaves a
-    malformed partial record line.  A partial line that is itself a
-    record, such as 29/576 cut from 29/5760, is read as one, as it is
-    without headers."""
+def test_torn_last_segment_never_serves_a_cut_value(tmp_path, capsys):
+    """A cache cut at any byte of its last segment: a cut at a line end or
+    inside the header gives exit 0 and the answer, as the same record
+    lines give without headers; a cut that leaves a partial record line
+    gives exit 4 with the file untouched, also where that line reads as a
+    record, such as 29/576 cut from 29/5760."""
     cache = tmp_path / "small.cache"
     query = ("compute", "psi", "--genus", "2", "--d", "2,3")
     for argv in (("compute", "psi", "--genus", "1", "--d", "1"), query):
         assert run_cli(capsys, "--cache", str(cache), *argv)[0] == 0
     data = cache.read_bytes()
     start = data.rindex(b"\n#seg v1 ") + 1
-    codes = set()
+    first = data.index(b"\n", start) + 1
     for cut in range(start, len(data)):
         torn = data[:cut]
         got = {}
@@ -660,15 +654,12 @@ def test_torn_last_segment_reads_as_its_record_lines(tmp_path, capsys):
             path.write_bytes(blob)
             code, out = run_cli(capsys, "--cache", str(path), *query)
             got[name] = code, out, record_lines(path), path.read_bytes() == blob
-        assert got["segments"] == got["records"], torn
-        code, out, _, untouched = got["segments"]
-        codes.add(code)
-        tail = torn.rsplit(b"\n", 1)[-1]
-        if not tail or tail.startswith(b"#"):
-            assert (code, out) == (0, "29/5760\n"), torn
-        elif not _RECORD_LINE.fullmatch(tail):
-            assert (code, out, untouched) == (4, "", True), torn
-    assert codes == {0, 4}
+        if cut <= first or torn.endswith(b"\n"):
+            assert got["segments"] == got["records"], torn
+            assert got["segments"][:2] == (0, "29/5760\n"), torn
+        else:
+            assert got["segments"][::3] == (4, True), torn
+            assert got["segments"][1] == "", torn
 
 
 def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):

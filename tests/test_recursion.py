@@ -719,9 +719,9 @@ def segmented_files(draw):
     """(the bytes of a cache file, records recorded before the load):
     `cache_files` lines in runs with an `append_new` segment after each
     run but the last, and perhaps one byte of a segment flipped, a
-    segment cut short, a segment glued to the end of a line, or a key of
-    the first segment repeated in a later one with the same or another
-    value."""
+    segment cut short, the file torn inside its last segment, a segment
+    glued to the end of a line, or a key of the first segment repeated in
+    a later one with the same or another value."""
     lines, earlier, _ = draw(cache_files())
     keys = _LOAD_KEYS
     if earlier:
@@ -729,16 +729,22 @@ def segmented_files(draw):
     segments = draw(st.lists(st.dictionaries(
         keys, st.fractions(max_denominator=10 ** 6), min_size=1, max_size=5),
         min_size=1, max_size=3))
-    fault = draw(st.sampled_from([None, "flip", "flip", "cut", "glue",
-                                  "repeat"]))
+    fault = draw(st.sampled_from([None, "flip", "flip", "cut", "tear",
+                                  "glue", "repeat"]))
     if fault == "repeat" and len(segments) > 1:
         key = draw(st.sampled_from(sorted(segments[0], key=repr)))
         later = segments[draw(st.integers(1, len(segments) - 1))]
         later[key] = segments[0][key] + draw(st.sampled_from([0, 1]))
     blobs = [_segment(records) for records in segments]
-    if fault in ("flip", "cut"):
-        i = draw(st.integers(0, len(blobs) - 1))
+    if fault in ("flip", "cut", "tear"):
+        i = len(blobs) - 1 if fault == "tear" else draw(
+            st.integers(0, len(blobs) - 1))
         at = draw(st.integers(0, len(blobs[i]) - 1))
+        if fault == "tear":
+            # inside the last digits of a value, where the line left is
+            # mostly a record itself
+            ends = [k for k, c in enumerate(blobs[i]) if c == ord("\n")]
+            at = draw(st.sampled_from(ends[1:])) - draw(st.integers(0, 3))
         if fault == "flip":
             # mostly to a byte a cache line may hold, so the file decodes
             byte = draw(st.sampled_from(b"0123456789|,:/-# \n\r\x0cx\xff")
@@ -750,11 +756,34 @@ def segmented_files(draw):
                                 min_size=len(blobs), max_size=len(blobs))))
     runs = ["\n".join(lines[a:b])
             for a, b in zip([0] + cuts, cuts + [len(lines)])]
+    if fault == "tear":
+        runs[-1] = ""
     # a run ends its last line before the next segment, but for a glued one
     glued = draw(st.integers(0, len(blobs) - 1)) if fault == "glue" else None
     data = b"".join((run + ("\n" if run and i != glued else "")).encode("ascii")
                     + blob for i, (run, blob) in enumerate(zip(runs, blobs)))
     return data + runs[-1].encode("ascii"), earlier
+
+
+_HEADER = re.compile(rb"^#seg v1 records=\d{1,18} bytes=(\d{1,18}) "
+                     rb"crc32=[0-9a-f]{8}\n", re.M)
+
+
+def torn_reference_load(table, path):
+    """`reference_load`, but for a file cut short inside a segment: when a
+    header counts more bytes than follow it and the last line has no
+    newline, the lines before that one are loaded, then ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data.decode("ascii")
+    if data.endswith((b"\n", b"\r")) or not any(
+            m.end() + int(m[1]) > len(data) for m in _HEADER.finditer(data)):
+        return reference_load(table, path)
+    head = path + ".head"
+    with open(head, "wb") as fh:
+        fh.write(data[:max(data.rfind(b"\n"), data.rfind(b"\r")) + 1])
+    reference_load(table, head)
+    raise ValueError("last line cut short")
 
 
 @settings(max_examples=150, deadline=None)
@@ -764,7 +793,9 @@ def test_segmented_load_matches_eager_reference(case):
     flipped, cut short, glued to a line or repeating a key, loads as the
     eager loader loads it, which reads every header as a comment and
     checks every record line: the same values, provenance, length and
-    count, or the same exception class."""
+    count, or the same exception class.  A file whose last line lacks its
+    newline inside a segment cut short is refused once the lines before
+    it have loaded."""
     data, earlier = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cache.txt")
@@ -775,7 +806,8 @@ def test_segmented_load_matches_eager_reference(case):
             for (g, d, b), value in earlier.items():
                 table.record(g, d, b, value, "wk")
         got = _outcome(CorrelatorTable.load, indexed, path)
-        assert got == _outcome(reference_load, eager, path), (data, earlier)
+        assert got == _outcome(torn_reference_load, eager, path), (data,
+                                                                 earlier)
     if got[0] == "loaded":
         assert len(indexed) == len(eager)
         assert indexed.values == eager.values
