@@ -75,9 +75,10 @@ def compute_D(g: int, n: int, engine: RecursionEngine) -> DenominatorReport:
 def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
     """Pure-kappa denominator lcm at genus g >= 2, computed twice.
 
-    Both the kappa-volume definition and the equal psi-side invariant
-    D(g, 3g-3) are evaluated; a mismatch raises (it would falsify the
-    divisibility theory or expose an engine bug).
+    Both the kappa-volume definition (volumes by the kappa reduction,
+    see `RecursionEngine.pure_kappa_volume`) and the equal psi-side
+    invariant D(g, 3g-3) are evaluated; a mismatch raises (it would
+    falsify the divisibility theory or expose an engine bug).
     """
     if g < 2:
         raise ValueError("script-D needs g >= 2")

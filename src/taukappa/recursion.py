@@ -29,9 +29,11 @@ single lcm pass collapses each group, alpha_L scales it once, and one
 Fraction per correlator is built from the groups over 2 (2d_1+1)!!.  The
 string/dilaton step has integer coefficients and sums into one bucket map.
 
-An independent reduction oracle trades one kappa index at a time for a
-psi power at a new point (inclusion-exclusion over sub-multi-indices)
-and is used only to cross-check the recursion; the string and dilaton
+The reduction oracle trades one kappa index at a time for a psi power at
+a new point (inclusion-exclusion over sub-multi-indices) and ends in the
+pure-psi recursion, so it never runs the three sums with kappa classes.
+It is the route for pure kappa volumes <kappa(b)>_g, and the independent
+check of the three sums on mixed correlators; the string and dilaton
 checks in `identities` read it and the engine's n-point function, never
 the step above with kappa classes.
 """
@@ -512,28 +514,21 @@ class RecursionEngine:
     # -- derived quantities --------------------------------------------------
 
     def pure_kappa_volume(self, g: int, b: MultiIndex) -> Fraction:
-        """<kappa(b)>_g via the dilaton-type identity with no tau insertions."""
+        """The higher Weil-Petersson volume <kappa(b)>_g, by the kappa
+        reduction; 0 unless |b| = 3g - 3."""
         if g < 2:
             raise ValueError("pure kappa volumes need g >= 2")
-        if b.weight != 3 * g - 3:
-            return _ZERO
-        acc = {}
-        for left, right in enumerate_sub_multiindices(b):
-            val = self.value(g, (left.weight + 1,), right)
-            if val:
-                coef = (-1) ** left.size * multiindex_binomial(b, left)
-                den = val.denominator
-                acc[den] = acc.get(den, 0) + coef * val.numerator
-        return self.table.record(g, (), b, bucket_sum(acc, 2 * g - 2),
-                                 "mixed")
+        return self.reduction_oracle(g, (), b)
 
     def reduction_oracle(self, g: int, d, b: MultiIndex) -> Fraction:
-        """Trade kappa indices for psi powers one at a time (test oracle).
+        """Trade kappa indices for psi powers one at a time.
 
         <kappa_a kappa(b0) prod tau_d>_{g,n}
           = sum_{S <= b0} (-1)^||S|| binom(b0, S)
             <tau_{a+1+|S|} kappa(b0-S) prod tau_d>_{g,n+1}.
-        Delegates to the pure-psi recursion once b is exhausted.
+        Delegates to the pure-psi recursion once b is exhausted.  This is
+        the route for pure kappa volumes, and the independent check of
+        the three sums on mixed correlators.
         """
         d = tuple(sorted(d, reverse=True))
         if g < 0 or (d and d[-1] < 0):

@@ -491,18 +491,28 @@ def test_poisoned_base_case_exit_code(tmp_path, capsys, record, d):
 
 def test_denom_cache_file_is_pinned(tmp_path, capsys):
     """The file script-D(3) writes from an empty cache: one segment
-    header, then its records byte for byte."""
+    header, then its records byte for byte.  Every key it shares with
+    the three-sums file, the 11 pure volumes among them, has that file's
+    value."""
     cache = tmp_path / "g3.cache"
     code = main(["--cache", str(cache), "denom", "--genus", "3",
                  "--script-d"])
     capsys.readouterr()
     assert code == 0
     header, records = cache.read_bytes().split(b"\n", 1)
-    assert header == b"#seg v1 records=240 bytes=5001 crc32=9f089665"
+    assert header == b"#seg v1 records=194 bytes=4108 crc32=49e68130"
     assert not records.startswith(b"#") and b"\n#" not in records
-    assert records.count(b"\n") == 240
+    assert records.count(b"\n") == 194
     assert hashlib.sha256(records).hexdigest() == \
-        "407eb0d4e370c6c9162da9a1c8463006117866a028c2d49ed537a2e7b8542772"
+        "8109f3cf14806930a4d76d99aacff53416a4de31277ded8f3705f16630aeb075"
+    written, pinned = CorrelatorTable(), CorrelatorTable()
+    written.load(str(cache))
+    pinned.load(str(ROOT / "tests" / "data" / "script_d3_three_sums.cache"))
+    new, old = written.values, pinned.values
+    shared = new.keys() & old.keys()
+    assert len(shared) == 180
+    assert sum(1 for _, d, _ in shared if not d) == 11
+    assert all(new[key] == old[key] for key in shared)
 
 
 def test_engine_reproduces_three_sums_script_d3_records():

@@ -51,6 +51,18 @@ def test_script_D_five():
     assert rep.factorization == {2: 18, 3: 6, 5: 2, 7: 1, 11: 1}
 
 
+def test_script_D_volumes_never_run_the_three_sums_with_kappa():
+    """The kappa side of script-D goes through the reduction: no record
+    on a fresh engine is tagged "mixed", the tag of a correlator that
+    the three sums (or the string/dilaton step) computed with kappa
+    classes."""
+    eng = RecursionEngine()
+    compute_script_D(3, eng)
+    tags = eng.table.provenance
+    assert "oracle" in tags.values()
+    assert "mixed" not in tags.values()
+
+
 def test_proposition17_ladders():
     eng = RecursionEngine()
     assert all(v for _, v in check_proposition17(1, 3, eng))

@@ -367,6 +367,21 @@ def _reference_dilaton_sum(eng, g, b):
     return acc
 
 
+def test_volumes_agree_with_three_sums():
+    """Every pure kappa volume with 2 <= g <= 5 from the reduction equals
+    the dilaton-type sum over the three sums, (2g-2) <kappa(b)>_g =
+    sum_L (-1)^||L|| binom(b, L) <tau_{|L|+1} kappa(b-L)>_g, run on an
+    engine of its own."""
+    eng, sums = RecursionEngine(), RecursionEngine()
+    checked = 0
+    for g in range(2, 6):
+        for b in multiindices_of_weight(3 * g - 3):
+            assert eng.pure_kappa_volume(g, b) == \
+                _reference_dilaton_sum(sums, g, b) / (2 * g - 2), (g, b)
+            checked += 1
+    assert checked == 3 + 11 + 30 + 77
+
+
 def _reference_pre_reduce(eng, g, d, b):
     """One string (d_n = 0) or dilaton (d_n = 1) step, one Fraction per
     term, the string sum taken over positions j rather than values."""
