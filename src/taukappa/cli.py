@@ -7,7 +7,9 @@ written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or
 below 1 are rejected by the argument parser, an unreadable or malformed
 `--iz-fixture` file and a `--prop17` run that would compare nothing by
 `denom`, a grid that checks nothing by `verify`, and `--b` on `compute
-psi` by `compute`: all are usage errors, one line on stderr.
+psi` by `compute`: all are usage errors, one line on stderr.  So is an
+input whose evaluation nests deeper than Python's recursion limit (some
+600 insertions); nothing is printed on stdout or appended to the cache.
 
 Every command handler prints nothing: it returns its results and an
 optional `#` footer line.  `main` prints each result in the `--format`
@@ -423,6 +425,11 @@ def main(argv=None) -> int:
     except EngineDisagreement as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a worker's RecursionError is raised again here
+        print("error: input too deep for the recursion (Python's recursion "
+              "limit)", file=sys.stderr)
+        return 2
     for res in results:
         _emit(args, res.payload, res.plain)
     if footer:

@@ -19,12 +19,9 @@ __all__ = [
     "genus_for_dimension",
     "multiindex_binomial",
     "enumerate_sub_multiindices",
-    "enumerate_triple_splits",
-    "multiindex_multinomial",
     "partitions",
     "multiset_splits",
     "Memo",
-    "bucket_total",
     "bucket_sum",
 ]
 
@@ -41,22 +38,18 @@ class Memo(dict):
         return value
 
 
-def bucket_total(buckets: dict) -> tuple[int, int]:
-    """(num, den), not reduced, with num/den = sum of n/k over {k: n}.
+def bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
+    """The reduced Fraction sum of n/k over {k: n}, divided by scale.
 
     A bucket dict maps a denominator to the integer numerator summed over
-    it, so a long exact sum runs on integers and is reduced once.
+    it, so a long exact sum runs on integers: one lcm pass brings the
+    buckets to a common denominator, and the Fraction reduces once.
     """
-    common = lcm(*buckets)
-    return sum(n * (common // k) for k, n in buckets.items()), common
-
-
-def bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
-    """The reduced Fraction sum of n/k over {k: n}, divided by scale."""
     if not buckets:
         return Fraction(0)
-    num, den = bucket_total(buckets)
-    return Fraction(num, den * scale)
+    common = lcm(*buckets)
+    return Fraction(sum(n * (common // k) for k, n in buckets.items()),
+                    common * scale)
 
 
 def double_factorial(k: int) -> int:
@@ -129,12 +122,6 @@ class MultiIndex:
     def __hash__(self):
         return self._hash
 
-    def __getitem__(self, i: int) -> int:
-        for j, m in self.entries:
-            if j == i:
-                return m
-        return 0
-
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         out = dict(self.entries)
         for i, m in other.entries:
@@ -192,16 +179,6 @@ def multiindex_binomial(b: MultiIndex, t: MultiIndex) -> int:
     return out
 
 
-def multiindex_multinomial(b: MultiIndex, parts: tuple[MultiIndex, ...]) -> int:
-    """prod_i b_i! / (a_1(i)! ... a_n(i)!) for a split sum(parts) = b."""
-    out = 1
-    for i, bi in b.entries:
-        out *= factorial(bi)
-        for p in parts:
-            out //= factorial(p[i])
-    return out
-
-
 # one shared object per distinct multi-index, EMPTY among them: equal keys
 # then match by identity in every table, and the split memo below costs
 # no more memory than the multi-indices it hands out
@@ -234,13 +211,6 @@ def enumerate_sub_multiindices(b: MultiIndex) -> tuple:
     in any two results are the same object.
     """
     return _SPLITS[b]
-
-
-def enumerate_triple_splits(b: MultiIndex):
-    """All ordered triples (L, e, f) with L + e + f = b, deterministic order."""
-    for left, rest in enumerate_sub_multiindices(b):
-        for e, f in enumerate_sub_multiindices(rest):
-            yield left, e, f
 
 
 def partitions(total: int, slots: int) -> list[tuple]:

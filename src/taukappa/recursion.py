@@ -19,15 +19,17 @@ Each term keeps g and lowers the dimension or ||b||, so only
 <tau_d kappa(b)>_g with d >= 1 and correlators with every d_j >= 2 run
 the three sums.
 
-The sums are accumulated exactly in integers.  Once the common factor 1/2
-is pulled out, every coefficient is an integer: multiplicities, binomials
-and multinomials, products of odd double factorials, and the pair-merge
-ratio (2(|L|+d_1+v)-1)!!/(2v-1)!!.  Within one kappa group L each term adds
-coefficient times numerator to a bucket keyed by the denominator of the
-table value (the product of the two denominators for a split term); a
-single lcm pass collapses each group, alpha_L scales it once, and one
-Fraction per correlator is built from the groups over 2 (2d_1+1)!!.  The
-string/dilaton step has integer coefficients and sums into one bucket map.
+The three sums are one sum over the kappa parts L + R = b, accumulated
+exactly in integers.  Once the common factor 1/2 is pulled out, every term
+is alpha_L times an integer coefficient: multiplicities, the binomials
+binom(b, L) and binom(R, e), whose product is the split multinomial,
+products of odd double factorials, and the pair-merge ratio
+(2(|L|+d_1+v)-1)!!/(2v-1)!!.  alpha_L's numerator joins the coefficient,
+once per L.  Each term adds coefficient times numerator to one bucket map,
+keyed by alpha_L's denominator times the denominator of the table value
+(of both values, for a split term); one lcm pass builds the correlator's
+Fraction over 2 (2d_1+1)!!.  The string/dilaton step has integer
+coefficients and sums into a bucket map the same way.
 
 The reduction oracle trades one kappa index at a time for a psi power at
 a new point (inclusion-exclusion over sub-multi-indices) and ends in the
@@ -43,13 +45,13 @@ from __future__ import annotations
 import functools
 import os
 import re
+import sys
 import zlib
 from fractions import Fraction
 
-from .core import (EMPTY, Memo, MultiIndex, bucket_sum, bucket_total,
-                   double_factorial, enumerate_sub_multiindices,
-                   enumerate_triple_splits, multiindex_binomial,
-                   multiindex_multinomial, multiset_splits)
+from .core import (EMPTY, Memo, MultiIndex, bucket_sum, double_factorial,
+                   enumerate_sub_multiindices, multiindex_binomial,
+                   multiset_splits)
 from .npoint import NPointEngine
 
 __all__ = [
@@ -105,6 +107,15 @@ _LINES = re.compile(r"^[^\S\n]*(?:(\d+)\|([0-9,]*)\|([0-9:,]*)\|(-?\d+/(\d+))"
 # Counts are bounded so that int() never meets its limit on digits
 _SEGMENT = re.compile(
     r"#seg v1 records=(\d{1,18}) bytes=(\d{1,18}) crc32=([0-9a-f]{8})\n")
+
+
+def _has_line_over(text: str, start: int, end: int, limit: int) -> bool:
+    """Whether a line of text[start:end], which starts after a newline and
+    ends with one, is longer than limit.  Such a line holds one of the
+    points limit apart from start, so only the lines through them are
+    measured: a few finds for a segment of short lines."""
+    return any(text.find("\n", c, end) - text.rfind("\n", start - 1, c) - 1
+               > limit for c in range(start, end, limit))
 
 
 class CorrelatorTable:
@@ -208,7 +219,9 @@ class CorrelatorTable:
         A segment whose header matches its record lines (count, byte
         length and CRC-32) was written by `append_new`, so its lines are
         canonical and are indexed as they stand, unless one of its keys is
-        already in the table.  Every other line is checked.  When a header
+        already in the table or one of its lines is longer than int()'s
+        digit limit.  Every other line is checked, and a record with an
+        integer past that limit is refused with ValueError.  When a header
         counts more bytes than the file holds, a write was cut short: a
         last line without its newline is refused with ValueError, as it
         may be a record cut inside its value."""
@@ -220,6 +233,7 @@ class CorrelatorTable:
         index = self._index
         # a line for a key already parsed goes through the write-once record()
         filed = {key_text(key) for key in self.parsed}
+        digits = sys.get_int_max_str_digits() or len(data)
         count = pos = 0
         torn = False
         # segments and the text between them in file order, so the first
@@ -240,8 +254,11 @@ class CorrelatorTable:
                 count += self._check_lines(text[pos:at], filed)
             segment = dict(line.rpartition("|")[::2] for line in lines)
             keys = segment.keys()
+            # a line longer than int()'s digit limit may hold an integer no
+            # read could parse; the line check refuses such a record
             if (len(segment) == len(lines) and keys.isdisjoint(filed)
-                    and keys.isdisjoint(index.keys())):
+                    and keys.isdisjoint(index.keys())
+                    and not _has_line_over(text, start, end, digits)):
                 index.update(segment)
                 count += len(lines)
             else:
@@ -268,6 +285,9 @@ class CorrelatorTable:
             sorted(map(int, filter(None, t.split(","))), reverse=True)))
         kappa = Memo(lambda t: _b_field(MultiIndex.parse(t)))
         index = self._index
+        # int() parses no integer longer than this; a record holding one is
+        # refused here
+        digits = sys.get_int_max_str_digits() or len(text)
         count = pos = 0
         # lines end at "\n" alone, as iterating the file does; a form feed
         # inside a line does not end it
@@ -282,6 +302,10 @@ class CorrelatorTable:
             if not den.strip("0"):
                 raise ValueError(
                     f"zero denominator in cache line: {m.group().strip()!r}")
+            if len(value) > digits and max(
+                    len(value.lstrip("-")) - len(den) - 1, len(den)) > digits:
+                raise ValueError(f"integer of more than {digits} digits in "
+                                 f"cache record {g}|{d}|{b}")
             # single digits in descending order are canonical as they stand,
             # which spares most lines converting and sorting d
             parts = d.split(",")
@@ -427,24 +451,30 @@ class RecursionEngine:
         d1 = d[0]
         rest = d[1:]
         value = self.value
-        # {left: {denominator: integer numerator}}; with 1/2 pulled out every
-        # coefficient is an integer, and alpha_L and 1/(2 (2d_1+1)!!) are
-        # applied once at the end
-        groups = {}
-        # odd[k] = (2k+1)!! for every k the genus-lowering and split terms use
-        odd = [1]
-        for k in range(1, b.weight + d1 - 1):
-            odd.append(odd[-1] * (2 * k + 1))
+        # {denominator: integer numerator} over every term of every L; with
+        # 1/2 pulled out each coefficient is an integer times alpha_L, whose
+        # numerator joins the coefficient and whose denominator the key
+        acc = {}
+        # half[k] = (2k-1)!! and odd[k] = (2k+1)!! for every k the terms use
+        half = [1]
+        for k in range(1, b.weight + d1 + max(rest, default=0) + 2):
+            half.append(half[-1] * (2 * k - 1))
+        odd = half[1:]
 
         # distinct values of the remaining insertions, with multiplicities
         rest_counts = {}
         for v in rest:
             rest_counts[v] = rest_counts.get(v, 0) + 1
+        # the insertion splits of the split term depend on rest alone, each
+        # with its part of the first factor's dimension
+        splits = [(part, other, ways, sum(part) - len(part) + 2)
+                  for part, other, ways in multiset_splits(rest)]
 
         for left, right in enumerate_sub_multiindices(b):
-            acc = groups[left] = {}
-            bin_l = multiindex_binomial(b, left)
             w = left.weight
+            a_l = alpha_constant(left)
+            coef_l = multiindex_binomial(b, left) * a_l.numerator
+            a_den = a_l.denominator
 
             # pair merge: pivot absorbs one other insertion
             for v, mult in rest_counts.items():
@@ -457,59 +487,46 @@ class RecursionEngine:
                 val = value(g, newd, right)
                 if val:
                     # (2 top - 1)!!/(2v - 1)!! is an integer since top >= v
-                    coef = (2 * mult * bin_l * double_factorial(2 * top - 1)
-                            // double_factorial(2 * v - 1))
-                    den = val.denominator
+                    coef = 2 * mult * coef_l * (half[top] // half[v])
+                    den = val.denominator * a_den
                     acc[den] = acc.get(den, 0) + coef * val.numerator
 
-            # genus lowering
             m = w + d1 - 2
-            if m >= 0 and g >= 1:
+            if m < 0:
+                continue
+            # genus lowering
+            if g >= 1:
                 for r in range(m + 1):
                     s = m - r
                     val = value(g - 1, rest + (r, s), right)
                     if val:
-                        coef = bin_l * odd[r] * odd[s]
-                        den = val.denominator
+                        coef = coef_l * odd[r] * odd[s]
+                        den = val.denominator * a_den
                         acc[den] = acc.get(den, 0) + coef * val.numerator
 
-        # stable splits: kappa index splits three ways, insertions two ways;
-        # the insertion splits depend on rest alone, each with its part of
-        # the first factor's dimension
-        splits = [(part, other, ways, sum(part) - len(part) + 2)
-                  for part, other, ways in multiset_splits(rest)]
-        for left, e, f in enumerate_triple_splits(b):
-            m = left.weight + d1 - 2
-            if m < 0:
-                continue
-            acc = groups[left]
-            tri = multiindex_multinomial(b, (left, e, f))
-            for part, other, ways, shift in splits:
-                # genus of the first factor is fixed by its dimension
-                base = shift + e.weight
-                for r in range(-base % 3, m + 1, 3):
-                    gp = (base + r) // 3
-                    if gp < 0 or gp > g:
-                        continue
-                    s = m - r
-                    v1 = value(gp, part + (r,), e)
-                    if not v1:
-                        continue
-                    v2 = value(g - gp, other + (s,), f)
-                    if not v2:
-                        continue
-                    coef = tri * ways * odd[r] * odd[s]
-                    den = v1.denominator * v2.denominator
-                    acc[den] = acc.get(den, 0) + coef * v1.numerator * v2.numerator
+            # stable splits of kappa(b - L) and of the insertions
+            for e, f in enumerate_sub_multiindices(right):
+                tri = coef_l * multiindex_binomial(right, e)
+                for part, other, ways, shift in splits:
+                    # genus of the first factor is fixed by its dimension
+                    base = shift + e.weight
+                    for r in range(-base % 3, m + 1, 3):
+                        gp = (base + r) // 3
+                        if gp < 0 or gp > g:
+                            continue
+                        s = m - r
+                        v1 = value(gp, part + (r,), e)
+                        if not v1:
+                            continue
+                        v2 = value(g - gp, other + (s,), f)
+                        if not v2:
+                            continue
+                        coef = tri * ways * odd[r] * odd[s]
+                        den = v1.denominator * v2.denominator * a_den
+                        acc[den] = (acc.get(den, 0)
+                                    + coef * v1.numerator * v2.numerator)
 
-        outer = {}
-        for left, acc in groups.items():
-            if acc:
-                num, den = bucket_total(acc)
-                a_l = alpha_constant(left)
-                den *= a_l.denominator
-                outer[den] = outer.get(den, 0) + num * a_l.numerator
-        return bucket_sum(outer, 2 * double_factorial(2 * d1 + 1))
+        return bucket_sum(acc, 2 * odd[d1])
 
     # -- derived quantities --------------------------------------------------
 

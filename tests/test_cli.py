@@ -7,6 +7,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -564,6 +565,37 @@ PROP11 = ("verify", "prop11", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 DILATON = ("verify", "dilaton", "--gmax", "1", "--nmax", "2", "--bmax", "1")
 
 
+def test_too_deep_input_is_a_usage_error(tmp_path, capsys):
+    """<tau_597 tau_0^599>_0 nests each string step in the last, past
+    Python's recursion limit: exit 2 with one stderr line, nothing on
+    stdout, and no cache written."""
+    cache = tmp_path / "deep.cache"
+    d = ",".join(["597"] + ["0"] * 599)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "0",
+                 "--d", d])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "too deep for the recursion" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_too_deep_in_a_worker_is_a_usage_error(monkeypatch, capsys):
+    """A worker's RecursionError reaches `main` as the same exit 2."""
+    import taukappa.cli
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(taukappa.cli, "run_identity", too_deep)
+    code = main(["--workers", "2", *PROP11])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "too deep for the recursion" in captured.err
+
+
 def test_workers_match_serial_run(tmp_path, capsys):
     """--workers 2 merges each worker's table into the run's engine, so it
     prints the same reports and persists the same cache, byte for byte, as
@@ -755,6 +787,9 @@ def test_cache_spellings_of_one_key_disagree_at_load(tmp_path, capsys):
     "2|3,2||29/5760/1",           # malformed
     "2|3,2||29/0",                # zero denominator
     "2|2|0:1|1/1152",             # kappa positions start at 1
+    # a numerator one digit longer than int() parses
+    pytest.param(f"2|3,2||1{'0' * sys.get_int_max_str_digits()}/5760",
+                 id="overlong-integer"),
 ])
 def test_unread_bad_record_fails_the_load(tmp_path, capsys, bad):
     """Every line is checked when the file loads, not when its record is
@@ -769,6 +804,29 @@ def test_unread_bad_record_fails_the_load(tmp_path, capsys, bad):
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("error: unreadable cache ")
     assert cache.read_text() == text
+
+
+@pytest.mark.parametrize("value", [
+    f"1{'0' * sys.get_int_max_str_digits()}/5760",
+    f"29/1{'0' * sys.get_int_max_str_digits()}",
+], ids=["numerator", "denominator"])
+def test_overlong_integer_in_a_segment_fails_the_load(tmp_path, capsys,
+                                                      value):
+    """A segment whose CRC-32 matches is indexed without the line check,
+    but one holding an integer longer than int() parses still exits 4 at
+    load, though the query never reads that record."""
+    body = f"1|1||1/24\n2|3,2||{value}\n".encode()
+    data = (f"#seg v1 records=2 bytes={len(body)} "
+            f"crc32={zlib.crc32(body):08x}\n").encode() + body
+    cache = tmp_path / "long.cache"
+    cache.write_bytes(data)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: unreadable cache ")
+    assert len(captured.err.splitlines()) == 1
+    assert cache.read_bytes() == data
 
 
 # stdout and exit code of CLI commands, pinned verbatim: the series-layer

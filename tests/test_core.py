@@ -3,17 +3,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
-                           enumerate_sub_multiindices, enumerate_triple_splits,
-                           multiindex_binomial, multiindex_multinomial, multiindices_of_weight,
-                           multiindices_up_to_weight, multiset_splits,
-                           partitions)
+                           enumerate_sub_multiindices, multiindex_binomial,
+                           multiindices_of_weight, multiindices_up_to_weight,
+                           multiset_splits, partitions)
 
 
 def test_double_factorial_conventions():
@@ -62,6 +61,15 @@ def test_multiindex_pickle_roundtrip():
         back.entries = ()
 
 
+def test_multiindex_is_not_a_container():
+    """A MultiIndex is read through `entries`; iterating it or testing
+    membership is an error, not a scan over made-up positions."""
+    with pytest.raises(TypeError):
+        iter(MultiIndex({1: 2}))
+    with pytest.raises(TypeError):
+        2 in MultiIndex({1: 2})
+
+
 def test_multiindex_binomial():
     assert multiindex_binomial(MultiIndex({1: 2}), MultiIndex({1: 1})) == 2
     assert multiindex_binomial(MultiIndex({1: 5, 3: 2}), EMPTY) == 1
@@ -102,18 +110,28 @@ def test_split_memo_matches_reference_and_interns():
             assert list(got) == expected, b
             for m in (m for pair in got for m in pair):
                 assert seen.setdefault(m.entries, m) is m, (b, m)
-        assert list(enumerate_triple_splits(b)) == [
-            (left, e, f) for left, rest in expected
-            for e, f in _reference_sub_multiindices(rest)], b
     assert seen[()] is EMPTY
 
 
-def test_triple_splits_count_and_multinomial():
-    b = MultiIndex({1: 2})
-    triples = list(enumerate_triple_splits(b))
-    assert len(triples) == 6   # C(2+2, 2)
-    total = sum(multiindex_multinomial(b, t) for t in triples)
-    assert total == 3 ** 2     # trinomial expansion of (1+1+1)^2
+@given(st.sampled_from(multiindices_up_to_weight(8)))
+def test_split_pairs_and_their_binomials(b):
+    """The recursion's kappa splits: b has prod(b_i + 1) split pairs
+    (L, R), + and - undo each other on each, and for every e <= R the
+    product binom(b, L) binom(R, e) is the multinomial b!/(L! e! (R-e)!)."""
+    pairs = enumerate_sub_multiindices(b)
+    assert len(pairs) == prod(m + 1 for _, m in b.entries)
+    for left, right in pairs:
+        assert left + right == b and b - left == right
+        lmap = dict(left.entries)
+        for e, _ in enumerate_sub_multiindices(right):
+            emap = dict(e.entries)
+            multinomial = 1
+            for i, bi in b.entries:
+                li, ei = lmap.get(i, 0), emap.get(i, 0)
+                multinomial *= factorial(bi) // (
+                    factorial(li) * factorial(ei) * factorial(bi - li - ei))
+            assert (multiindex_binomial(b, left)
+                    * multiindex_binomial(right, e)) == multinomial, (b, left, e)
 
 
 @given(st.lists(st.integers(0, 4), max_size=7).map(

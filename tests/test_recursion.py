@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taukappa.core import (EMPTY, Memo, MultiIndex, double_factorial,
-                           enumerate_sub_multiindices, enumerate_triple_splits,
-                           genus_for_dimension, multiindex_binomial,
-                           multiindex_multinomial, multiindices_of_weight,
+                           enumerate_sub_multiindices, genus_for_dimension,
+                           multiindex_binomial, multiindices_of_weight,
                            multiindices_up_to_weight)
 from taukappa.identities import check_dilaton, check_string
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
-                                RecursionEngine, alpha_constant, corr_key)
+                                RecursionEngine, _has_line_over,
+                                alpha_constant, corr_key)
 
 K1 = MultiIndex({1: 1})
 
@@ -305,6 +305,16 @@ def _reference_multiset_splits(values):
     yield from rec(0, [], 1)
 
 
+def _reference_multinomial(b, parts):
+    """prod_i b_i! / (a_1(i)! ... a_n(i)!) for a split sum(parts) = b."""
+    out = 1
+    for i, bi in b.entries:
+        out *= factorial(bi)
+        for p in parts:
+            out //= factorial(dict(p.entries).get(i, 0))
+    return out
+
+
 def _reference_three_sums(eng, g, d, b):
     """The three sums with one Fraction product per term."""
     d1 = d[0]
@@ -334,12 +344,14 @@ def _reference_three_sums(eng, g, d, b):
                 coef = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
                 total += (Fraction(1, 2) * a_l * bin_l * coef
                           * eng.value(g - 1, rest + (r, s), right))
-    for left, e, f in enumerate_triple_splits(b):
+    for left, e, f in ((left, e, f)
+                       for left, right in enumerate_sub_multiindices(b)
+                       for e, f in enumerate_sub_multiindices(right)):
         m = left.weight + d1 - 2
         if m < 0:
             continue
         a_l = alpha_constant(left)
-        tri = multiindex_multinomial(b, (left, e, f))
+        tri = _reference_multinomial(b, (left, e, f))
         for part, other, ways in _reference_multiset_splits(rest):
             for r in range(m + 1):
                 s = m - r
@@ -827,6 +839,19 @@ def test_segmented_load_matches_eager_reference(case):
         assert len(indexed) == len(eager)
         assert indexed.values == eager.values
         assert indexed.provenance == eager.provenance
+
+
+def test_long_line_probe_measures_every_line():
+    """The probe that keeps an over-long integer out of a trusted segment
+    finds a line longer than the limit exactly when one exists, though it
+    measures only the lines through points `limit` apart: every length
+    around the limit, at every offset from those points."""
+    for limit in range(1, 7):
+        for offset in range(limit + 1):
+            for length in range(2 * limit + 2):
+                text = f"#seg\n{'0' * offset}\n{'1' * length}\n2/3\n"
+                assert _has_line_over(text, 5, len(text), limit) == \
+                    (max(offset, length, 3) > limit), (limit, offset, length)
 
 
 def test_clean_segments_skip_the_line_check(tmp_path, monkeypatch):
