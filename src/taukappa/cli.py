@@ -119,24 +119,21 @@ class Result(NamedTuple):
 def _cmd_compute(args, eng):
     if args.genus < 0:
         raise SystemExit2("genus must be nonnegative")
+    d = args.d or ()
+    payload = {"genus": args.genus, "d": list(d)}
     if args.kind == "psi":
-        if not args.d:
+        if not d:
             raise SystemExit2("psi needs --d")
         if args.b is not None:
             raise SystemExit2("psi takes no --b; use compute kappa")
-        val = eng.value(args.genus, args.d, EMPTY)
-        payload = {"genus": args.genus, "d": list(args.d), "value": str(val)}
+        b = EMPTY
     else:
         b = args.b or EMPTY
-        d = args.d or ()
-        if d:
-            val = eng.value(args.genus, d, b)
-        else:
-            if args.genus < 2:
-                raise SystemExit2("pure kappa volumes need --genus >= 2")
-            val = eng.pure_kappa_volume(args.genus, b)
-        payload = {"genus": args.genus, "d": list(d), "b": str(b),
-                   "value": str(val)}
+        if not d and args.genus < 2:
+            raise SystemExit2("pure kappa volumes need --genus >= 2")
+        payload["b"] = str(b)
+    val = eng.value(args.genus, d, b)
+    payload["value"] = str(val)
     return [Result(payload, str(val))], None
 
 

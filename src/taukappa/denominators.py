@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 
 from .core import multiindices_of_weight, partitions
-from .recursion import RecursionEngine
+from .recursion import EngineDisagreement, RecursionEngine
 
 __all__ = [
     "DenominatorReport", "compute_D", "compute_script_D",
@@ -75,22 +75,22 @@ def compute_D(g: int, n: int, engine: RecursionEngine) -> DenominatorReport:
 def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
     """Pure-kappa denominator lcm at genus g >= 2, computed twice.
 
-    Both the kappa-volume definition (volumes by the kappa reduction,
-    see `RecursionEngine.pure_kappa_volume`) and the equal psi-side
-    invariant D(g, 3g-3) are evaluated; a mismatch raises (it would
-    falsify the divisibility theory or expose an engine bug).
+    Both the kappa-volume definition (the volumes <kappa(b)>_g read by
+    `RecursionEngine.value`) and the equal psi-side invariant D(g, 3g-3)
+    are evaluated; a mismatch raises EngineDisagreement (it would falsify
+    the divisibility theory or expose an engine bug or a bad cache record).
     """
     if g < 2:
         raise ValueError("script-D needs g >= 2")
     value = 1
     count = 0
     for b in multiindices_of_weight(3 * g - 3):
-        val = engine.pure_kappa_volume(g, b)
+        val = engine.value(g, (), b)
         count += 1
         value = lcm(value, val.denominator)
     psi_side = compute_D(g, 3 * g - 3, engine)
     if psi_side.value != value:
-        raise ArithmeticError(
+        raise EngineDisagreement(
             f"script-D({g}) mismatch: kappa path {value}, "
             f"psi path {psi_side.value}")
     return DenominatorReport(g, None, value, count + psi_side.correlator_count,

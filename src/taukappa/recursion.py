@@ -34,10 +34,11 @@ coefficients and sums into a bucket map the same way.
 The reduction oracle trades one kappa index at a time for a psi power at
 a new point (inclusion-exclusion over sub-multi-indices) and ends in the
 pure-psi recursion, so it never runs the three sums with kappa classes.
-It is the route for pure kappa volumes <kappa(b)>_g, and the independent
-check of the three sums on mixed correlators; the string and dilaton
-checks in `identities` read it and the engine's n-point function, never
-the step above with kappa classes.
+`RecursionEngine.value` serves every correlator: a pure kappa volume
+<kappa(b)>_g missing from the table comes from the oracle.  The oracle
+is also the independent check of the three sums on mixed correlators;
+the string and dilaton checks in `identities` read it and the engine's
+n-point function, never the step above with kappa classes.
 """
 
 from __future__ import annotations
@@ -392,10 +393,12 @@ class RecursionEngine:
     # -- main recursion ----------------------------------------------------
 
     def value(self, g: int, d, b: MultiIndex = EMPTY) -> Fraction:
-        """<kappa(b) prod tau_d>_g with the zero conventions applied."""
+        """<kappa(b) prod tau_d>_g, d empty or not, with the zero conventions
+        applied.  A table record is served as it stands, and a pure kappa
+        volume missing from it comes from `reduction_oracle`."""
         d = tuple(sorted(d, reverse=True))
         n = len(d)
-        if g < 0 or n < 1 or (d and d[-1] < 0):
+        if g < 0 or (d and d[-1] < 0):
             return _ZERO
         if sum(d) + b.weight != 3 * g - 3 + n:
             return _ZERO
@@ -414,6 +417,8 @@ class RecursionEngine:
             hit = self.table.read_loaded((g, d, b))
         if hit is not None:
             return hit
+        if not d:
+            return self.reduction_oracle(g, d, b)
         if d[-1] == 0 or (d[-1] == 1 and n >= 2):
             val = self._pre_reduce(g, d, b)
         else:
@@ -528,24 +533,16 @@ class RecursionEngine:
 
         return bucket_sum(acc, 2 * odd[d1])
 
-    # -- derived quantities --------------------------------------------------
-
-    def pure_kappa_volume(self, g: int, b: MultiIndex) -> Fraction:
-        """The higher Weil-Petersson volume <kappa(b)>_g, by the kappa
-        reduction; 0 unless |b| = 3g - 3."""
-        if g < 2:
-            raise ValueError("pure kappa volumes need g >= 2")
-        return self.reduction_oracle(g, (), b)
-
     def reduction_oracle(self, g: int, d, b: MultiIndex) -> Fraction:
         """Trade kappa indices for psi powers one at a time.
 
         <kappa_a kappa(b0) prod tau_d>_{g,n}
           = sum_{S <= b0} (-1)^||S|| binom(b0, S)
             <tau_{a+1+|S|} kappa(b0-S) prod tau_d>_{g,n+1}.
-        Delegates to the pure-psi recursion once b is exhausted.  This is
-        the route for pure kappa volumes, and the independent check of
-        the three sums on mixed correlators.
+        Delegates to the pure-psi recursion once b is exhausted.  `value`
+        calls it for a pure kappa volume missing from the table; it is
+        also the independent check of the three sums on mixed
+        correlators, and reads no table record of its own keys.
         """
         d = tuple(sorted(d, reverse=True))
         if g < 0 or (d and d[-1] < 0):
@@ -553,8 +550,6 @@ class RecursionEngine:
         if sum(d) + b.weight != 3 * g - 3 + len(d):
             return Fraction(0)
         if not b:
-            if not d:
-                return Fraction(0)
             return self.value(g, d, EMPTY)
         key = (g, d, b)
         hit = self._oracle_cache.get(key)

@@ -172,8 +172,7 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
                 admitted.add(m)
                 if not stable:
                     continue    # a known zero
-                val = (engine.value(g, d, b) if n
-                       else engine.pure_kappa_volume(g, b))
+                val = engine.value(g, d, b)
                 if val:
                     terms[m] = val / symmetry_factor(m)
     return TruncatedSeries(terms, admitted)

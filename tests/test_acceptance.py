@@ -154,7 +154,7 @@ def test_criterion_06_kappa_cross_validation():
     eng = RecursionEngine()
     assert eng.value(1, (0,), MultiIndex({1: 1})) == Fraction(1, 24)
     assert eng.reduction_oracle(1, (0,), MultiIndex({1: 1})) == Fraction(1, 24)
-    assert eng.pure_kappa_volume(2, MultiIndex({1: 3})) == Fraction(43, 2880)
+    assert eng.value(2, (), MultiIndex({1: 3})) == Fraction(43, 2880)
     assert eng.reduction_oracle(2, (), MultiIndex({1: 3})) == Fraction(43, 2880)
     checked = 0
     for g in range(4):

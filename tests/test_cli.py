@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import zlib
@@ -85,8 +86,11 @@ def test_compute_csv_format_parses(capsys):
 def test_usage_error_exit_code(capsys, tmp_path):
     code, _ = run_cli(capsys, "compute", "psi", "--genus", "1")
     assert code == 2
-    code, _ = run_cli(capsys, "compute", "kappa", "--genus", "1", "--b", "1:1")
-    assert code == 2
+    # a pure kappa volume needs genus 2 or more
+    code = main(["compute", "kappa", "--genus", "1", "--b", "1:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: pure kappa volumes need --genus >= 2\n"
     # psi takes no kappa multi-index: --b is an error, not ignored
     code = main(["compute", "psi", "--genus", "1", "--d", "1", "--b", "1:1"])
     captured = capsys.readouterr()
@@ -490,6 +494,39 @@ def test_poisoned_base_case_exit_code(tmp_path, capsys, record, d):
     assert "engine disagreement" in captured.err
 
 
+def test_cached_volume_is_served_without_the_reduction(tmp_path, capsys,
+                                                       monkeypatch):
+    """A pure kappa volume that the cache holds is served like every other
+    cached record: the reduction does not run, and nothing is appended."""
+    def never(*args):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(RecursionEngine, "reduction_oracle", never)
+    cache = tmp_path / "volume.cache"
+    cache.write_text("2||1:3|43/2880\n")
+    assert run_cli(capsys, "--cache", str(cache), "compute", "kappa",
+                   "--genus", "2", "--b", "1:3") == (0, "43/2880\n")
+    assert cache.read_text() == "2||1:3|43/2880\n"
+
+
+@pytest.mark.parametrize("record,kappa,psi", [
+    ("3|12,0,0,0,0,0||1/11", 2903040, 31933440),   # moves the psi path
+    ("3||1:6|1/11", 31933440, 2903040),            # moves the kappa path
+])
+def test_script_d_mismatch_exit_code(tmp_path, capsys, record, kappa, psi):
+    """A poisoned record that moves one path's lcm makes script-D's two
+    paths disagree: exit 1 with one line, no stdout, the file as it was."""
+    cache = tmp_path / "poisoned.cache"
+    cache.write_text(record + "\n")
+    code = main(["--cache", str(cache), "denom", "--genus", "3",
+                 "--script-d"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"engine disagreement: script-D(3) mismatch: "
+                            f"kappa path {kappa}, psi path {psi}\n")
+    assert cache.read_text() == record + "\n"
+
+
 def test_denom_cache_file_is_pinned(tmp_path, capsys):
     """The file script-D(3) writes from an empty cache: one segment
     header, then its records byte for byte.  Every key it shares with
@@ -529,8 +566,7 @@ def test_engine_reproduces_three_sums_script_d3_records():
     pinned.load(str(ROOT / "tests" / "data" / "script_d3_three_sums.cache"))
     eng = RecursionEngine()
     for (g, d, b), value in pinned.values.items():
-        got = eng.value(g, d, b) if d else eng.pure_kappa_volume(g, b)
-        assert got == value, (g, d, b)
+        assert eng.value(g, d, b) == value, (g, d, b)
     assert len(pinned) == 424
 
 
@@ -1014,6 +1050,24 @@ dilaton g=1 d=[1, 0] b=1:1: holds
 def test_golden_transcript(capsys, monkeypatch, command):
     monkeypatch.chdir(ROOT)
     assert run_cli(capsys, *command.split()) == GOLDEN[command]
+
+
+def test_readme_library_block():
+    """README's Library example runs line by line, and every line that
+    ends in a `# <rational>` comment prints that rational."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    scope, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        claim = comment.split()[0] if comment.split() else ""
+        if re.fullmatch(r"-?\d+(/\d+)?", claim):
+            assert str(eval(code, scope)) == claim, line
+            checked += 1
+        else:
+            exec(line, scope)
+    assert checked == 4
 
 
 def _taukappa_modules():

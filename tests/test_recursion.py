@@ -168,13 +168,22 @@ def test_mixed_known_values():
     assert eng.value(1, [1], EMPTY) == Fraction(1, 24)
 
 
-def test_mixed_requires_insertions():
-    """value() needs a tau insertion: with none it reads 0 by the zero
-    convention, and pure kappa volumes come from pure_kappa_volume."""
+def test_value_serves_volumes_with_no_insertion():
+    """value() with no tau insertion is the pure kappa volume: 0 below
+    genus 2 and off the dimension |b| = 3g - 3, else the volume, which
+    the reduction oracle computes and records as `oracle`."""
     eng = RecursionEngine()
+    for g in (0, 1):
+        for b in (EMPTY, K1, MultiIndex({1: 3}), MultiIndex({2: 1})):
+            assert eng.value(g, (), b) == 0, (g, b)
+    for b in (EMPTY, K1, MultiIndex({1: 2}), MultiIndex({1: 4})):
+        assert eng.value(2, [], b) == 0, b
+    assert eng.value(3, (), MultiIndex({1: 5})) == 0
+    assert len(eng.table) == 0
     b = MultiIndex({1: 3})
-    assert eng.value(2, [], b) == 0
-    assert eng.pure_kappa_volume(2, b) == Fraction(43, 2880)
+    assert eng.value(2, [], b) == Fraction(43, 2880)
+    assert eng.table.provenance[(2, (), b)] == "oracle"
+    assert "mixed" not in eng.table.provenance.values()
 
 
 def test_oracle_known_values():
@@ -187,13 +196,12 @@ def test_oracle_known_values():
 
 def test_pure_kappa_volumes():
     eng = RecursionEngine()
-    assert eng.pure_kappa_volume(2, MultiIndex({1: 3})) == Fraction(43, 2880)
-    assert eng.pure_kappa_volume(2, MultiIndex({3: 1})) == Fraction(1, 1152)
-    assert eng.pure_kappa_volume(2, MultiIndex({1: 1, 2: 1})) == \
+    assert eng.value(2, (), MultiIndex({1: 3})) == Fraction(43, 2880)
+    assert eng.value(2, (), MultiIndex({3: 1})) == Fraction(1, 1152)
+    assert eng.value(2, (), MultiIndex({1: 1, 2: 1})) == \
         Fraction(1, 240)
-    assert eng.pure_kappa_volume(2, K1) == 0
-    with pytest.raises(ValueError):
-        eng.pure_kappa_volume(1, K1)
+    assert eng.value(2, (), K1) == 0
+    assert eng.value(1, (), K1) == 0
 
 
 def test_classical_volume_anchors():
@@ -203,9 +211,9 @@ def test_classical_volume_anchors():
     assert eng.value(0, (0,) * 4, K1) == 1                       # 2 pi^2
     assert eng.value(1, (0,), K1) == Fraction(1, 24)             # pi^2/12
     assert eng.value(1, (0, 0), MultiIndex({1: 2})) == Fraction(1, 8)
-    assert eng.pure_kappa_volume(2, MultiIndex({1: 3})) == Fraction(43, 2880)
+    assert eng.value(2, (), MultiIndex({1: 3})) == Fraction(43, 2880)
     assert eng.value(2, (0,), MultiIndex({1: 4})) == Fraction(29, 128)
-    assert eng.pure_kappa_volume(3, MultiIndex({1: 6})) == \
+    assert eng.value(3, (), MultiIndex({1: 6})) == \
         Fraction(176557, 107520)                                 # genus-3 volume
 
 
@@ -388,7 +396,7 @@ def test_volumes_agree_with_three_sums():
     checked = 0
     for g in range(2, 6):
         for b in multiindices_of_weight(3 * g - 3):
-            assert eng.pure_kappa_volume(g, b) == \
+            assert eng.value(g, (), b) == \
                 _reference_dilaton_sum(sums, g, b) / (2 * g - 2), (g, b)
             checked += 1
     assert checked == 3 + 11 + 30 + 77
@@ -423,7 +431,7 @@ def test_integer_kernel_matches_fraction_reference():
         for bw in range(4):
             for b in multiindices_of_weight(bw):
                 if g >= 2 and bw == 3 * g - 3:
-                    assert eng.pure_kappa_volume(g, b) == \
+                    assert eng.value(g, (), b) == \
                         _reference_dilaton_sum(eng, g, b) / (2 * g - 2), (g, b)
                 for n in range(1, 5):
                     budget = 3 * g - 3 + n - bw
@@ -491,7 +499,7 @@ def test_table_write_once_discipline():
 def test_table_file_round_trip(tmp_path):
     eng = RecursionEngine()
     eng.value(2, (2, 3))
-    eng.pure_kappa_volume(2, MultiIndex({1: 3}))
+    eng.value(2, (), MultiIndex({1: 3}))
     path = tmp_path / "cache.txt"
     wrote = eng.table.append_new(str(path))
     assert wrote == len(eng.table)

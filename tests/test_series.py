@@ -249,7 +249,7 @@ def ref_generating_series(gmax, nmax, bmax, engine):
             if not stable:
                 continue
             d = [i for i, e in tpart for _ in range(e)]
-            val = engine.value(g, d, b) if d else engine.pure_kappa_volume(g, b)
+            val = engine.value(g, d, b)
             sym = 1
             for _, e in tpart + b.entries:
                 sym *= factorial(e)
