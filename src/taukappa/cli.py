@@ -3,13 +3,16 @@ denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven identity (3)
 and a cache file that is unreadable, cannot be opened or cannot be
 written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or
-`--k` value, an empty `--k` range, a negative grid bound and `--workers`
-below 1 are rejected by the argument parser, an unreadable or malformed
-`--iz-fixture` file and a `--prop17` run that would compare nothing by
-`denom`, a grid that checks nothing by `verify`, and `--b` on `compute
-psi` by `compute`: all are usage errors, one line on stderr.  So is an
-input whose evaluation nests deeper than Python's recursion limit (some
-600 insertions); nothing is printed on stdout or appended to the cache.
+`--k` value, an empty `--k` range, a negative grid bound or `--genus`,
+`--n` or `--workers` below 1, and a `denom` run that names two
+invariants or none (it computes exactly one of `--n`, `--script-d`,
+`--lemma20`, `--prop17` and `--iz-fixture`) are rejected by the argument
+parser, an unreadable or malformed `--iz-fixture` file and a `--prop17`
+run that would compare nothing by `denom`, a grid that checks nothing by
+`verify`, and `--b` on `compute psi` by `compute`: all are usage errors,
+one line on stderr.  So is an input whose evaluation nests deeper than
+Python's recursion limit (some 600 insertions); nothing is printed on
+stdout or appended to the cache.
 
 Every command handler prints nothing: it returns its results and an
 optional `#` footer line.  `main` prints each result in the `--format`
@@ -117,8 +120,6 @@ class Result(NamedTuple):
 
 
 def _cmd_compute(args, eng):
-    if args.genus < 0:
-        raise SystemExit2("genus must be nonnegative")
     d = args.d or ()
     payload = {"genus": args.genus, "d": list(d)}
     if args.kind == "psi":
@@ -298,15 +299,10 @@ def _check_rows(args, key: str, rows: list, head):
 
 def _cmd_denom(args, eng):
     # parameter preconditions surface as usage errors, not engine errors
-    if args.genus < 0:
-        raise SystemExit2("genus must be nonnegative")
     if (args.script_d or args.lemma20 or args.iz_fixture) and args.genus < 2:
         raise SystemExit2("this invariant needs --genus >= 2")
-    if not (args.script_d or args.lemma20 or args.prop17 or args.iz_fixture):
-        if args.n is None:
-            raise SystemExit2("denom needs --n or --script-d")
-        if args.n < 1 or 2 * args.genus - 2 + args.n <= 0:
-            raise SystemExit2(f"({args.genus}, {args.n}) is not a stable shape")
+    if args.n is not None and 2 * args.genus - 2 + args.n <= 0:
+        raise SystemExit2(f"({args.genus}, {args.n}) is not a stable shape")
     if args.prop17 and args.nmax < (3 if args.genus == 0 else 1):
         raise SystemExit2("nmax is below the first stable point count")
     if args.lemma20:
@@ -359,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel workers for verification grids")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    bound = _int_at_least(0)
     comp = sub.add_parser("compute", help="compute one correlator")
     comp.add_argument("kind", choices=("psi", "kappa"))
-    comp.add_argument("--genus", type=int, required=True)
+    comp.add_argument("--genus", type=bound, required=True)
     comp.add_argument("--d", type=_argument(_parse_d),
                       help="comma-separated tau exponents")
     comp.add_argument("--b", type=_argument(MultiIndex.parse),
@@ -369,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification grid")
     ver.add_argument("target", choices=tuple(VERIFIERS))
-    bound = _int_at_least(0)
     ver.add_argument("--gmax", type=bound, default=2)
     ver.add_argument("--nmax", type=bound, default=3)
     ver.add_argument("--bmax", type=bound, default=1)
@@ -379,14 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Virasoro indices, e.g. -1..3 or 0,1")
 
     den = sub.add_parser("denom", help="denominator invariants")
-    den.add_argument("--genus", type=int, required=True)
-    den.add_argument("--n", type=int)
-    den.add_argument("--script-d", action="store_true", dest="script_d")
-    den.add_argument("--lemma20", action="store_true")
-    den.add_argument("--prop17", action="store_true")
+    den.add_argument("--genus", type=bound, required=True)
+    which = den.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=_int_at_least(1))
+    which.add_argument("--script-d", action="store_true", dest="script_d")
+    which.add_argument("--lemma20", action="store_true")
+    which.add_argument("--prop17", action="store_true")
+    which.add_argument("--iz-fixture", dest="iz_fixture",
+                       help="fixture file of automorphism orders")
     den.add_argument("--nmax", type=bound, default=4)
-    den.add_argument("--iz-fixture", dest="iz_fixture",
-                     help="fixture file of automorphism orders")
     return ap
 
 

@@ -143,10 +143,10 @@ class CorrelatorTable:
     the table yet, is indexed as it stands; every other line is checked
     and canonicalized (files of older versions, hand edits, torn or
     damaged segments), but a torn segment's last line, cut short of its
-    newline, is refused.  The first `get`, `record` or engine lookup of a
-    key moves its record into `parsed`, tagged "cache", so a loaded value
-    still meets the write-once check.  `values` and `provenance` move
-    every record left in the index first.
+    newline, is refused.  The first `lookup` of a key moves its record
+    into `parsed`, tagged "cache", so a loaded value still meets the
+    write-once check.  `values` and `provenance` move every record left
+    in the index first.
     """
 
     def __init__(self):
@@ -169,15 +169,14 @@ class CorrelatorTable:
         return self._tags
 
     def get(self, g: int, d, b: MultiIndex = EMPTY):
-        key = corr_key(g, d, b)
-        hit = self.parsed.get(key)
-        return hit if hit is not None else self.read_loaded(key)
+        return self.lookup(corr_key(g, d, b))
 
-    def read_loaded(self, key: tuple) -> Fraction | None:
-        """The loaded record under a canonical key, moved into `parsed` on
-        its first read; None when the index has no such record."""
-        if not self._index:
-            return None
+    def lookup(self, key: tuple) -> Fraction | None:
+        """The value under a canonical key (g, d, b), or None.  A loaded
+        record moves into `parsed` on its first lookup, tagged "cache"."""
+        hit = self.parsed.get(key)
+        if hit is not None or not self._index:
+            return hit
         text = self._index.pop(key_text(key), None)
         if text is None:
             return None
@@ -194,8 +193,8 @@ class CorrelatorTable:
 
     def record(self, g: int, d, b: MultiIndex, value: Fraction, engine: str) -> Fraction:
         key = corr_key(g, d, b)
-        if self._index and key not in self.parsed:
-            self.read_loaded(key)
+        if self._index:
+            self.lookup(key)
         size = len(self.parsed)
         old = self.parsed.setdefault(key, value)
         if len(self.parsed) > size:
@@ -410,11 +409,9 @@ class RecursionEngine:
             return self.table.record(g, d, b, Fraction(1), "wk")
         if g == 1 and d == (1,) and not b:
             return self.table.record(g, d, b, Fraction(1, 24), "wk")
-        # d is sorted already, so (g, d, b) is the corr_key; a loaded record
-        # is parsed on its first read, and misses still record() under it
-        hit = self.table.parsed.get((g, d, b))
-        if hit is None:
-            hit = self.table.read_loaded((g, d, b))
+        # d is sorted already, so (g, d, b) is the corr_key; misses still
+        # record() under it
+        hit = self.table.lookup((g, d, b))
         if hit is not None:
             return hit
         if not d:

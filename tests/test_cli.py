@@ -181,8 +181,45 @@ def test_argparse_usage_exit_code(capsys):
                  "compute kappa --genus 1 --d 0 --b 0:1",
                  "compute kappa --genus 1 --d 0 --b 1:-1",
                  "verify virasoro --k a..b",
-                 "verify virasoro --k -5"):
+                 "verify virasoro --k -5",
+                 "compute psi --genus -1 --d 1",
+                 "denom --genus -1 --n 1",
+                 "denom --genus 2 --n 0"):
         _assert_argument_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "denom --genus 3 --script-d --lemma20",
+    "denom --genus 2 --n 2 --script-d",
+    "denom --genus 2 --prop17 --iz-fixture src/taukappa/data/aut_orders.txt",
+])
+def test_denom_computes_one_invariant(capsys, monkeypatch, tmp_path, argv):
+    """Two invariants in one `denom` run are a usage error from the
+    parser, which runs nothing and leaves the cache file as it is."""
+    monkeypatch.chdir(ROOT)
+    cache = tmp_path / "cache"
+    cache.write_text("1|1||1/24\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache", str(cache), *argv.split()])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "", argv
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("taukappa")]
+    assert len(errors) == 1 and re.fullmatch(
+        r"taukappa denom: error: argument --\S+: not allowed with "
+        r"argument --\S+", errors[0]), argv
+    assert cache.read_text() == "1|1||1/24\n"
+
+
+def test_denom_without_an_invariant_is_a_usage_error(capsys):
+    """`denom` with no invariant to compute exits 2 from the parser."""
+    with pytest.raises(SystemExit) as exc:
+        main(["denom", "--genus", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "taukappa denom: error: one of the arguments --n --script-d "
+        "--lemma20 --prop17 --iz-fixture is required")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1089,6 +1126,25 @@ def test_no_module_holds_an_engine():
         for attr, value in vars(module).items():
             assert not isinstance(value, (RecursionEngine, NPointEngine)), \
                 (module.__name__, attr)
+
+
+def test_only_the_table_touches_its_parts():
+    """Outside `CorrelatorTable`, no code in the package reads or writes
+    the table's parts: one correlator is read through `lookup` (or `get`,
+    which calls it), the whole table through `values`."""
+    parts = {"parsed", "_index", "_tags", "_unsaved", "read_loaded"}
+    touches = []
+    for path in sorted((ROOT / "src" / "taukappa").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "CorrelatorTable"
+                  for node in ast.walk(cls)}
+        touches += [f"{path.name}:{node.lineno} ({node.attr})"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in parts and id(node) not in inside]
+    assert touches == []
 
 
 def _unused_imports(tree):

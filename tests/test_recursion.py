@@ -724,9 +724,16 @@ def test_index_load_matches_eager_reference(case):
     assert not faults
     assert indexed.parsed.keys() == earlier.keys()    # nothing parsed yet
     assert len(indexed) == len(eager)
-    # a record read by key is parsed on first use; the rest on `values`
-    for (g, d, b), value in list(eager.values.items())[::2]:
+    # a record read by key is parsed on first use, through `get` or by
+    # its canonical key through `lookup`
+    records = list(eager.values.items())
+    for (g, d, b), value in records[::2]:
         assert indexed.get(g, d[::-1], b) == value
+    for key, value in records[1::2]:
+        assert indexed.lookup(key) == value
+    assert len(indexed) == len(eager)
+    absent = (13, (1,), EMPTY)      # _LOAD_KEYS draw no genus above 12
+    assert indexed.lookup(absent) is None and indexed.get(*absent) is None
     assert len(indexed) == len(eager)
     assert indexed.values == eager.values
     assert indexed.provenance == eager.provenance
