@@ -17,13 +17,21 @@ E(G) exp(G) gives, for Z = exp(G),
 
 Walking the output monomials in increasing degree, each coefficient needs
 only coefficients already computed at its divisors, so the output set must
-be divisor-closed; no product outside it is ever formed.
+be divisor-closed; no product outside it is ever formed.  deg(d) G[d] and
+the computed Z[q] are held by t-part, then s-part, so a split d = (dt, ds)
+is dropped when G has no term with t-part dt or Z none with t-part m/dt,
+before any s-part split is walked.  The sum for one Z[m] runs on
+integers: each product adds its numerator under its denominator, and
+`core.bucket_sum` forms one Fraction at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
+
+from .core import Memo, bucket_sum
 
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_splits",
@@ -37,13 +45,25 @@ EMPTY_MONO: Monomial = ((), ())
 
 def merge_exponents(a, b, sign=1):
     """Exponent tuple a + sign * b (b may hold negative entries); raises
-    ValueError when an exponent goes negative, i.e. a divisor does not divide."""
-    out = dict(a)
+    ValueError when an exponent goes negative, i.e. a divisor does not divide.
+
+    a is sorted by index, so each entry of b, in b's order, is spliced in
+    at its place: added to, replacing or deleting a's entry, or inserted."""
     for i, e in b:
-        out[i] = out.get(i, 0) + sign * e
-        if out[i] < 0:
+        k = bisect_left(a, (i,))
+        if k < len(a) and a[k][0] == i:
+            e = a[k][1] + sign * e
+            rest = a[k + 1:]
+        else:
+            e *= sign
+            rest = a[k:]
+        if e > 0:
+            a = a[:k] + ((i, e),) + rest
+        elif e:
             raise ValueError("negative exponent in monomial merge")
-    return tuple(sorted((i, e) for i, e in out.items() if e))
+        else:
+            a = a[:k] + rest
+    return a
 
 
 def mono_mul(m1: Monomial, m2: Monomial, sign=1) -> Monomial:
@@ -172,7 +192,9 @@ class TruncatedSeries:
         recurrence of the module docstring.  It is computed and admitted
         exactly on the admitted monomials whose divisors other than 1 are
         all admitted (a divisor-closed set): every factorization of such a
-        monomial draws only on admitted input coefficients."""
+        monomial draws only on admitted input coefficients.  The sums skip
+        splits by t-part and run on integer buckets, as the module
+        docstring describes."""
         if EMPTY_MONO in self.terms:
             raise ValueError("exp needs a series with zero constant term")
         if self.admitted is None:
@@ -185,19 +207,33 @@ class TruncatedSeries:
             if all(q in closed for q in _unit_quotients(m)):
                 order.append(m)
                 closed.add(m)
-        weighted = {d: _degree(d) * c for d, c in self.terms.items()}
-        z = {EMPTY_MONO: Fraction(1)}
+        # deg(d) G[d] and the computed Z[q], as {t-part: {s-part: (n, k)}}
+        # for the fraction n/k, so a split is skipped on its t-parts alone
+        weighted: dict = {}
+        for (t, s), c in self.terms.items():
+            weighted.setdefault(t, {})[s] = (_degree((t, s)) * c.numerator,
+                                             c.denominator)
+        z = {(): {(): (1, 1)}}
+        terms = {EMPTY_MONO: Fraction(1)}
+        ssplits = Memo(_part_splits)
         for m in order:
-            acc = 0
-            for d, q in mono_splits(m):
-                c = weighted.get(d)
-                if c is not None:
-                    zq = z.get(q)
-                    if zq is not None:
-                        acc += c * zq
-            if acc:
-                z[m] = acc / _degree(m)
-        return TruncatedSeries(z, order)
+            t, s = m
+            sparts = ssplits[s]
+            acc: dict[int, int] = {}
+            for dt, qt in _part_splits(t):
+                grow, zrow = weighted.get(dt), z.get(qt)
+                if grow is None or zrow is None:
+                    continue
+                for ds, qs in sparts:
+                    c, zq = grow.get(ds), zrow.get(qs)
+                    if c is not None and zq is not None:
+                        k = c[1] * zq[1]
+                        acc[k] = acc.get(k, 0) + c[0] * zq[0]
+            value = bucket_sum(acc, _degree(m))
+            if value:
+                terms[m] = value
+                z.setdefault(t, {})[s] = (value.numerator, value.denominator)
+        return TruncatedSeries(terms, order)
 
     def derivative(self, idx: int) -> "TruncatedSeries":
         """d/dt_idx; admission shifts along the derivative."""

@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import combinations_with_replacement, groupby
 from math import comb, prod
 
-from .core import (Memo, MultiIndex, double_factorial,
+from .core import (Memo, MultiIndex, bucket_sum, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
                    multiindices_of_weight, multiindices_up_to_weight)
 from .recursion import RecursionEngine, gamma_constant
@@ -54,14 +54,15 @@ class VirasoroOperator:
         if k < -1:
             raise ValueError("Virasoro index starts at -1")
         self.k = k
-        # w -> [(L, gamma_L)] over |L| = w
-        self._gammas = Memo(lambda w: [(L, gamma_constant(L))
-                                       for L in multiindices_of_weight(w)])
+        # w -> [(L, gamma_L)] over |L| = w; a local, so that no fill
+        # refers back to the operator and it is freed by reference counting
+        gammas = Memo(lambda w: [(L, gamma_constant(L))
+                                 for L in multiindices_of_weight(w)])
         # (s-part, i) -> [(s-part * s^L, group (a) coefficient of d/dt_i)]
         self._raised = Memo(lambda key: [
             (merge_exponents(key[0], L.entries),
              Fraction(-double_factorial(2 * key[1] + 1), 2) * gamma)
-            for L, gamma in self._gammas[key[1] - k - 1]])
+            for L, gamma in gammas[key[1] - k - 1]])
         # i -> group (b) coefficient of t_{i-k} d/dt_i
         self._scale = Memo(lambda i: Fraction(
             double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
@@ -128,21 +129,24 @@ class VirasoroOperator:
         preimage of m (the L = 0 entry of `_lowered`), and m is always an
         image of m t_{k+1} (group (a) at i = k+1, L = 0).  So admission is
         decided from those quotients first, and coefficients are summed
-        for the admitted images of the stored terms only."""
+        for the admitted images of the stored terms only.  Each admitted
+        output sums its contributions on integers, as numerators under
+        their denominators (`core.bucket_sum`), and forms one Fraction."""
         adm = None
         if series.admitted is not None:
             admitted = series.admitted
             adm = {m for m in shifted_down(admitted, self.k + 1)
                    if all(p in admitted for p in self._preimages(m))}
-        terms: dict[Monomial, Fraction] = {}
+        # out -> {denominator: integer numerator}, one Fraction per output
+        buckets: dict[Monomial, dict[int, int]] = {}
         for m, c in series.terms.items():
+            num, den = c.numerator, c.denominator
             for out, mult, coef in self._images(m):
                 if adm is None or out in adm:
-                    s = terms.get(out, 0) + c * mult * coef
-                    if s:
-                        terms[out] = s
-                    else:
-                        terms.pop(out, None)
+                    acc = buckets.setdefault(out, {})
+                    k = den * coef.denominator
+                    acc[k] = acc.get(k, 0) + num * mult * coef.numerator
+        terms = {out: bucket_sum(acc) for out, acc in buckets.items()}
         return TruncatedSeries(terms, adm)
 
 

@@ -422,6 +422,20 @@ virasoro k=0: 4 admitted coefficients, fails
     assert code == 3 and "[V_1, V_-1] - (1--1)V_0: fails\n" in out
 
 
+def test_virasoro_sees_a_wrong_generating_series_coefficient(capsys,
+                                                             tmp_path):
+    """A cache holding <tau_2 tau_0>_1 = 1/12 (the true value is 1/24)
+    feeds G a wrong coefficient, and V_k exp(G) = 0 fails from k = -1 on."""
+    cache = tmp_path / "wrong.cache"
+    cache.write_text("1|2,0||1/12\n")
+    code, out = run_cli(capsys, "--cache", str(cache), "verify", "virasoro",
+                        "--k", "-1..2", "--gmax", "2", "--nmax", "3",
+                        "--bmax", "1")
+    assert code == 3
+    assert out.splitlines()[0] == ("virasoro k=-1: 51 admitted coefficients,"
+                                   " fails")
+
+
 def test_substitution_failure_exit_3(monkeypatch, capsys):
     p_polynomial = virasoro.p_polynomial
     monkeypatch.setattr(virasoro, "p_polynomial", lambda k: {

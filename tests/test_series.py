@@ -29,7 +29,8 @@ from taukappa.core import (MultiIndex, double_factorial,
                            enumerate_sub_multiindices, multiindices_of_weight,
                            multiindices_up_to_weight)
 from taukappa.recursion import RecursionEngine, gamma_constant
-from taukappa.series import EMPTY_MONO, TruncatedSeries, mono_mul
+from taukappa.series import (EMPTY_MONO, TruncatedSeries, merge_exponents,
+                             mono_mul)
 from taukappa.virasoro import (VirasoroOperator, build_partition_function,
                                mixed_generating_series, p_polynomial,
                                substitution_check)
@@ -488,3 +489,28 @@ def test_quotient_by_t_k_plus_1_is_image_and_preimage(m):
         up = mono_mul(m, (((k + 1, 1),), ()))
         assert up in set(op._preimages(m))
         assert m in {out for out, _, _ in op._images(up)}
+
+
+@st.composite
+def exponent_merges(draw):
+    """A sorted exponent tuple, a second tuple of (index, exponent) entries
+    in any order (indices may repeat, as in V_k's second-derivative
+    deltas) with exponents -3..3, and a sign."""
+    a = draw(st.dictionaries(st.integers(0, 6), st.integers(1, 3),
+                             max_size=5))
+    b = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)),
+                      max_size=4))
+    return tuple(sorted(a.items())), tuple(b), draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_merges())
+def test_spliced_merge_equals_dict_reference(drawn):
+    a, b, sign = drawn
+    try:
+        want = _ref_merge(a, b, sign)
+    except ValueError:
+        with pytest.raises(ValueError):
+            merge_exponents(a, b, sign)
+    else:
+        assert merge_exponents(a, b, sign) == want

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -204,3 +206,22 @@ def test_kdv_residual():
     quad = empty.mul(empty.derivative(0))
     assert not (empty.derivative(1) - quad).terms
 
+
+
+def test_applied_operators_are_freed_without_the_cycle_collector():
+    """An operator holds no reference cycle: once applied and deleted, it
+    is freed by reference counting alone."""
+    Z = build_partition_function(2, 3, 1, RecursionEngine())
+    refs = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(-1, 4):
+            op = VirasoroOperator(k)
+            op.apply(Z)
+            refs.append(weakref.ref(op))
+            del op
+        assert [ref() for ref in refs] == [None] * 5
+    finally:
+        if was_enabled:
+            gc.enable()
