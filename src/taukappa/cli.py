@@ -3,16 +3,16 @@ denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven identity (3)
 and a cache file that is unreadable, cannot be opened or cannot be
 written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or
-`--k` value, an empty `--k` range, a negative grid bound or `--genus`,
-`--n` or `--workers` below 1, and a `denom` run that names two
-invariants or none (it computes exactly one of `--n`, `--script-d`,
-`--lemma20`, `--prop17` and `--iz-fixture`) are rejected by the argument
-parser, an unreadable or malformed `--iz-fixture` file and a `--prop17`
-run that would compare nothing by `denom`, a grid that checks nothing by
-`verify`, and `--b` on `compute psi` by `compute`: all are usage errors,
-one line on stderr.  So is an input whose evaluation nests deeper than
-Python's recursion limit (some 600 insertions); nothing is printed on
-stdout or appended to the cache.
+`--k` value, a negative `--d` entry, an empty `--k` range, a negative
+grid bound or `--genus`, `--n` or `--workers` below 1, and a `denom` run
+that names two invariants or none (it computes exactly one of `--n`,
+`--script-d`, `--lemma20`, `--prop17` and `--iz-fixture`) are rejected by
+the argument parser, an unreadable or malformed `--iz-fixture` file and a
+`--prop17` run that would compare nothing by `denom`, a grid that checks
+nothing by `verify`, and `--b` on `compute psi` by `compute`: all are
+usage errors, one line on stderr.  So is an input whose evaluation nests
+deeper than Python's recursion limit (some 600 insertions); nothing is
+printed on stdout or appended to the cache.
 
 Every command handler prints nothing: it returns its results and an
 optional `#` footer line.  `main` prints each result in the `--format`
@@ -63,11 +63,14 @@ def _argument(parse):
 
 
 def _parse_d(text: str) -> tuple:
-    """`--d 2,3`: comma-separated tau exponents; '' or '-' is none."""
+    """`--d 2,3`: comma-separated tau exponents >= 0; '' or '-' is none."""
     text = text.strip()
     if text in ("", "-"):
         return ()
-    return tuple(int(x) for x in text.split(","))
+    d = tuple(int(x) for x in text.split(","))
+    if min(d) < 0:
+        raise ValueError("tau exponents start at 0")
+    return d
 
 
 def _parse_krange(text: str) -> list:

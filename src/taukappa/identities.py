@@ -1,12 +1,13 @@
 """Residual checks for the vanishing and closed-form correlator identities.
 
 Each check evaluates both sides of one identity with the exact engines and
-reports the residual lhs - rhs.  Identity names follow the workbench's
-verification grammar (thm7, thm8, prop9, thm10, prop11, thm12, conj13,
-string, dilaton).
+reports the residual lhs - rhs.  One table maps each identity name of the
+workbench's verification grammar (thm7, thm8, prop9, thm10, prop11, thm12,
+conj13, string, dilaton) to its check and its parameter grid.
 Split sums run over ordered pairs of complementary labeled subsets, empty
 parts allowed, and the genus of each split factor is the unique one
-permitted by the dimension constraint (terms with no such genus vanish).
+permitted by the dimension constraint (terms with no such genus vanish);
+each check lists the splits of d once, for all of its split sums.
 conj13 is experimental: its reports never gate a verification run.
 The generalized string and dilaton checks read pure psi values from the
 engine's n-point function and kappa values from the reduction oracle, so
@@ -16,7 +17,8 @@ they test the recursion's string/dilaton step instead of restating it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import partial
+from math import factorial, prod
 
 from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
@@ -78,15 +80,29 @@ class EquationReport(IdentityReport):
                 "residual": _text(self.residual), "status": self.status}
 
 
-def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, d,
+def _sorted_d(d) -> tuple:
+    """The tau exponents d, sorted descending; a negative one is rejected."""
+    d = tuple(sorted(d, reverse=True))
+    if any(x < 0 for x in d):
+        raise ValueError("need d_j >= 0")
+    return d
+
+
+def _double_factorials(d) -> int:
+    """prod (2d_j - 1)!!, the factor of d in the closed forms."""
+    return prod(double_factorial(2 * x - 1) for x in d)
+
+
+def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, splits,
                       b1: MultiIndex = EMPTY, b2: MultiIndex = EMPTY) -> Fraction:
-    """sum over splits I|J of <head1, d_I, kappa(b1)>_{g'} <head2, d_J, kappa(b2)>_{g-g'}.
+    """sum over splits I|J of <head1, d_I, kappa(b1)>_{g'} <head2, d_J, kappa(b2)>_{g-g'},
+    where `splits` lists `multiset_splits(d)`.
 
     Labeled splits with the same multisets d_I and d_J give the same term,
     so each multiset split counts `ways` times.
     """
     total = Fraction(0)
-    for left, right, ways in multiset_splits(d):
+    for left, right, ways in splits:
         d1 = head1 + left
         gp = genus_for_dimension(sum(d1) + b1.weight, len(d1))
         if gp is None or gp > g:
@@ -110,15 +126,15 @@ def _unreduced_value(g: int, d, b: MultiIndex,
             else engine.npoint.correlator(g, d))
 
 
-def _inserted_sum(g: int, d: tuple, b: MultiIndex, s: int,
-                  engine: RecursionEngine) -> Fraction:
+def _inserted_sum(read, g: int, d, b: MultiIndex, s: int) -> Fraction:
     """sum_{L <= b} (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) prod tau_d>_g,
-    the side of the string (s = 0) or dilaton (s = 1) equation that
-    carries the new insertion."""
+    each value from `read(g, d, b)`: the side of the string (s = 0) or
+    dilaton (s = 1) equation that carries the new insertion, and the left
+    side of the tau_M recursion (s = M)."""
     total = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
         total += ((-1) ** left.size * multiindex_binomial(b, left)
-                  * _unreduced_value(g, d + (left.weight + s,), right, engine))
+                  * read(g, d + (left.weight + s,), right))
     return total
 
 
@@ -127,10 +143,11 @@ def check_string(g: int, d, b: MultiIndex,
     """Generalized string equation on a stable base shape, 2g - 2 + n > 0:
     the inserted sum at s = 0 equals sum_j <kappa(b) prod tau_d, d_j - 1>_g."""
     d = tuple(d)
-    rhs = sum((_unreduced_value(g, d[:j] + (d[j] - 1,) + d[j + 1:], b, engine)
+    read = partial(_unreduced_value, engine=engine)
+    rhs = sum((read(g, d[:j] + (d[j] - 1,) + d[j + 1:], b)
                for j in range(len(d)) if d[j]), Fraction(0))
     return EquationReport("string", {"g": g, "d": list(d), "b": str(b)},
-                          _inserted_sum(g, d, b, 0, engine), rhs)
+                          _inserted_sum(read, g, d, b, 0), rhs)
 
 
 def check_dilaton(g: int, d, b: MultiIndex,
@@ -138,9 +155,29 @@ def check_dilaton(g: int, d, b: MultiIndex,
     """Generalized dilaton equation on a stable base shape: the inserted
     sum at s = 1 equals (2g - 2 + n) <kappa(b) prod tau_d>_g."""
     d = tuple(d)
-    rhs = (2 * g - 2 + len(d)) * _unreduced_value(g, d, b, engine)
+    read = partial(_unreduced_value, engine=engine)
+    rhs = (2 * g - 2 + len(d)) * read(g, d, b)
     return EquationReport("dilaton", {"g": g, "d": list(d), "b": str(b)},
-                          _inserted_sum(g, d, b, 1, engine), rhs)
+                          _inserted_sum(read, g, d, b, 1), rhs)
+
+
+def _closed_form(g: int, d, k: int, shift: int) -> tuple[tuple, Fraction]:
+    """Sorted d and the right side of thm7 (shift 0) or thm8 (shift 1),
+    once (g, d, k) is checked to lie in part 1 or part 2 of the theorem."""
+    d = _sorted_d(d)
+    n = len(d)
+    if k < 2 * g:
+        raise ValueError("need k >= 2g")
+    if k > 2 * g:
+        if 3 * g + n - k - shift < 0:
+            raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
+        # off-constraint tuples are allowed: every term of the sum then
+        # violates a dimension constraint and the identity reads 0 = 0
+        return d, Fraction(0)
+    if any(x < 1 for x in d) or sum(x - 1 for x in d) != g - shift:
+        raise ValueError("part 2 needs d_j >= 1 and sum(d_j - 1) = g - shift")
+    return d, Fraction(factorial(2 * g + n + 1 - 2 * shift),
+                       4 ** g * factorial(2 * g + 1) * _double_factorials(d))
 
 
 def check_theorem7(g: int, d, k: int, engine: RecursionEngine
@@ -151,27 +188,12 @@ def check_theorem7(g: int, d, k: int, engine: RecursionEngine
     d_j >= 1, sum d = g+n): it equals
     (2g+n+1)! / (4^g (2g+1)! prod (2d_j-1)!!).
     """
-    d = tuple(sorted(d, reverse=True))
-    n = len(d)
-    if any(x < 0 for x in d) or k < 2 * g:
-        raise ValueError("need d_j >= 0 and k >= 2g")
-    if k > 2 * g:
-        if 3 * g + n - k < 0:
-            raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
-        # off-constraint tuples are allowed: every term of the sum then
-        # violates a dimension constraint and the identity reads 0 = 0
-        rhs = Fraction(0)
-    else:
-        if any(x < 1 for x in d) or sum(d) != g + n:
-            raise ValueError("part 2 needs d_j >= 1 and sum(d) = g+n")
-        denom = 4 ** g * factorial(2 * g + 1)
-        for x in d:
-            denom *= double_factorial(2 * x - 1)
-        rhs = Fraction(factorial(2 * g + n + 1), denom)
+    d, rhs = _closed_form(g, d, k, 0)
+    splits = list(multiset_splits(d))
     lhs = Fraction(0)
     for j in range(k + 1):
         lhs += (-1) ** j * _split_pair_value(
-            engine, g, (j, 0, 0), (k - j, 0, 0), d)
+            engine, g, (j, 0, 0), (k - j, 0, 0), splits)
     return IdentityReport("thm7", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
@@ -182,38 +204,29 @@ def check_theorem8(g: int, d, k: int, engine: RecursionEngine
     Vanishes for k > 2g with sum d = 3g+n-k-1; at k = 2g with d_j >= 1 and
     sum (d_j - 1) = g-1 it equals (2g+n-1)! / (4^g (2g+1)! prod (2d_j-1)!!).
     """
-    d = tuple(sorted(d, reverse=True))
-    n = len(d)
-    if any(x < 0 for x in d) or k < 2 * g:
-        raise ValueError("need d_j >= 0 and k >= 2g")
-    if k > 2 * g:
-        if 3 * g + n - k - 1 < 0:
-            raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
-        rhs = Fraction(0)
-    else:
-        if any(x < 1 for x in d) or sum(x - 1 for x in d) != g - 1:
-            raise ValueError("part 2 needs d_j >= 1 and sum(d_j - 1) = g-1")
-        denom = 4 ** g * factorial(2 * g + 1)
-        for x in d:
-            denom *= double_factorial(2 * x - 1)
-        rhs = Fraction(factorial(2 * g + n - 1), denom)
+    d, rhs = _closed_form(g, d, k, 1)
     lhs = Fraction(0)
     for j in range(k + 1):
         lhs += (-1) ** j * engine.value(g, (k - j, j) + d, EMPTY)
     return IdentityReport("thm8", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
-def _split_ladder(eng: RecursionEngine, g: int, d, b1: MultiIndex = EMPTY,
-                  b2: MultiIndex = EMPTY) -> Fraction:
-    """sum_j (-1)^j of the k = 2g split sums with heads (tau_j tau_0^2,
-    tau_{2g-j} tau_0^2) and (tau_j tau_{2g-j} tau_0^2, tau_0^2), the two
-    factors carrying kappa(b1) and kappa(b2)."""
+def _split_ladder(eng: RecursionEngine, g: int, d, b: MultiIndex) -> Fraction:
+    """sum_{L <= b} binom(b, L) sum_j (-1)^j of the k = 2g split sums with
+    heads (tau_j tau_0^2, tau_{2g-j} tau_0^2) and (tau_j tau_{2g-j} tau_0^2,
+    tau_0^2), the two factors carrying kappa(L) and kappa(b-L): the split
+    side of prop11, and of prop9 at b = 0."""
+    splits = list(multiset_splits(d))
     total = Fraction(0)
-    for j in range(2 * g + 1):
-        total += (-1) ** j * (
-            _split_pair_value(eng, g, (j, 0, 0), (2 * g - j, 0, 0), d, b1, b2)
-            + _split_pair_value(eng, g, (j, 2 * g - j, 0, 0), (0, 0), d,
-                                b1, b2))
+    for b1, b2 in enumerate_sub_multiindices(b):
+        ladder = Fraction(0)
+        for j in range(2 * g + 1):
+            ladder += (-1) ** j * (
+                _split_pair_value(eng, g, (j, 0, 0), (2 * g - j, 0, 0),
+                                  splits, b1, b2)
+                + _split_pair_value(eng, g, (j, 2 * g - j, 0, 0), (0, 0),
+                                    splits, b1, b2))
+        total += multiindex_binomial(b, b1) * ladder
     return total
 
 
@@ -222,47 +235,40 @@ def _tau_m_sides(g: int, d: tuple, b: MultiIndex, M: int,
     """Both sides of the kappa tau_M recursion (Theorem 12) for sorted d,
     with no check of M: the kappa(b) sum over tau_{M+|L|} insertions, and
     the d_j + M - 1 shifts less half the alternating split sum."""
-    lhs = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        lhs += ((-1) ** left.size * multiindex_binomial(b, left)
-                * engine.value(g, d + (left.weight + M,), right))
+    lhs = _inserted_sum(engine.value, g, d, b, M)
     rhs = Fraction(0)
     for j in range(len(d)):
         rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
+    splits = list(multiset_splits(d))
     half = Fraction(0)
     for left, right in enumerate_sub_multiindices(b):
         bin_l = multiindex_binomial(b, left)
         for j in range(M - 1):
             half += ((-1) ** j * bin_l
-                     * _split_pair_value(engine, g, (j,), (M - 2 - j,), d,
-                                         left, right))
+                     * _split_pair_value(engine, g, (j,), (M - 2 - j,),
+                                         splits, left, right))
     return lhs, rhs - Fraction(1, 2) * half
 
 
 def check_proposition9(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Split form of the k = 2g pair sum against its three-point collapse."""
-    d = tuple(sorted(d, reverse=True))
-    n = len(d)
-    if any(x < 0 for x in d):
-        raise ValueError("needs d_j >= 0")
-    lhs = _split_ladder(engine, g, d)
+    d = _sorted_d(d)
+    lhs = _split_ladder(engine, g, d, EMPTY)
     rhs = Fraction(0)
     for j in range(2 * g + 1):
         rhs += (-1) ** j * engine.value(g, (0, j, 2 * g - j) + d, EMPTY)
-    rhs *= (2 * g + n + 1)
+    rhs *= (2 * g + len(d) + 1)
     return IdentityReport("prop9", {"g": g, "d": list(d)}, lhs, rhs)
 
 
 def check_theorem10(g: int, d, k: int, engine: RecursionEngine
                     ) -> IdentityReport:
     """Vanishing recursion for one tau_k insertion, k even and k >= 2g."""
-    d = tuple(sorted(d, reverse=True))
+    d = _sorted_d(d)
     n = len(d)
     if k % 2 or k < 2 * g or k < 2:
         raise ValueError("k must be a positive even number with k >= 2g")
-    if any(x < 0 for x in d):
-        raise ValueError("need d_j >= 0")
     if 3 * g + n - k - 2 < 0:
         raise ValueError(f"no admissible d at g={g}, n={n}, k={k}")
     lhs, rhs = _tau_m_sides(g, d, EMPTY, k, engine)
@@ -273,28 +279,20 @@ def check_theorem10(g: int, d, k: int, engine: RecursionEngine
 def check_proposition11(g: int, d, b: MultiIndex,
                         engine: RecursionEngine) -> IdentityReport:
     """Kappa generalization of the prop9 split identity."""
-    d = tuple(sorted(d, reverse=True))
-    if any(x < 0 for x in d):
-        raise ValueError("need d_j >= 0")
+    d = _sorted_d(d)
     lhs = Fraction(0)
     for j in range(2 * g + 1):
         lhs += (-1) ** j * engine.value(g, (0, 1, j, 2 * g - j) + d, b)
-    rhs = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        rhs += (multiindex_binomial(b, left)
-                * _split_ladder(engine, g, d, left, right))
     return IdentityReport("prop11", {"g": g, "d": list(d), "b": str(b)},
-                          lhs, rhs)
+                          lhs, _split_ladder(engine, g, d, b))
 
 
 def check_theorem12(g: int, d, b: MultiIndex, M: int,
                     engine: RecursionEngine) -> IdentityReport:
     """Kappa generalization of the tau_M vanishing recursion (M even, >= 2g)."""
-    d = tuple(sorted(d, reverse=True))
+    d = _sorted_d(d)
     if M % 2 or M < 2 * g or M < 2:
         raise ValueError("M must be a positive even number with M >= 2g")
-    if any(x < 0 for x in d):
-        raise ValueError("need d_j >= 0")
     lhs, rhs = _tau_m_sides(g, d, b, M, engine)
     return IdentityReport("thm12", {"g": g, "d": list(d), "b": str(b), "M": M},
                           lhs, rhs)
@@ -310,102 +308,84 @@ def check_conjecture13(g: int, d, engine: RecursionEngine
     if any(x < 1 for x in d) or sum(x - 1 for x in d) != g:
         raise ValueError("needs d_j >= 1 and sum(d_j - 1) = g")
     lhs, rhs = _tau_m_sides(g, d, EMPTY, 2 * g - 2, engine)
-    denom = 2 ** (2 * g + 1) * factorial(2 * g - 3)
-    for x in d:
-        denom *= double_factorial(2 * x - 1)
-    closed = Fraction(factorial(2 * g - 3 + len(d)), denom)
+    closed = Fraction(factorial(2 * g - 3 + len(d)),
+                      2 ** (2 * g + 1) * factorial(2 * g - 3)
+                      * _double_factorials(d))
     return IdentityReport("conj13", {"g": g, "d": list(d)}, lhs - rhs, closed,
                           conjectural=True)
 
 
 # -- parameter grids ---------------------------------------------------------
 
-# each grid's keys are its check's parameter names
-_CHECKS = {
-    "thm7": check_theorem7, "thm8": check_theorem8,
-    "prop9": check_proposition9, "thm10": check_theorem10,
-    "prop11": check_proposition11, "thm12": check_theorem12,
-    "conj13": check_conjecture13, "string": check_string,
-    "dilaton": check_dilaton,
-}
 
-IDENTITY_NAMES = tuple(_CHECKS)
-
-
-def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
-    """Admissible parameter tuples for one identity over the test grid."""
-    if name == "thm7":
-        for g in range(gmax + 1):
-            for n in range(1, nmax + 1):
-                for k in range(2 * g + 1, 3 * g + n + 1):
-                    for d in partitions(3 * g + n - k, n):
-                        yield {"g": g, "d": d, "k": k}
-                for e in partitions(g, n):   # part 2: d_j >= 1
-                    yield {"g": g, "d": tuple(x + 1 for x in e), "k": 2 * g}
-    elif name == "thm8":
-        for g in range(gmax + 1):
-            for n in range(1, nmax + 1):
-                for k in range(2 * g + 1, 3 * g + n):
-                    for d in partitions(3 * g + n - k - 1, n):
-                        yield {"g": g, "d": d, "k": k}
-                if g >= 1:
-                    for e in partitions(g - 1, n):
-                        yield {"g": g, "d": tuple(x + 1 for x in e), "k": 2 * g}
-    elif name == "prop9":
-        for g in range(gmax + 1):
-            for n in range(1, nmax + 1):
-                for d in partitions(g + n, n):
-                    yield {"g": g, "d": d}
-    elif name == "thm10":
-        for g in range(gmax + 1):
-            for n in range(nmax + 1):
-                for k in range(max(2 * g, 2), 3 * g + n - 1, 2):
-                    for d in partitions(3 * g + n - k - 2, n):
-                        yield {"g": g, "d": d, "k": k}
-    elif name == "prop11":
-        for g in range(gmax + 1):
-            for n in range(nmax + 1):
-                for b in multiindices_up_to_weight(bmax):
-                    budget = g + n - 1 - b.weight
-                    if budget < 0:
-                        continue
-                    for d in partitions(budget, n):
-                        yield {"g": g, "d": d, "b": b}
-    elif name == "thm12":
-        for g in range(gmax + 1):
-            for n in range(nmax + 1):
-                for b in multiindices_up_to_weight(bmax):
-                    for M in range(max(2 * g, 2), 3 * g + n - 1 - b.weight, 2):
-                        budget = 3 * g + n - 2 - M - b.weight
-                        if budget < 0:
-                            continue
-                        for d in partitions(budget, n):
-                            yield {"g": g, "d": d, "b": b, "M": M}
-    elif name == "conj13":
-        for g in range(2, gmax + 1):
-            for n in range(1, nmax + 1):
-                for e in partitions(g, n):
-                    yield {"g": g, "d": tuple(x + 1 for x in e)}
-    elif name == "string":
-        yield from _equation_grid(gmax, nmax, bmax, 0)
-    elif name == "dilaton":
-        yield from _equation_grid(gmax, nmax, bmax, 1)
-    else:
-        raise ValueError(f"unknown identity {name!r}")
+def _closed_form_grid(shift: int, gmax: int, nmax: int, bs):
+    """thm7 (shift 0) and thm8 (shift 1): part 1 for each k > 2g, then
+    part 2 at k = 2g, whose d_j >= 1 come from partitions of g - shift."""
+    for g in range(gmax + 1):
+        for n in range(1, nmax + 1):
+            for k in range(2 * g + 1, 3 * g + n + 1 - shift):
+                for d in partitions(3 * g + n - k - shift, n):
+                    yield {"g": g, "d": d, "k": k}
+            for e in partitions(g - shift, n):
+                yield {"g": g, "d": tuple(x + 1 for x in e), "k": 2 * g}
 
 
-def _equation_grid(gmax: int, nmax: int, bmax: int, s: int):
+def _tau_m_grid(gmax: int, nmax: int, bs):
+    """The tau_M recursion's (g, d, b, M): M even, M >= max(2g, 2), and d
+    takes the degree 3g+n-2-M-|b| that tau_M and kappa(b) leave."""
+    for g in range(gmax + 1):
+        for n in range(nmax + 1):
+            for b in bs:
+                for M in range(max(2 * g, 2), 3 * g + n - 1 - b.weight, 2):
+                    for d in partitions(3 * g + n - 2 - M - b.weight, n):
+                        yield {"g": g, "d": d, "b": b, "M": M}
+
+
+def _equation_grid(s: int, gmax: int, nmax: int, bs):
     """Stable base shapes (g, n) and kappa(b); d takes the degree that
     tau_{|L|+s} and kappa(b) leave, and there is none when that is < 0."""
     for g in range(gmax + 1):
         for n in range(nmax + 1):
             if 2 * g - 2 + n <= 0:
                 continue
-            for b in multiindices_up_to_weight(bmax):
+            for b in bs:
                 for d in partitions(3 * g - 2 + n - s - b.weight, n):
                     yield {"g": g, "d": d, "b": b}
 
 
+# name -> (check, grid); a grid takes (gmax, nmax, bs), bs the kappa
+# multi-indices up to the weight bound, and yields its check's parameters
+_FAMILIES = {
+    "thm7": (check_theorem7, partial(_closed_form_grid, 0)),
+    "thm8": (check_theorem8, partial(_closed_form_grid, 1)),
+    "prop9": (check_proposition9, lambda gmax, nmax, bs: (
+        {"g": g, "d": d} for g in range(gmax + 1)
+        for n in range(1, nmax + 1) for d in partitions(g + n, n))),
+    "thm10": (check_theorem10, lambda gmax, nmax, bs: (
+        {"g": p["g"], "d": p["d"], "k": p["M"]}
+        for p in _tau_m_grid(gmax, nmax, (EMPTY,)))),
+    "prop11": (check_proposition11, lambda gmax, nmax, bs: (
+        {"g": g, "d": d, "b": b} for g in range(gmax + 1)
+        for n in range(nmax + 1) for b in bs
+        for d in partitions(g + n - 1 - b.weight, n))),
+    "thm12": (check_theorem12, _tau_m_grid),
+    "conj13": (check_conjecture13, lambda gmax, nmax, bs: (
+        {"g": g, "d": tuple(x + 1 for x in e)} for g in range(2, gmax + 1)
+        for n in range(1, nmax + 1) for e in partitions(g, n))),
+    "string": (check_string, partial(_equation_grid, 0)),
+    "dilaton": (check_dilaton, partial(_equation_grid, 1)),
+}
+
+IDENTITY_NAMES = tuple(_FAMILIES)
+
+
+def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
+    """Admissible parameter tuples for one identity over the test grid."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown identity {name!r}")
+    return _FAMILIES[name][1](gmax, nmax, multiindices_up_to_weight(bmax))
+
+
 def run_identity(name: str, params: dict,
                  engine: RecursionEngine) -> IdentityReport:
-    return _CHECKS[name](**params, engine=engine)
+    return _FAMILIES[name][0](**params, engine=engine)

@@ -183,6 +183,8 @@ def test_argparse_usage_exit_code(capsys):
                  "verify virasoro --k a..b",
                  "verify virasoro --k -5",
                  "compute psi --genus -1 --d 1",
+                 "compute psi --genus 1 --d -1",
+                 "compute kappa --genus 2 --d=-1,4 --b 1:1",
                  "denom --genus -1 --n 1",
                  "denom --genus 2 --n 0"):
         _assert_argument_error(capsys, argv)
@@ -1101,6 +1103,38 @@ dilaton g=1 d=[1, 0] b=1:1: holds
 def test_golden_transcript(capsys, monkeypatch, command):
     monkeypatch.chdir(ROOT)
     assert run_cli(capsys, *command.split()) == GOLDEN[command]
+
+
+# identity grids that GOLDEN does not print in full: the last stdout
+# line and the sha256 of all of stdout
+GRID_DIGESTS = {
+    "verify thm7 --gmax 3 --nmax 3 --bmax 2": (
+        "# thm7: 86 checked, 86 hold",
+        "5125c2d6184d9e359b572f5496ef4876797ee4ef560b5c30d0f2a29c269df246"),
+    "verify prop9 --gmax 3 --nmax 3 --bmax 2": (
+        "# prop9: 33 checked, 33 hold",
+        "9c9f9fdc0b6dcc9e5fda0572404dfe122b477aa4a83f401beafbe5b16a052d03"),
+    "verify thm10 --gmax 3 --nmax 3 --bmax 2": (
+        "# thm10: 26 checked, 26 hold",
+        "8ac6485e4672d126163acde43ff0297c80a2d487455663551612091c029d35a6"),
+    "verify prop11 --gmax 3 --nmax 3 --bmax 2": (
+        "# prop11: 75 checked, 75 hold",
+        "8c163e70658ba5de764e8e65ea0083722f901ef5449bda998c83a2eeda027491"),
+    "verify thm12 --gmax 3 --nmax 3 --bmax 2": (
+        "# thm12: 58 checked, 58 hold",
+        "4f4dd5b46335f3f7782ca4990f39989f2af56af794021a1a065b179453376497"),
+    "--format json verify prop11 --gmax 3 --nmax 3 --bmax 2": (
+        "# prop11: 75 checked, 75 hold",
+        "75a8e41d65ed8a653cbd1b833b7b49c9bd9654251715516be6faf67ed96ae1fd"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_DIGESTS))
+def test_identity_grid_digest(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    footer, digest = GRID_DIGESTS[command]
+    assert code == 0 and out.splitlines()[-1] == footer
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_readme_library_block():

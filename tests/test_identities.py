@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from taukappa.core import EMPTY, MultiIndex
+from taukappa import identities
+from taukappa.core import EMPTY, MultiIndex, multiset_splits
 from taukappa.identities import (check_conjecture13, check_proposition9,
                                  check_proposition11, check_theorem7,
                                  check_theorem8, check_theorem10,
@@ -40,6 +41,17 @@ def test_thm8_examples():
     assert check_theorem8(1, [0, 1], 3, eng).residual == 0
     rep = check_theorem8(2, [2], 4, eng)
     assert rep.rhs == Fraction(1, 240) and rep.status == "holds"
+
+
+@pytest.mark.parametrize("args", [
+    (1, [2], 1),        # k < 2g
+    (0, [0], 1),        # part 1 needs sum d = 3g+n-k-1 >= 0
+    (1, [0], 2),        # part 2 needs d_j >= 1
+    (1, [2], 2),        # part 2 needs sum(d_j - 1) = g-1
+])
+def test_thm8_rejects_structural_violations(args):
+    with pytest.raises(ValueError):
+        check_theorem8(*args, RecursionEngine())
 
 
 def test_prop9_examples():
@@ -127,3 +139,23 @@ def test_part2_pass_sets_match():
         assert total > 0 and len(passed) == total, name
         results[name] = passed
     assert results["thm7"] and results["thm8"]
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_proposition11, (3, [2, 1], K1)),
+    (check_proposition9, (2, [2, 1, 1])),
+    (check_theorem7, (2, [1, 1], 5)),
+    (check_theorem12, (2, [1, 1], EMPTY, 4)),
+])
+def test_each_check_enumerates_splits_once(monkeypatch, check, args):
+    """A check lists the multiset splits of d once and reads all of its
+    split sums, over every j and every kappa part, off that list."""
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return multiset_splits(values)
+
+    monkeypatch.setattr(identities, "multiset_splits", counted)
+    assert check(*args, RecursionEngine()).status == "holds"
+    assert len(calls) == 1, check.__name__
