@@ -1,17 +1,19 @@
 """Exact arithmetic primitives shared by every engine.
 
 All values are `fractions.Fraction` (arbitrary-precision, always reduced);
-no floating point is used anywhere in this package.  Multi-indices are the
-finitely supported integer sequences that index kappa monomials: the index
-``{1: 2, 3: 1}`` stands for kappa_1^2 * kappa_3.
+no floating point is used anywhere in this package.  Multi-indices index
+kappa monomials (``{1: 2, 3: 1}`` stands for kappa_1^2 * kappa_3); they and
+both parts of a series monomial are exponent tuples ((index, exponent),
+...) sorted by index, and each operation on those has its one kernel here:
+`merge_exponents`, `exponent_splits`, `runs` and `exponent_factorial`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, lcm
+from itertools import groupby, product
+from math import comb, factorial, lcm, prod
 
 __all__ = [
     "MultiIndex",
@@ -23,6 +25,10 @@ __all__ = [
     "multiset_splits",
     "Memo",
     "bucket_sum",
+    "merge_exponents",
+    "exponent_splits",
+    "runs",
+    "exponent_factorial",
 ]
 
 
@@ -50,6 +56,50 @@ def bucket_sum(buckets: dict, scale: int = 1) -> Fraction:
     common = lcm(*buckets)
     return Fraction(sum(n * (common // k) for k, n in buckets.items()),
                     common * scale)
+
+
+def merge_exponents(a, b, sign=1):
+    """Exponent tuple a + sign * b (b may hold negative entries); raises
+    ValueError when an exponent goes negative, i.e. a divisor does not divide.
+
+    a is sorted by index, so each entry of b, in b's order, is spliced in
+    at its place: added to, replacing or deleting a's entry, or inserted."""
+    for i, e in b:
+        k = bisect_left(a, (i,))
+        if k < len(a) and a[k][0] == i:
+            e = a[k][1] + sign * e
+            rest = a[k + 1:]
+        else:
+            e *= sign
+            rest = a[k:]
+        if e > 0:
+            a = a[:k] + ((i, e),) + rest
+        elif e:
+            raise ValueError(f"exponent {e} at index {i} in a merge")
+        else:
+            a = a[:k] + rest
+    return a
+
+
+def exponent_splits(part) -> list:
+    """(divisor, quotient) pairs of one exponent tuple, trivial divisor
+    first; the first entry's exponent in the divisor varies slowest."""
+    splits = [((), ())]
+    for i, e in part:
+        splits = [(d + ((i, a),) if a else d, q + ((i, e - a),) if a < e else q)
+                  for d, q in splits for a in range(e + 1)]
+    return splits
+
+
+def runs(values) -> tuple:
+    """The exponent tuple ((value, count), ...) of a sorted sequence of
+    values: one entry per run of equal values, in the sequence's order."""
+    return tuple((v, len(list(run))) for v, run in groupby(values))
+
+
+def exponent_factorial(*parts) -> int:
+    """prod e! over the entries (index, e) of the given exponent tuples."""
+    return prod(factorial(e) for part in parts for _, e in part)
 
 
 def double_factorial(k: int) -> int:
@@ -123,25 +173,14 @@ class MultiIndex:
         return self._hash
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        out = dict(self.entries)
-        for i, m in other.entries:
-            out[i] = out.get(i, 0) + m
-        return MultiIndex(out)
+        return MultiIndex(merge_exponents(self.entries, other.entries))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        out = dict(self.entries)
-        for i, m in other.entries:
-            out[i] = out.get(i, 0) - m
-            if out[i] < 0:
-                raise ValueError(f"{self} - {other} has a negative entry")
-        return MultiIndex(out)
+        return MultiIndex(merge_exponents(self.entries, other.entries, -1))
 
     def factorial(self) -> int:
         """m! = prod_i m_i!."""
-        out = 1
-        for _, m in self.entries:
-            out *= factorial(m)
-        return out
+        return exponent_factorial(self.entries)
 
     def __repr__(self):
         if not self.entries:
@@ -187,15 +226,9 @@ _INTERNED[EMPTY] = EMPTY
 
 
 def _split_pairs(b: MultiIndex) -> tuple:
-    intern = _INTERNED.__getitem__
-    b = intern(b)
-    positions = [i for i, _ in b.entries]
-    ranges = [range(m + 1) for _, m in b.entries]
-    pairs = []
-    for choice in product(*ranges):
-        left = intern(MultiIndex(zip(positions, choice)))
-        pairs.append((left, intern(b - left)))
-    return tuple(pairs)
+    b = _INTERNED[b]
+    return tuple((_INTERNED[MultiIndex(left)], _INTERNED[MultiIndex(right)])
+                 for left, right in exponent_splits(b.entries))
 
 
 # the recursion splits the same few multi-indices again on every call
@@ -241,13 +274,12 @@ def multiset_splits(values: tuple):
     realizing the split.  Both tuples keep the values sorted descending;
     the order of the splits is deterministic.
     """
-    distinct = sorted(set(values), reverse=True)
-    counts = [values.count(v) for v in distinct]
-    for choice in product(*(range(c + 1) for c in counts)):
+    groups = runs(sorted(values, reverse=True))
+    for choice in product(*(range(c + 1) for _, c in groups)):
         part = ()
         rest = ()
         ways = 1
-        for v, c, k in zip(distinct, counts, choice):
+        for (v, c), k in zip(groups, choice):
             part += (v,) * k
             rest += (v,) * (c - k)
             ways *= comb(c, k)
@@ -257,7 +289,7 @@ def multiset_splits(values: tuple):
 def multiindices_of_weight(w: int) -> list[MultiIndex]:
     """All multi-indices of weight exactly w: the partitions of w, each by
     its part counts, in `partitions`' order."""
-    return [MultiIndex(Counter(filter(None, p))) for p in partitions(w, w)]
+    return [MultiIndex(runs(filter(None, p))) for p in partitions(w, w)]
 
 
 def multiindices_up_to_weight(bmax: int) -> list[MultiIndex]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .core import multiindices_of_weight, partitions
+from .core import multiindices_of_weight, partitions, runs
 from .recursion import EngineDisagreement, RecursionEngine
 
 __all__ = [
@@ -46,16 +46,16 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (denominators are smooth)."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
-    out: dict[int, int] = {}
+    primes = []     # with multiplicity, ascending
     p = 2
     while p * p <= n:
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            primes.append(p)
             n //= p
         p += 1 if p == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        primes.append(n)
+    return dict(runs(primes))
 
 
 def compute_D(g: int, n: int, engine: RecursionEngine) -> DenominatorReport:

@@ -24,11 +24,11 @@ which keep every assembled numerator a genuine polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import comb, factorial
 from operator import mul
 
-from .core import Memo, bucket_sum, double_factorial, partitions
+from .core import Memo, bucket_sum, double_factorial, partitions, runs
 from .poly import (SymmetricPoly, class_key, divide_by_variable_sum,
                    linear_combination, times_power_sum)
 
@@ -152,11 +152,11 @@ class NPointEngine:
         num = SymmetricPoly(n, deg_num)
         for ev in partitions(deg_num, n):
             head = ev[0]
-            runs = [(v, len(tuple(run))) for v, run in groupby(ev[1:])]
-            drops = [v - 1 for v, _ in runs]
+            groups = runs(ev[1:])
+            drops = [v - 1 for v, _ in groups]
             acc = {}
             # J holds the n - m positions I leaves and is nonempty
-            for counts in product(*(range(c + 1) for _, c in runs)):
+            for counts in product(*(range(c + 1) for _, c in groups)):
                 m = sum(counts) + 1
                 if m == n:
                     continue
@@ -165,7 +165,7 @@ class NPointEngine:
                     continue
                 # runs descend, so both keys come out sorted; zeros drop
                 part, rest, ways = (head,), (), 1
-                for (v, c), k in zip(runs, counts):
+                for (v, c), k in zip(groups, counts):
                     ways *= comb(c, k)
                     if v:
                         part += (v,) * k

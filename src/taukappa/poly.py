@@ -17,7 +17,9 @@ Coefficients are `Fraction`s at the boundary, but the inner sums of
 `times_power_sum`, `divide_by_variable_sum` and `linear_combination` run
 on integers: each operand is put over the lcm of its denominators
 (`SymmetricPoly.integer_form`, built on the spot and never stored), and one
-`Fraction` is formed per output class.
+`Fraction` is formed per output class; runs of equal exponents come from
+`core.runs`.  `linear_combination` keeps a running lcm: closing a
+`core.bucket_sum` bucket per class made `verify engines` about 4% slower.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .core import partitions
+from .core import partitions, runs
 
 __all__ = ["SymmetricPoly", "class_key", "divide_by_variable_sum",
            "linear_combination", "times_power_sum"]
@@ -198,12 +200,9 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
 
 
 def _unit_decrements(ev):
-    """Distinct classes obtained by lowering one positive entry of ev by 1."""
-    seen_vals = {}
-    for v in ev:
+    """Distinct classes from lowering one positive entry of sorted ev by 1."""
+    for v, mult in runs(ev):
         if v >= 1:
-            seen_vals[v] = seen_vals.get(v, 0) + 1
-    for v, mult in seen_vals.items():
-        w = list(ev)
-        w[w.index(v)] = v - 1
-        yield class_key(w), mult
+            w = list(ev)
+            w[w.index(v)] = v - 1
+            yield class_key(w), mult

@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .core import (EMPTY, Memo, MultiIndex, bucket_sum, double_factorial,
                    enumerate_sub_multiindices, multiindex_binomial,
-                   multiset_splits)
+                   multiset_splits, runs)
 from .npoint import NPointEngine
 
 __all__ = [
@@ -464,9 +464,7 @@ class RecursionEngine:
         odd = half[1:]
 
         # distinct values of the remaining insertions, with multiplicities
-        rest_counts = {}
-        for v in rest:
-            rest_counts[v] = rest_counts.get(v, 0) + 1
+        rest_counts = runs(rest)
         # the insertion splits of the split term depend on rest alone, each
         # with its part of the first factor's dimension
         splits = [(part, other, ways, sum(part) - len(part) + 2)
@@ -479,7 +477,7 @@ class RecursionEngine:
             a_den = a_l.denominator
 
             # pair merge: pivot absorbs one other insertion
-            for v, mult in rest_counts.items():
+            for v, mult in rest_counts:
                 top = w + d1 + v
                 if top < 1:
                     continue

@@ -1,6 +1,7 @@
 """Truncated multivariate series in t_0, t_1, ... and s_1, s_2, ...
 
-A monomial is a pair (tpart, spart) of sorted (index, exponent) tuples.
+A monomial is a pair (tpart, spart) of `core` exponent tuples, multiplied
+and split by `core.merge_exponents` and `core.exponent_splits`.
 Because the generating functions are truncated, a series carries an
 explicit admission set: the monomials whose coefficients are fully
 determined by the data that went in.  `admitted is None` means the series
@@ -27,11 +28,9 @@ integers: each product adds its numerator under its denominator, and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
 
-from .core import Memo, bucket_sum
+from .core import Memo, bucket_sum, exponent_splits, merge_exponents
 
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_splits",
@@ -43,48 +42,16 @@ Monomial = tuple   # ((t_idx, exp), ...), ((s_idx, exp), ...)
 EMPTY_MONO: Monomial = ((), ())
 
 
-def merge_exponents(a, b, sign=1):
-    """Exponent tuple a + sign * b (b may hold negative entries); raises
-    ValueError when an exponent goes negative, i.e. a divisor does not divide.
-
-    a is sorted by index, so each entry of b, in b's order, is spliced in
-    at its place: added to, replacing or deleting a's entry, or inserted."""
-    for i, e in b:
-        k = bisect_left(a, (i,))
-        if k < len(a) and a[k][0] == i:
-            e = a[k][1] + sign * e
-            rest = a[k + 1:]
-        else:
-            e *= sign
-            rest = a[k:]
-        if e > 0:
-            a = a[:k] + ((i, e),) + rest
-        elif e:
-            raise ValueError("negative exponent in monomial merge")
-        else:
-            a = a[:k] + rest
-    return a
-
-
 def mono_mul(m1: Monomial, m2: Monomial, sign=1) -> Monomial:
     """m1 * m2, or m1 / m2 with sign = -1 (ValueError if m2 does not divide)."""
     return (merge_exponents(m1[0], m2[0], sign),
             merge_exponents(m1[1], m2[1], sign))
 
 
-def _part_splits(part):
-    """(divisor, quotient) pairs of one exponent tuple, trivial divisor first."""
-    splits = [((), ())]
-    for i, e in part:
-        splits = [(d + ((i, a),) if a else d, q + ((i, e - a),) if a < e else q)
-                  for d, q in splits for a in range(e + 1)]
-    return splits
-
-
 def mono_splits(m: Monomial):
     """(d, m/d) for every monomial d dividing m, starting with d = 1."""
-    ssplits = _part_splits(m[1])
-    for dt, qt in _part_splits(m[0]):
+    ssplits = exponent_splits(m[1])
+    for dt, qt in exponent_splits(m[0]):
         for ds, qs in ssplits:
             yield (dt, ds), (qt, qs)
 
@@ -110,16 +77,6 @@ def format_monomial(m: Monomial) -> str:
     for i, e in m[1]:
         bits.append(f"s{i}" + (f"^{e}" if e > 1 else ""))
     return "*".join(bits) if bits else "1"
-
-
-def symmetry_factor(m: Monomial) -> int:
-    """prod n_i! * prod m_j! dividing a correlator in the generating series."""
-    out = 1
-    for _, e in m[0]:
-        out *= factorial(e)
-    for _, e in m[1]:
-        out *= factorial(e)
-    return out
 
 
 class TruncatedSeries:
@@ -215,12 +172,12 @@ class TruncatedSeries:
                                              c.denominator)
         z = {(): {(): (1, 1)}}
         terms = {EMPTY_MONO: Fraction(1)}
-        ssplits = Memo(_part_splits)
+        ssplits = Memo(exponent_splits)
         for m in order:
             t, s = m
             sparts = ssplits[s]
             acc: dict[int, int] = {}
-            for dt, qt in _part_splits(t):
+            for dt, qt in exponent_splits(t):
                 grow, zrow = weighted.get(dt), z.get(qt)
                 if grow is None or zrow is None:
                     continue
@@ -271,10 +228,8 @@ def _intersect(a, b):
 
 def shifted_down(admitted, idx: int):
     """m / t_idx for every m in `admitted` that t_idx divides."""
-    for m in admitted:
-        t = m[0]
-        for k, (i, e) in enumerate(t):
+    for t, s in admitted:
+        for i, _ in t:
             if i == idx:
-                yield (t[:k] + (((i, e - 1),) if e > 1 else ()) + t[k + 1:],
-                       m[1])
+                yield merge_exponents(t, ((idx, -1),)), s
                 break

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 from .core import (Memo, MultiIndex, bucket_sum, double_factorial,
-                   enumerate_sub_multiindices, genus_for_dimension,
-                   multiindices_of_weight, multiindices_up_to_weight)
+                   exponent_factorial, exponent_splits, genus_for_dimension,
+                   merge_exponents, multiindices_of_weight,
+                   multiindices_up_to_weight, runs)
 from .recursion import RecursionEngine, gamma_constant
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
-                     merge_exponents, shifted_down, symmetry_factor)
+                     shifted_down)
 
 __all__ = [
     "VirasoroOperator", "mixed_generating_series",
@@ -68,8 +69,8 @@ class VirasoroOperator:
             double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
         # s-part -> [(s-part / s^L, t-part delta t_{|L|+k+1})] over L <= s-part
         self._lowered = Memo(lambda s: [
-            (rest.entries, ((L.weight + k + 1, 1),))
-            for L, rest in enumerate_sub_multiindices(MultiIndex(s))])
+            (rest, ((sum(i * e for i, e in L) + k + 1, 1),))
+            for L, rest in exponent_splits(s)])
         # group (c): (t-part delta 1/(t_d1 t_d2), coefficient)
         self._pairs = [(((d1, -1), (k - 1 - d1, -1)),
                         Fraction(double_factorial(2 * d1 + 1)
@@ -166,7 +167,7 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
     for n in range(nmax + 1):
         for up in combinations_with_replacement(range(tmax + 1), n):
             d, degree = up[::-1], sum(up)
-            tpart = tuple((i, len(list(run))) for i, run in groupby(up))
+            tpart = runs(up)
             for b in sparts:
                 m = (tpart, b.entries)
                 g = genus_for_dimension(degree + b.weight, n)
@@ -178,7 +179,7 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
                     continue    # a known zero
                 val = engine.value(g, d, b)
                 if val:
-                    terms[m] = val / symmetry_factor(m)
+                    terms[m] = val / exponent_factorial(*m)
     return TruncatedSeries(terms, admitted)
 
 

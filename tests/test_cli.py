@@ -1195,6 +1195,35 @@ def test_only_the_table_touches_its_parts():
     assert touches == []
 
 
+def test_exponent_tuple_kernels_live_in_core():
+    """Each operation on exponent tuples has one implementation, in `core`:
+    no other module imports from `bisect` or takes `groupby` from
+    `itertools`, or defines a function of a kernel's name."""
+    kernels = {"merge_exponents", "exponent_splits", "runs",
+               "exponent_factorial"}
+    found = []
+    for path in sorted((ROOT / "src" / "taukappa").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} import bisect"
+                          for a in node.names if a.name == "bisect"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "groupby"
+                  and getattr(node.value, "id", None) == "itertools"):
+                found.append(f"{path.name}:{node.lineno} itertools.groupby")
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                if node.module == "bisect" or (node.module == "itertools"
+                                               and "groupby" in names):
+                    found.append(f"{path.name}:{node.lineno} from "
+                                 f"{node.module}")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in kernels):
+                found.append(f"{path.name}:{node.lineno} def {node.name}")
+    assert found == []
+
+
 def _unused_imports(tree):
     """Names bound by an import statement and never read in its scope:
     the function that holds the import, or the module (whose `__all__`

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from taukappa.core import (EMPTY, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, multiindex_binomial,
                            multiindices_of_weight, multiindices_up_to_weight,
-                           multiset_splits, partitions)
+                           multiset_splits, partitions, runs)
 
 
 def test_double_factorial_conventions():
@@ -147,6 +147,38 @@ def test_multiset_splits_count_labeled_subsets(values):
     splits = list(multiset_splits(values))
     assert len(splits) == len(labeled)
     assert {(part, rest): ways for part, rest, ways in splits} == labeled
+
+
+_MULTIPLICITIES = st.dictionaries(st.integers(1, 4), st.integers(0, 3))
+
+
+@given(_MULTIPLICITIES, _MULTIPLICITIES)
+def test_multiindex_sum_and_difference_match_dict_arithmetic(a, b):
+    """a + b adds multiplicities slot by slot and - undoes it; a - b is
+    the slotwise difference, and raises ValueError exactly when some b_i
+    exceeds a_i."""
+    ma, mb = MultiIndex(a), MultiIndex(b)
+    slots = set(a) | set(b)
+    total = {i: a.get(i, 0) + b.get(i, 0) for i in slots}
+    assert ma + mb == MultiIndex(total)
+    assert (ma + mb) - mb == ma
+    if any(b.get(i, 0) > a.get(i, 0) for i in slots):
+        with pytest.raises(ValueError):
+            ma - mb
+    else:
+        assert ma - mb == MultiIndex({i: a.get(i, 0) - b.get(i, 0)
+                                      for i in slots})
+
+
+@given(st.lists(st.integers(-3, 5), max_size=9).map(lambda v: tuple(sorted(v))))
+def test_runs_encode_a_sorted_tuple(values):
+    """runs(v) expands back to v, its counts sum to len(v), and no two
+    neighbouring runs share a value."""
+    encoded = runs(values)
+    assert tuple(v for v, c in encoded for _ in range(c)) == values
+    assert sum(c for _, c in encoded) == len(values)
+    assert all(c >= 1 for _, c in encoded)
+    assert all(x[0] != y[0] for x, y in zip(encoded, encoded[1:]))
 
 
 def test_multiindices_of_weight():
