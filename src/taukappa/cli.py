@@ -20,12 +20,12 @@ encoding, then the footer in plain text, and exits 3 when a result
 falsifies a proven statement.  An engine disagreement or usage error
 raised mid-run therefore leaves stdout empty.
 
-One invocation computes on one `RecursionEngine`, loaded from `--cache`
-at start and appended to it on exit.  `--workers N` splits an identity
-grid into at most N chunks; when there are two or more, each runs in a
-worker process on a fresh engine that returns its table records with its
-reports.  The records are merged into the invocation's engine, so they
-persist to the cache, and a value that disagrees between workers or with
+One invocation has one `RecursionEngine`, loaded from `--cache` at start
+and appended to it on exit; `compute` and `denom` serve its loaded
+records as they stand.  `verify` computes on a fresh engine, or with
+`--workers N` on up to N worker processes, each on a fresh engine with
+one chunk of an identity grid, and merges their tables into the
+invocation's, write-once: a value that disagrees between workers or with
 a cached record exits 1.
 """
 
@@ -145,15 +145,10 @@ def _cmd_compute(args, eng):
 
 
 def _run_identity_chunk(work):
-    """Run one chunk of a grid on a fresh engine; return its reports and
-    every (g, d, b, value, provenance) record of the engine's table."""
+    """Run one chunk of a grid on a fresh engine; return reports and table."""
     name, chunk = work
     eng = RecursionEngine()
-    reports = [run_identity(name, p, eng) for p in chunk]
-    table = eng.table
-    records = [(*key, value, table.provenance[key])
-               for key, value in table.values.items()]
-    return reports, records
+    return [run_identity(name, p, eng) for p in chunk], eng.table
 
 
 def _check_grid_nonempty(args, name: str, grid: list):
@@ -180,12 +175,9 @@ def _verify_identities(args, eng):
         # under fork every requested process starts at the first submit,
         # so ask for no more than there are chunks
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part, records in pool.map(_run_identity_chunk, chunks):
+            for part, table in pool.map(_run_identity_chunk, chunks):
                 reports += part
-                # write-once: a value that disagrees with another worker or
-                # a cached record raises EngineDisagreement here
-                for g, d, b, value, tag in records:
-                    eng.table.record(g, d, b, value, tag)
+                eng.table.merge(table)  # workers that disagree raise here
     else:
         reports = [run_identity(name, p, eng) for p in grid]
     conj_note = " (conjectural, never gates)" if name == "conj13" else ""
@@ -258,12 +250,10 @@ def _verify_commutators(args, eng):
 def _verify_engines(args, eng):
     dmax = args.dmax
     count = 0
+    # dim = 3g - 3 + n <= dmax; g = 0, n <= 2 has dim < 0, so no partitions
     for g in range(dmax // 3 + 2):
-        for n in range(1, dmax - 3 * g + 3 + 1):
-            dim = 3 * g - 3 + n
-            if dim < 0 or dim > dmax or 2 * g - 2 + n <= 0:
-                continue
-            for d in partitions(dim, n):
+        for n in range(1, dmax - 3 * g + 4):
+            for d in partitions(3 * g - 3 + n, n):
                 eng.value(g, d)
                 count += 1
                 # write-once: a route whose value differs from the
@@ -284,7 +274,10 @@ VERIFIERS = {**dict.fromkeys(IDENTITY_NAMES, _verify_identities),
 
 
 def _cmd_verify(args, eng):
-    return VERIFIERS[args.target](args, eng)
+    fresh = RecursionEngine()   # its values meet the cache only in merge
+    out = VERIFIERS[args.target](args, fresh)
+    eng.table.merge(fresh.table)
+    return out
 
 
 # -- denom -------------------------------------------------------------------

@@ -123,13 +123,13 @@ class CorrelatorTable:
     """Write-once map from correlator keys to exact values.
 
     Every entry carries a provenance tag naming the engine that produced
-    it.  Engines and workers insert through `record`: recording a key
-    twice with the same value is a no-op (the first tag wins); recording a
-    different value raises EngineDisagreement.  Persists to a
-    line-oriented text cache, one `g|d,...|i:b,...|num/den` record per
-    line.  `record` lists the new keys that did not come from a file, so
-    `append_new` writes them without rescanning the table (load the cache
-    first: a key computed before is written again).
+    it.  Engines insert through `record`, and `merge` records every entry
+    of another table: recording a key twice with the same value is a no-op
+    (the first tag wins); recording a different value raises
+    EngineDisagreement.  Persists to a line-oriented text cache, one
+    `g|d,...|i:b,...|num/den` record per line.  New keys that did not come
+    from a file are listed, so `append_new` writes them without rescanning
+    the table (load the cache first: a key computed before is written again).
 
     `append_new` writes one segment in a single write: a header line
     `#seg v1 records=N bytes=L crc32=H`, then N canonical record lines
@@ -192,7 +192,14 @@ class CorrelatorTable:
         self._index.clear()
 
     def record(self, g: int, d, b: MultiIndex, value: Fraction, engine: str) -> Fraction:
-        key = corr_key(g, d, b)
+        return self._put(corr_key(g, d, b), value, engine)
+
+    def merge(self, other: CorrelatorTable) -> None:
+        """Record every entry of `other` here under its own tag."""
+        for key, tag in other.provenance.items():
+            self._put(key, other.parsed[key], tag)
+
+    def _put(self, key: tuple, value: Fraction, engine: str) -> Fraction:
         if self._index:
             self.lookup(key)
         size = len(self.parsed)

@@ -17,6 +17,7 @@ import pytest
 
 from taukappa import denominators, virasoro
 from taukappa.cli import VERIFIERS, main
+from taukappa.core import EMPTY
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import CorrelatorTable, RecursionEngine
 
@@ -333,8 +334,10 @@ def test_verify_virasoro_with_range(capsys):
 
 
 def test_verify_engines(capsys):
-    code, out = run_cli(capsys, "verify", "engines", "--dmax", "4")
-    assert code == 0 and "all agree" in out
+    """Every stable (g, d) with dim = 3g - 3 + n <= dmax, for dmax 0 to 7."""
+    for dmax, count in enumerate((1, 3, 7, 13, 24, 41, 70, 112)):
+        assert run_cli(capsys, "verify", "engines", "--dmax", str(dmax)) == (
+            0, f"# engines: {count} correlators, all agree\n")
 
 
 def test_verify_engines_is_one_result(capsys):
@@ -424,15 +427,22 @@ virasoro k=0: 4 admitted coefficients, fails
     assert code == 3 and "[V_1, V_-1] - (1--1)V_0: fails\n" in out
 
 
-def test_virasoro_sees_a_wrong_generating_series_coefficient(capsys,
-                                                             tmp_path):
-    """A cache holding <tau_2 tau_0>_1 = 1/12 (the true value is 1/24)
-    feeds G a wrong coefficient, and V_k exp(G) = 0 fails from k = -1 on."""
-    cache = tmp_path / "wrong.cache"
-    cache.write_text("1|2,0||1/12\n")
-    code, out = run_cli(capsys, "--cache", str(cache), "verify", "virasoro",
-                        "--k", "-1..2", "--gmax", "2", "--nmax", "3",
-                        "--bmax", "1")
+def test_virasoro_sees_a_wrong_generating_series_coefficient(monkeypatch,
+                                                             capsys):
+    """An engine that reads <tau_2 tau_0>_1 as 1/12 (the true value is
+    1/24) feeds G a wrong coefficient, and V_k exp(G) = 0 fails from
+    k = -1 on.  A cache holding that value exits 1 instead: `verify`
+    recomputes it and the merge refuses the record."""
+    value = RecursionEngine.value
+
+    def wrong(self, g, d, b=EMPTY):
+        if (g, sorted(d), b) == (1, [0, 2], EMPTY):
+            return Fraction(1, 12)
+        return value(self, g, d, b)
+
+    monkeypatch.setattr(RecursionEngine, "value", wrong)
+    code, out = run_cli(capsys, "verify", "virasoro", "--k", "-1..2",
+                        "--gmax", "2", "--nmax", "3", "--bmax", "1")
     assert code == 3
     assert out.splitlines()[0] == ("virasoro k=-1: 51 admitted coefficients,"
                                    " fails")
@@ -802,6 +812,54 @@ def test_workers_catch_a_poisoned_cache_record(tmp_path, capsys):
     assert code == 1
     assert "engine disagreement" in captured.err
     assert cache.read_text() == "0|1,0,0,0||2/1\n"
+
+
+BAD_CACHE_GRID = ("--gmax", "2", "--nmax", "3", "--bmax", "1")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop11", *BAD_CACHE_GRID),
+    ("verify", "thm12", *BAD_CACHE_GRID),
+    ("verify", "virasoro", *BAD_CACHE_GRID),
+    ("verify", "substitution", *BAD_CACHE_GRID),
+    ("verify", "engines", "--dmax", "4"),
+], ids=lambda argv: argv[1])
+def test_bad_cache_record_exits_1_on_every_target(tmp_path, capsys, argv,
+                                                  workers):
+    """A cache holding <tau_1^2>_1 = 1/12 (the true value is 1/24): every
+    target recomputes it on a fresh engine, serially or in workers, and
+    the merge refuses the record with one line, nothing on stdout and the
+    file untouched."""
+    cache = tmp_path / "bad.cache"
+    cache.write_text("1|1,1||1/12\n")
+    code = main(["--workers", workers, "--cache", str(cache), *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(
+        "engine disagreement: (1, (1, 1), MultiIndex()): cache computed 1/12, ")
+    assert len(captured.err.splitlines()) == 1
+    assert cache.read_text() == "1|1,1||1/12\n"
+
+
+def test_warm_cache_verifies_like_no_cache(tmp_path, capsys):
+    """Two copies of a correct cache that thm12 filled: a serial and a
+    --workers 2 run of prop11 on a larger grid print what a run without a
+    cache prints, and leave the two copies byte-identical."""
+    seed = tmp_path / "seed.cache"
+    assert run_cli(capsys, "--cache", str(seed), "verify", "thm12",
+                   "--gmax", "2", "--nmax", "2", "--bmax", "1")[0] == 0
+    argv = ("verify", "prop11", "--gmax", "3", "--nmax", "3", "--bmax", "2")
+    cold = run_cli(capsys, *argv)
+    assert cold[0] == 0
+    copies = []
+    for workers in ("1", "2"):
+        copy = tmp_path / f"warm-{workers}.cache"
+        copy.write_bytes(seed.read_bytes())
+        assert run_cli(capsys, "--workers", workers, "--cache", str(copy),
+                       *argv) == cold
+        copies.append(copy.read_bytes())
+    assert copies[0] == copies[1] != seed.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["1|1||1/24", "# hand-written note"])
