@@ -2,13 +2,16 @@
 denominators.  Exact rationals print as `num/den`; exit codes separate
 usage errors (2), engine disagreement (1), a falsified proven identity (3)
 and a cache file that is unreadable, cannot be opened or cannot be
-written (4) so scripts can tell them apart.  A malformed `--d`, `--b` or
-`--k` value, a negative `--d` entry, an empty `--k` range, a negative
-grid bound or `--genus`, `--n` or `--workers` below 1, and a `denom` run
-that names two invariants or none (it computes exactly one of `--n`,
-`--script-d`, `--lemma20`, `--prop17` and `--iz-fixture`) are rejected by
-the argument parser, an unreadable or malformed `--iz-fixture` file and a
-`--prop17` run that would compare nothing by `denom`, a grid that checks
+written (4) so scripts can tell them apart; a loaded record whose value
+is malformed when first read, even in a segment whose checksum matches,
+makes its file unreadable.  A malformed `--d`, `--b` or `--k` value, a
+negative `--d` entry, an empty `--k` range, a negative grid bound or
+`--genus`, `--n` or `--workers` below 1, and a `denom` run that names two
+invariants or none (it computes exactly one of `--n`, `--script-d`,
+`--lemma20`, `--prop17` and `--iz-fixture`) are rejected by the argument
+parser, an unreadable or malformed `--iz-fixture` file and a check with
+no rows (a `--prop17` ladder of one D(g, n), or an `--iz-fixture` file
+with no row of genus 1 < g' <= `--genus`) by `denom`, a grid that checks
 nothing by `verify`, and `--b` on `compute psi` by `compute`: all are
 usage errors, one line on stderr.  So is an input whose evaluation nests
 deeper than Python's recursion limit (some 600 insertions); nothing is
@@ -44,7 +47,7 @@ from .denominators import (check_iz_fixture, check_lemma20,
                            check_proposition17, compute_D, compute_script_D,
                            load_fixture_orders)
 from .identities import IDENTITY_NAMES, identity_grid, run_identity
-from .recursion import EngineDisagreement, RecursionEngine
+from .recursion import CacheError, EngineDisagreement, RecursionEngine
 from .series import format_monomial
 from .virasoro import (build_partition_function, commutator_check,
                        substitution_check, virasoro_residual_report)
@@ -180,12 +183,13 @@ def _verify_identities(args, eng):
                 eng.table.merge(table)  # workers that disagree raise here
     else:
         reports = [run_identity(name, p, eng) for p in grid]
-    conj_note = " (conjectural, never gates)" if name == "conj13" else ""
+    note = (" (conjectural, never gates)"
+            if any(r.conjectural for r in reports) else "")
     return ([Result(r.payload(), r.line(),
                     r.status != "holds" and not r.conjectural)
              for r in reports],
             f"# {name}: {len(reports)} checked, "
-            f"{sum(r.status == 'holds' for r in reports)} hold{conj_note}")
+            f"{sum(r.status == 'holds' for r in reports)} hold{note}")
 
 
 def _series_result(head: str, payload: dict, nonzero: list,
@@ -203,9 +207,8 @@ def _series_result(head: str, payload: dict, nonzero: list,
 
 
 def _verify_virasoro(args, eng):
-    ks = args.k if args.k is not None else [-1, 0, 1, 2, 3]
     partition = build_partition_function(args.gmax, args.nmax, args.bmax, eng)
-    reports = [(k, *virasoro_residual_report(k, partition)) for k in ks]
+    reports = [(k, *virasoro_residual_report(k, partition)) for k in args.k]
     _check_grid_nonempty(args, "virasoro", [c for _, _, c in reports if c])
     return [_series_result(f"virasoro k={k}", {"identity": "virasoro", "k": k},
                            nonzero, checked)
@@ -283,9 +286,13 @@ def _cmd_verify(args, eng):
 # -- denom -------------------------------------------------------------------
 
 
-def _check_rows(args, key: str, rows: list, head):
+def _check_rows(args, option: str, key: str, rows: list, head, hint=""):
     """A denominator check as one result: `rows` each end in their
-    verdict and go under `key`; `head(*row[:-1])` starts a row's line."""
+    verdict and go under `key`; `head(*row[:-1])` starts a row's line.
+    A check with no rows is a usage error, never an empty success."""
+    if not rows:
+        raise SystemExit2(f"{option} at genus {args.genus} checks nothing"
+                          f"{hint}")
     ok = all(row[-1] for row in rows)
     return [Result({"genus": args.genus, key: [list(row) for row in rows],
                     "status": "holds" if ok else "fails"},
@@ -302,24 +309,27 @@ def _cmd_denom(args, eng):
     if args.prop17 and args.nmax < (3 if args.genus == 0 else 1):
         raise SystemExit2("nmax is below the first stable point count")
     if args.lemma20:
-        return _check_rows(args, "orders", check_lemma20(args.genus, eng),
+        return _check_rows(args, "--lemma20", "orders",
+                           check_lemma20(args.genus, eng),
                            lambda p, o: f"p={p}: ord={o}")
     if args.prop17:
-        rows = check_proposition17(args.genus, args.nmax, eng)
-        if not rows:
-            raise SystemExit2(f"--prop17 at genus {args.genus} checks nothing "
-                              f"with --nmax {args.nmax}; raise --nmax")
-        return _check_rows(args, "verdicts", rows, lambda t: f"{t}:")
+        return _check_rows(args, "--prop17", "verdicts",
+                           check_proposition17(args.genus, args.nmax, eng),
+                           lambda t: f"{t}:",
+                           f" with --nmax {args.nmax}; raise --nmax")
     if args.iz_fixture:
         try:
             rows = load_fixture_orders(args.iz_fixture)
         except (OSError, ValueError) as exc:
             raise SystemExit2(f"unreadable fixture {args.iz_fixture}: {exc}")
         orders = [o for o, gp, _ in rows if 1 < gp <= args.genus]
+        # with no order in range there is no script-D to compute
         return _check_rows(
-            args, "orders",
-            check_iz_fixture(orders, compute_script_D(args.genus, eng).value),
-            lambda o: f"{o} | script-D({args.genus}):")
+            args, "--iz-fixture", "orders",
+            orders and check_iz_fixture(
+                orders, compute_script_D(args.genus, eng).value),
+            lambda o: f"{o} | script-D({args.genus}):",
+            f": {args.iz_fixture} has no row with 1 < genus <= {args.genus}")
     if args.script_d:
         rep = compute_script_D(args.genus, eng)
         plain = (f"script-D({args.genus}) = {rep.value} "
@@ -367,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--bmax", type=bound, default=1)
     ver.add_argument("--dmax", type=bound, default=9,
                      help="dimension bound for the engines target")
-    ver.add_argument("--k", type=_argument(_parse_krange),
-                     help="Virasoro indices, e.g. -1..3 or 0,1")
+    ver.add_argument("--k", type=_argument(_parse_krange), default="-1..3",
+                     help="Virasoro indices, e.g. 0,1 (default -1..3)")
 
     den = sub.add_parser("denom", help="denominator invariants")
     den.add_argument("--genus", type=bound, required=True)
@@ -402,13 +412,14 @@ def main(argv=None) -> int:
             try:
                 eng.table.load(args.cache)
             except (ValueError, OSError) as exc:
-                # a torn, malformed or unopenable file is left as it is,
-                # never appended to
-                print(f"error: unreadable cache {args.cache}: {exc}",
-                      file=sys.stderr)
-                return 4
+                raise CacheError(exc) from None
         results, footer = {"compute": _cmd_compute, "verify": _cmd_verify,
                            "denom": _cmd_denom}[args.command](args, eng)
+    except CacheError as exc:
+        # a torn, malformed or unopenable file, or a record whose value
+        # is malformed when first read, is left as it is, never appended to
+        print(f"error: unreadable cache {args.cache}: {exc}", file=sys.stderr)
+        return 4
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .core import (EMPTY, MultiIndex, double_factorial,
                    enumerate_sub_multiindices, genus_for_dimension,
                    multiindex_binomial, multiindices_up_to_weight,
                    multiset_splits, partitions)
-from .recursion import RecursionEngine
+from .recursion import RecursionEngine, inserted_sum
 
 __all__ = [
     "IdentityReport", "check_theorem7", "check_theorem8",
@@ -126,18 +126,6 @@ def _unreduced_value(g: int, d, b: MultiIndex,
             else engine.npoint.correlator(g, d))
 
 
-def _inserted_sum(read, g: int, d, b: MultiIndex, s: int) -> Fraction:
-    """sum_{L <= b} (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) prod tau_d>_g,
-    each value from `read(g, d, b)`: the side of the string (s = 0) or
-    dilaton (s = 1) equation that carries the new insertion, and the left
-    side of the tau_M recursion (s = M)."""
-    total = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        total += ((-1) ** left.size * multiindex_binomial(b, left)
-                  * read(g, d + (left.weight + s,), right))
-    return total
-
-
 def check_string(g: int, d, b: MultiIndex,
                  engine: RecursionEngine) -> IdentityReport:
     """Generalized string equation on a stable base shape, 2g - 2 + n > 0:
@@ -147,7 +135,7 @@ def check_string(g: int, d, b: MultiIndex,
     rhs = sum((read(g, d[:j] + (d[j] - 1,) + d[j + 1:], b)
                for j in range(len(d)) if d[j]), Fraction(0))
     return EquationReport("string", {"g": g, "d": list(d), "b": str(b)},
-                          _inserted_sum(read, g, d, b, 0), rhs)
+                          inserted_sum(read, g, d, b, 0), rhs)
 
 
 def check_dilaton(g: int, d, b: MultiIndex,
@@ -158,7 +146,7 @@ def check_dilaton(g: int, d, b: MultiIndex,
     read = partial(_unreduced_value, engine=engine)
     rhs = (2 * g - 2 + len(d)) * read(g, d, b)
     return EquationReport("dilaton", {"g": g, "d": list(d), "b": str(b)},
-                          _inserted_sum(read, g, d, b, 1), rhs)
+                          inserted_sum(read, g, d, b, 1), rhs)
 
 
 def _closed_form(g: int, d, k: int, shift: int) -> tuple[tuple, Fraction]:
@@ -235,7 +223,7 @@ def _tau_m_sides(g: int, d: tuple, b: MultiIndex, M: int,
     """Both sides of the kappa tau_M recursion (Theorem 12) for sorted d,
     with no check of M: the kappa(b) sum over tau_{M+|L|} insertions, and
     the d_j + M - 1 shifts less half the alternating split sum."""
-    lhs = _inserted_sum(engine.value, g, d, b, M)
+    lhs = inserted_sum(engine.value, g, d, b, M)
     rhs = Fraction(0)
     for j in range(len(d)):
         rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
@@ -302,7 +290,7 @@ def check_conjecture13(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Experimental closed form of the tau_M sum at M = 2g-2, below the
     range of Theorem 10; reported, never asserted."""
-    d = tuple(sorted(d, reverse=True))
+    d = _sorted_d(d)
     if g < 2:
         raise ValueError("needs g >= 2")
     if any(x < 1 for x in d) or sum(x - 1 for x in d) != g:

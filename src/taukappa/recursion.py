@@ -56,13 +56,17 @@ from .core import (EMPTY, Memo, MultiIndex, bucket_sum, double_factorial,
 from .npoint import NPointEngine
 
 __all__ = [
-    "EngineDisagreement", "CorrelatorTable", "alpha_constant",
-    "gamma_constant", "RecursionEngine",
+    "EngineDisagreement", "CacheError", "CorrelatorTable", "alpha_constant",
+    "gamma_constant", "inserted_sum", "RecursionEngine",
 ]
 
 
 class EngineDisagreement(Exception):
     """Two engines produced different values for the same correlator."""
+
+
+class CacheError(ValueError):
+    """A loaded cache record whose value text is malformed."""
 
 
 def corr_key(g: int, d, b: MultiIndex) -> tuple:
@@ -91,7 +95,15 @@ def _parse_key(text: str) -> tuple:
             MultiIndex.parse(b))
 
 
+# a record's value as the line check admits it, its denominator non-zero
+_VALUE = re.compile(r"-?\d+/0*[1-9]\d*")
+
+
 def _parse_value(text: str) -> Fraction:
+    """The value of a record's `num/den` text; CacheError if `_VALUE`
+    refuses it, as a segment's records are indexed unchecked."""
+    if not _VALUE.fullmatch(text):
+        raise CacheError(f"malformed value in cache record: {text!r}")
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den))
 
@@ -145,8 +157,9 @@ class CorrelatorTable:
     damaged segments), but a torn segment's last line, cut short of its
     newline, is refused.  The first `lookup` of a key moves its record
     into `parsed`, tagged "cache", so a loaded value still meets the
-    write-once check.  `values` and `provenance` move every record left
-    in the index first.
+    write-once check, and raises CacheError if its value text is not one
+    the line check admits.  `values` and `provenance` move every record
+    left in the index first.
     """
 
     def __init__(self):
@@ -381,6 +394,19 @@ _ALPHA_CACHE = Memo(lambda L: -L.factorial() * sum(
 _ALPHA_CACHE[EMPTY] = Fraction(1)
 
 
+def inserted_sum(read, g: int, d, b: MultiIndex, s: int) -> Fraction:
+    """sum_{L <= b} (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) prod tau_d>_g,
+    each value from `read(g, d, b)`: one step of the reduction (s = a + 1
+    for the traded kappa_a), the side of the string (s = 0) or dilaton
+    (s = 1) equation that carries the new insertion, and the left side of
+    the tau_M recursion (s = M)."""
+    total = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        total += ((-1) ** left.size * multiindex_binomial(b, left)
+                  * read(g, d + (left.weight + s,), right))
+    return total
+
+
 _ZERO = Fraction(0)
 
 
@@ -470,8 +496,10 @@ class RecursionEngine:
             half.append(half[-1] * (2 * k - 1))
         odd = half[1:]
 
-        # distinct values of the remaining insertions, with multiplicities
-        rest_counts = runs(rest)
+        # each distinct value v of the remaining insertions, its multiplicity
+        # and the other insertions once the pair merge takes one v
+        merges = [(v, mult, rest[:i] + rest[i + 1:])
+                  for v, mult in runs(rest) for i in (rest.index(v),)]
         # the insertion splits of the split term depend on rest alone, each
         # with its part of the first factor's dimension
         splits = [(part, other, ways, sum(part) - len(part) + 2)
@@ -484,14 +512,10 @@ class RecursionEngine:
             a_den = a_l.denominator
 
             # pair merge: pivot absorbs one other insertion
-            for v, mult in rest_counts:
+            for v, mult, others in merges:
+                # top >= 2: the three sums run only with every d_j >= 2
                 top = w + d1 + v
-                if top < 1:
-                    continue
-                newd = list(rest)
-                newd.remove(v)
-                newd.append(top - 1)
-                val = value(g, newd, right)
+                val = value(g, others + (top - 1,), right)
                 if val:
                     # (2 top - 1)!!/(2v - 1)!! is an integer since top >= v
                     coef = 2 * mult * coef_l * (half[top] // half[v])
@@ -540,11 +564,11 @@ class RecursionEngine:
 
         <kappa_a kappa(b0) prod tau_d>_{g,n}
           = sum_{S <= b0} (-1)^||S|| binom(b0, S)
-            <tau_{a+1+|S|} kappa(b0-S) prod tau_d>_{g,n+1}.
-        Delegates to the pure-psi recursion once b is exhausted.  `value`
-        calls it for a pure kappa volume missing from the table; it is
-        also the independent check of the three sums on mixed
-        correlators, and reads no table record of its own keys.
+            <tau_{a+1+|S|} kappa(b0-S) prod tau_d>_{g,n+1},
+        `inserted_sum` at s = a + 1, down to the pure-psi recursion once b
+        is exhausted.  `value` calls it for a pure kappa volume missing
+        from the table; it is also the independent check of the three sums
+        on mixed correlators, and reads no table record of its own keys.
         """
         d = tuple(sorted(d, reverse=True))
         if g < 0 or (d and d[-1] < 0):
@@ -558,12 +582,8 @@ class RecursionEngine:
         if hit is not None:
             return hit
         a = b.entries[-1][0]            # largest kappa index
-        b0 = b - MultiIndex({a: 1})
-        acc = Fraction(0)
-        for s_idx, remaining in enumerate_sub_multiindices(b0):
-            acc += ((-1) ** s_idx.size * multiindex_binomial(b0, s_idx)
-                    * self.reduction_oracle(
-                        g, d + (a + 1 + s_idx.weight,), remaining))
+        acc = inserted_sum(self.reduction_oracle, g, d,
+                           b - MultiIndex({a: 1}), a + 1)
         self._oracle_cache[key] = acc
         # cross-record: write-once semantics force agreement with the
         # recursion engine wherever both visit the same key

@@ -141,6 +141,21 @@ def test_denom_prop17_with_nothing_to_compare_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: --prop17 at genus "), argv
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_denom_iz_fixture_with_no_row_in_range_is_a_usage_error(
+        tmp_path, capsys, fmt):
+    """A fixture with no row of genus 1 < g' <= --genus checks nothing:
+    exit 2 with one line on stderr, as an empty --prop17 ladder does."""
+    fixture = tmp_path / "genus3.txt"
+    fixture.write_text("168 3 Klein quartic\n")
+    code = main(["--format", fmt, "denom", "--genus", "2",
+                 "--iz-fixture", str(fixture)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --iz-fixture at genus 2 checks nothing: "
+                            f"{fixture} has no row with 1 < genus <= 2\n")
+
+
 @pytest.mark.parametrize("argv", [
     "verify thm8 --gmax 0 --nmax 1",
     "verify conj13 --gmax 1",
@@ -976,6 +991,27 @@ def test_overlong_integer_in_a_segment_fails_the_load(tmp_path, capsys,
     assert cache.read_bytes() == data
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc", "1/-24"])
+def test_malformed_value_in_a_segment_exits_4_when_read(tmp_path, capsys,
+                                                        value):
+    """A segment whose CRC-32 matches is indexed without the line check,
+    so a value that the line check refuses is caught when the record is
+    first read: exit 4 with one line, nothing on stdout, the file as it
+    was, never a traceback or a value served."""
+    body = f"1|1||{value}\n".encode()
+    data = (f"#seg v1 records=1 bytes={len(body)} "
+            f"crc32={zlib.crc32(body):08x}\n").encode() + body
+    cache = tmp_path / "bad.cache"
+    cache.write_bytes(data)
+    code = main(["--cache", str(cache), "compute", "psi", "--genus", "1",
+                 "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith(f"error: unreadable cache {cache}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert cache.read_bytes() == data
+
+
 # stdout and exit code of CLI commands, pinned verbatim: the series-layer
 # checks first
 GOLDEN = {
@@ -1280,6 +1316,19 @@ def test_exponent_tuple_kernels_live_in_core():
                   and node.name in kernels):
                 found.append(f"{path.name}:{node.lineno} def {node.name}")
     assert found == []
+
+
+def test_cli_names_no_identity_family():
+    """The CLI treats every identity family alike: no string constant in
+    `cli.py` names one, so a rule such as conj13's footer note comes from
+    the reports."""
+    from taukappa.identities import IDENTITY_NAMES
+    tree = ast.parse((ROOT / "src" / "taukappa" / "cli.py").read_text(
+        encoding="utf-8"))
+    named = [f"cli.py:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant)
+             and node.value in IDENTITY_NAMES]
+    assert named == []
 
 
 def _unused_imports(tree):
