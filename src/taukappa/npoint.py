@@ -13,8 +13,8 @@ Two independent expansions of F are implemented:
 Both agree coefficientwise; the second is used as a cross-check of the
 first.  Every product either route forms multiplies by a power of
 e1 = sum x or of p3 = sum x^3, or by Delta, one factor at a time as
-Delta f = (e1^3 f - p3 f)/3, so all of them go through
-`poly.times_power_sum`.  The one- and two-point normalized functions x^-2
+Delta f = (e1^3 f - p3 f)/3, so all of them run `poly.times_power_sum`'s
+integer pass.  The one- and two-point normalized functions x^-2
 and 1/(x+y) are not polynomials, and `component` refuses those two shapes.
 They enter only through the certified products (sum_I x)^2 * x^-2 = 1 and
 (x+y)^2 * 1/(x+y) = x+y, and the two-point routes through (x+y) P_0 = 1,
@@ -24,23 +24,29 @@ which keep every assembled numerator a genuine polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
-from operator import mul
+from math import comb, factorial, lcm
 
-from .core import Memo, bucket_sum, double_factorial, partitions, runs
-from .poly import (SymmetricPoly, class_key, divide_by_variable_sum,
+from .core import Memo, double_factorial, runs
+from .poly import (SymmetricPoly, _push_power_sum, divide_by_variable_sum,
                    linear_combination, times_power_sum)
 
 __all__ = ["NPointEngine"]
 
 
 def _times_delta(f: SymmetricPoly) -> SymmetricPoly:
-    """f * Delta with Delta = ((sum x)^3 - sum x^3)/3, as two power-sum
-    products; the division by 3 is exact on f's integer form."""
-    return linear_combination(f.nvars, f.degree + 3, [
-        (times_power_sum(f, 1, 3), Fraction(1, 3)),
-        (times_power_sum(f, 3), Fraction(-1, 3))])
+    """f * Delta with Delta = ((sum x)^3 - sum x^3)/3: both power-sum
+    products are summed on f's integer form, and the division by 3, exact
+    since e1^3 - p3 = 3 (e1 e2 - e3), forms one `Fraction` per class."""
+    den, ints = f.integer_form()
+    acc = ints
+    for _ in range(3):
+        acc = _push_power_sum(acc, f.nvars, 1)
+    for k, c in _push_power_sum(ints, f.nvars, 3).items():
+        acc[k] = acc.get(k, 0) - c
+    if any(c % 3 for c in acc.values()):
+        raise ValueError("e1^3 f - p3 f is not divisible by 3")
+    return SymmetricPoly(f.nvars, f.degree + 3, {
+        k: Fraction(c // 3, den) for k, c in acc.items() if c})
 
 
 class NPointEngine:
@@ -132,14 +138,13 @@ class NPointEngine:
         """P_r(x_1..x_n) for n >= 3: split-sum numerator over ordered pairs
         of complementary nonempty subsets, exactly divided by 2*(sum x).
 
-        Keeping position 0 in I visits each unordered pair {I, J} once,
-        half the ordered sum, so the numerator built here is divided by
-        sum x alone.
-        I takes k_v of the c_v entries equal to v from the other positions.
-        Its factor has genus r1 = (ev[0] + sum k_v (v - 1)) / 3, which is
-        decided from the counts k_v before any split is built.
-        Each class sums ways * a_I * a_J as integers in buckets keyed by
-        the product of the two denominators.
+        I keeps position 0, one copy of the top entry, so each unordered
+        pair {I, J} is met once and the numerator is divided by sum x.  Each
+        nonzero class p of a_factor(m, r1) meets each nonzero class q of
+        a_factor(n - m, r - r1) with top at most p's, adding ways * a_p * a_q
+        to ev = sorted(p + q): ways = prod binom(c_v - [v = top], j_v) over
+        the runs of q, zeros included, c_v and j_v counting v in ev and q.
+        The products are summed as integers, one bucket per denominator.
         """
         return self._p[n, r]
 
@@ -148,40 +153,35 @@ class NPointEngine:
         if n < 3:
             raise ValueError("p_poly handles n >= 3; the two-point P_r are "
                              "the atom (r=0) and zero (r>0)")
-        deg_num = 3 * r + n - 2
-        num = SymmetricPoly(n, deg_num)
-        for ev in partitions(deg_num, n):
-            head = ev[0]
-            groups = runs(ev[1:])
-            drops = [v - 1 for v, _ in groups]
-            acc = {}
-            # J holds the n - m positions I leaves and is nonempty
-            for counts in product(*(range(c + 1) for _, c in groups)):
-                m = sum(counts) + 1
-                if m == n:
+        acc = {}    # {den: {ev: int}}
+        for m in range(1, n):
+            for r1 in range(r + 1):
+                # J's entries sum to d_j, none above I's top <= 3 r1 + m - 1
+                d_j = 3 * (r - r1) + n - m - 1
+                if (n - m) * (3 * r1 + m - 1) < d_j:
                     continue
-                r1, rem = divmod(head + sum(map(mul, counts, drops)), 3)
-                if rem or r1 < 0 or r1 > r:
-                    continue
-                # runs descend, so both keys come out sorted; zeros drop
-                part, rest, ways = (head,), (), 1
-                for (v, c), k in zip(groups, counts):
-                    ways *= comb(c, k)
-                    if v:
-                        part += (v,) * k
-                        rest += (v,) * (c - k)
-                a_i = self.a_factor(m, r1).classes.get(part)
+                den_i, a_i = self.a_factor(m, r1).integer_form()
                 if not a_i:
                     continue
-                a_j = self.a_factor(n - m, r - r1).classes.get(rest)
-                if a_j:
-                    den = a_i.denominator * a_j.denominator
-                    acc[den] = (acc.get(den, 0)
-                                + ways * a_i.numerator * a_j.numerator)
-            tot = bucket_sum(acc)
-            if tot:
-                num.classes[class_key(ev)] = tot
-        return divide_by_variable_sum(num)
+                den_j, a_j = self.a_factor(n - m, r - r1).integer_form()
+                a_j = [(q, runs(q), c) for q, c in sorted(a_j.items())]
+                bucket = acc.setdefault(den_i * den_j, {})
+                for p, c_p in a_i.items():
+                    top = p[0]
+                    for q, q_runs, c_q in a_j:     # sorted keys: tops ascend
+                        if q and q[0] > top:
+                            break
+                        ev = tuple(sorted(p + q, reverse=True))
+                        ways = comb(n - len(ev), m - len(p))
+                        for v, j in q_runs:
+                            ways *= comb(p.count(v) - (v == top) + j, j)
+                        bucket[ev] = bucket.get(ev, 0) + ways * c_p * c_q
+        common, num = lcm(*acc), {}
+        for den, bucket in acc.items():
+            for ev, c in bucket.items():
+                num[ev] = num.get(ev, 0) + c * (common // den)
+        return divide_by_variable_sum(SymmetricPoly(n, 3 * r + n - 2, {
+            ev: Fraction(c, common) for ev, c in num.items() if c}))
 
     # -- F-parts and correlators -----------------------------------------
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taukappa.npoint import NPointEngine
+from taukappa import npoint
+from taukappa.npoint import NPointEngine, _times_delta
 from taukappa.poly import (SymmetricPoly, class_key, divide_by_variable_sum,
                            linear_combination, times_power_sum)
 from taukappa.core import bucket_sum, double_factorial, multiset_splits
@@ -440,6 +441,37 @@ def test_times_power_sum_matches_position_reference(drawn):
     assert all(got.classes.values())
 
 
+def _position_delta(n):
+    """Delta = ((sum x)^3 - sum x^3)/3 on n variables, built as classes:
+    x_i^2 x_j for i != j, and 2 x_i x_j x_k for i < j < k."""
+    return SymmetricPoly(n, 3, {k: Fraction(c) for k, c in
+                                (((2, 1), 1), ((1, 1, 1), 2)) if len(k) <= n})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(symmetric_polys))
+def test_times_delta_matches_position_reference(p):
+    got = _times_delta(p)
+    assert _shape(got) == _shape(_reference_mul(p, _position_delta(p.nvars)))
+    assert all(got.classes.values())
+
+
+def test_times_delta_rejects_a_remainder_mod_3(monkeypatch):
+    """e1^3 f - p3 f = 3 (e1 e2 - e3) f, so a remainder mod 3 can only come
+    from a wrong power-sum pass, and the Delta step raises on it."""
+    push = npoint._push_power_sum
+
+    def off_by_one(ints, nvars, k):
+        out = push(ints, nvars, k)
+        if k == 3:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(npoint, "_push_power_sum", off_by_one)
+    with pytest.raises(ValueError, match="not divisible by 3"):
+        NPointEngine().delta_power(3, 1)
+
+
 def test_mul_rejects_mismatched_nvars():
     xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
     xy = SymmetricPoly(2, 1, {(1,): Fraction(1)})
@@ -565,11 +597,30 @@ class _UnfilteredSplitEngine(NPointEngine):
         return val
 
 
+# every P_r that `verify engines --dmax 10` builds (3r + n - 3 <= 10), every
+# r <= 3 for n <= 7, and n = 8..10 at r <= 2
+P_KEYS = [(n, r) for n in range(3, 14) for r in range(4)
+          if 3 * r + n - 3 <= 10 or n <= 7 or (n <= 10 and r <= 2)]
+
+
 def test_p_poly_matches_unfiltered_splits():
     eng, ref = NPointEngine(), _UnfilteredSplitEngine()
-    for n in range(3, 8):
-        for r in range(4):
-            assert _shape(eng.p_poly(n, r)) == _shape(ref.p_poly(n, r)), (n, r)
+    for key in P_KEYS:
+        assert _shape(eng.p_poly(*key)) == _shape(ref.p_poly(*key)), key
+
+
+def test_p_poly_asks_for_each_factor_pair_once():
+    """On a warm factor cache one P_r calls `a_factor` at most twice per
+    size m of I and genus r1 of its factor: 2 (n - 1)(r + 1) calls."""
+    warm = NPointEngine()
+    for key in P_KEYS:
+        warm.p_poly(*key)
+    for n, r in P_KEYS:
+        eng = _CountingEngine()
+        eng._afactor.update(warm._afactor)
+        assert eng.p_poly(n, r).classes == warm.p_poly(n, r).classes
+        assert eng.calls.keys() == {"p_poly", "a_factor"}, (n, r)
+        assert eng.calls["a_factor"] <= 2 * (n - 1) * (r + 1), (n, r)
 
 
 def _dict_mul(p, q):
@@ -659,4 +710,4 @@ def test_cached_values_are_built_through_the_public_methods():
             assert eng.f_part(n, 2, route).classes == \
                 plain.f_part(n, 2, route).classes, (route, n)
     assert eng.calls == {"f_part": 4, "component": 11, "p_delta": 33,
-                         "p_poly": 9, "a_factor": 258, "delta_power": 10}
+                         "p_poly": 9, "a_factor": 61, "delta_power": 10}
