@@ -26,8 +26,9 @@ raised mid-run therefore leaves stdout empty.
 One invocation has one `RecursionEngine`, loaded from `--cache` at start
 and appended to it on exit; `compute` and `denom` serve its loaded
 records as they stand.  `verify` computes on a fresh engine, or with
-`--workers N` on up to N worker processes, each on a fresh engine with
-one chunk of an identity grid, and merges their tables into the
+`--workers N` on at most N worker processes, and no more than the CPUs
+the process may run on, each on a fresh engine with one chunk of an
+identity grid, and merges their tables into the
 invocation's, write-once: a value that disagrees between workers or with
 a cached record exits 1.
 """
@@ -154,6 +155,14 @@ def _run_identity_chunk(work):
     return [run_identity(name, p, eng) for p in chunk], eng.table
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform reports no affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_grid_nonempty(args, name: str, grid: list):
     """A grid that checks nothing is a usage error, never an empty success."""
     if not grid:
@@ -166,9 +175,10 @@ def _verify_identities(args, eng):
     name = args.target
     grid = list(identity_grid(name, args.gmax, args.nmax, args.bmax))
     _check_grid_nonempty(args, name, grid)
-    # one chunk per worker: each chunk starts a fresh engine, so more
-    # chunks would repeat the recursion work that the grid shares
-    size = max(1, -(-len(grid) // args.workers))
+    # one chunk per worker, and no more workers than usable CPUs: each
+    # chunk starts a fresh engine, so more chunks would repeat the
+    # recursion work that the grid shares
+    size = max(1, -(-len(grid) // min(args.workers, _usable_cpus())))
     chunks = [(name, grid[i:i + size]) for i in range(0, len(grid), size)]
     if len(chunks) > 1:
         # imported only here, so jobs without workers do not load the
@@ -358,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache",
                     help=f"correlator cache file (default ${CACHE_ENV})")
     ap.add_argument("--workers", type=_int_at_least(1), default=1,
-                    help="parallel workers for verification grids")
+                    help="most worker processes for a verification "
+                         "grid; never more than the usable CPUs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     bound = _int_at_least(0)

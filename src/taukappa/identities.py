@@ -4,10 +4,10 @@ Each check evaluates both sides of one identity with the exact engines and
 reports the residual lhs - rhs.  One table maps each identity name of the
 workbench's verification grammar (thm7, thm8, prop9, thm10, prop11, thm12,
 conj13, string, dilaton) to its check and its parameter grid.
-Split sums run over ordered pairs of complementary labeled subsets, empty
-parts allowed, and the genus of each split factor is the unique one
-permitted by the dimension constraint (terms with no such genus vanish);
-each check lists the splits of d once, for all of its split sums.
+Every split side is one `_split_sum` over signed head pairs: it runs over
+ordered pairs of complementary labeled subsets, empty parts allowed, lists
+the splits of d once, and gives each split factor the unique genus that
+the dimension constraint permits (terms with no such genus vanish).
 conj13 is experimental: its reports never gate a verification run.
 The generalized string and dilaton checks read pure psi values from the
 engine's n-point function and kappa values from the reduction oracle, so
@@ -93,26 +93,28 @@ def _double_factorials(d) -> int:
     return prod(double_factorial(2 * x - 1) for x in d)
 
 
-def _split_pair_value(eng: RecursionEngine, g: int, head1, head2, splits,
-                      b1: MultiIndex = EMPTY, b2: MultiIndex = EMPTY) -> Fraction:
-    """sum over splits I|J of <head1, d_I, kappa(b1)>_{g'} <head2, d_J, kappa(b2)>_{g-g'},
-    where `splits` lists `multiset_splits(d)`.
-
-    Labeled splits with the same multisets d_I and d_J give the same term,
-    so each multiset split counts `ways` times.
-    """
+def _split_sum(eng: RecursionEngine, g: int, d, b: MultiIndex,
+               heads) -> Fraction:
+    """sum_{L <= b} binom(b, L) sum over (sign, head1, head2) in `heads` of
+    sign * sum over splits I|J of <head1 d_I kappa(L)>_{g'}
+    <head2 d_J kappa(b-L)>_{g-g'}; a multiset split counts `ways` times,
+    once for each labeled split with the same multisets d_I and d_J."""
+    splits = list(multiset_splits(d))
     total = Fraction(0)
-    for left, right, ways in splits:
-        d1 = head1 + left
-        gp = genus_for_dimension(sum(d1) + b1.weight, len(d1))
-        if gp is None or gp > g:
-            continue
-        v1 = eng.value(gp, d1, b1)
-        if not v1:
-            continue
-        v2 = eng.value(g - gp, head2 + right, b2)
-        if v2:
-            total += ways * v1 * v2
+    for b1, b2 in enumerate_sub_multiindices(b):
+        weight = multiindex_binomial(b, b1)
+        for sign, head1, head2 in heads:
+            for left, right, ways in splits:
+                d1 = head1 + left
+                gp = genus_for_dimension(sum(d1) + b1.weight, len(d1))
+                if gp is None or gp > g:
+                    continue
+                v1 = eng.value(gp, d1, b1)
+                if not v1:
+                    continue
+                v2 = eng.value(g - gp, head2 + right, b2)
+                if v2:
+                    total += sign * weight * ways * v1 * v2
     return total
 
 
@@ -177,11 +179,8 @@ def check_theorem7(g: int, d, k: int, engine: RecursionEngine
     (2g+n+1)! / (4^g (2g+1)! prod (2d_j-1)!!).
     """
     d, rhs = _closed_form(g, d, k, 0)
-    splits = list(multiset_splits(d))
-    lhs = Fraction(0)
-    for j in range(k + 1):
-        lhs += (-1) ** j * _split_pair_value(
-            engine, g, (j, 0, 0), (k - j, 0, 0), splits)
+    lhs = _split_sum(engine, g, d, EMPTY, [
+        ((-1) ** j, (j, 0, 0), (k - j, 0, 0)) for j in range(k + 1)])
     return IdentityReport("thm7", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
@@ -199,23 +198,12 @@ def check_theorem8(g: int, d, k: int, engine: RecursionEngine
     return IdentityReport("thm8", {"g": g, "d": list(d), "k": k}, lhs, rhs)
 
 
-def _split_ladder(eng: RecursionEngine, g: int, d, b: MultiIndex) -> Fraction:
-    """sum_{L <= b} binom(b, L) sum_j (-1)^j of the k = 2g split sums with
-    heads (tau_j tau_0^2, tau_{2g-j} tau_0^2) and (tau_j tau_{2g-j} tau_0^2,
-    tau_0^2), the two factors carrying kappa(L) and kappa(b-L): the split
-    side of prop11, and of prop9 at b = 0."""
-    splits = list(multiset_splits(d))
-    total = Fraction(0)
-    for b1, b2 in enumerate_sub_multiindices(b):
-        ladder = Fraction(0)
-        for j in range(2 * g + 1):
-            ladder += (-1) ** j * (
-                _split_pair_value(eng, g, (j, 0, 0), (2 * g - j, 0, 0),
-                                  splits, b1, b2)
-                + _split_pair_value(eng, g, (j, 2 * g - j, 0, 0), (0, 0),
-                                    splits, b1, b2))
-        total += multiindex_binomial(b, b1) * ladder
-    return total
+def _ladder_heads(g: int) -> list:
+    """The signed heads of prop9's and prop11's split side: (tau_j tau_0^2,
+    tau_{2g-j} tau_0^2) and (tau_j tau_{2g-j} tau_0^2, tau_0^2)."""
+    return [((-1) ** j, head1, head2) for j in range(2 * g + 1)
+            for head1, head2 in (((j, 0, 0), (2 * g - j, 0, 0)),
+                                 ((j, 2 * g - j, 0, 0), (0, 0)))]
 
 
 def _tau_m_sides(g: int, d: tuple, b: MultiIndex, M: int,
@@ -227,14 +215,8 @@ def _tau_m_sides(g: int, d: tuple, b: MultiIndex, M: int,
     rhs = Fraction(0)
     for j in range(len(d)):
         rhs += engine.value(g, d[:j] + (d[j] + M - 1,) + d[j + 1:], b)
-    splits = list(multiset_splits(d))
-    half = Fraction(0)
-    for left, right in enumerate_sub_multiindices(b):
-        bin_l = multiindex_binomial(b, left)
-        for j in range(M - 1):
-            half += ((-1) ** j * bin_l
-                     * _split_pair_value(engine, g, (j,), (M - 2 - j,),
-                                         splits, left, right))
+    half = _split_sum(engine, g, d, b, [
+        ((-1) ** j, (j,), (M - 2 - j,)) for j in range(M - 1)])
     return lhs, rhs - Fraction(1, 2) * half
 
 
@@ -242,7 +224,7 @@ def check_proposition9(g: int, d, engine: RecursionEngine
                        ) -> IdentityReport:
     """Split form of the k = 2g pair sum against its three-point collapse."""
     d = _sorted_d(d)
-    lhs = _split_ladder(engine, g, d, EMPTY)
+    lhs = _split_sum(engine, g, d, EMPTY, _ladder_heads(g))
     rhs = Fraction(0)
     for j in range(2 * g + 1):
         rhs += (-1) ** j * engine.value(g, (0, j, 2 * g - j) + d, EMPTY)
@@ -271,8 +253,9 @@ def check_proposition11(g: int, d, b: MultiIndex,
     lhs = Fraction(0)
     for j in range(2 * g + 1):
         lhs += (-1) ** j * engine.value(g, (0, 1, j, 2 * g - j) + d, b)
+    rhs = _split_sum(engine, g, d, b, _ladder_heads(g))
     return IdentityReport("prop11", {"g": g, "d": list(d), "b": str(b)},
-                          lhs, _split_ladder(engine, g, d, b))
+                          lhs, rhs)
 
 
 def check_theorem12(g: int, d, b: MultiIndex, M: int,
@@ -368,10 +351,12 @@ IDENTITY_NAMES = tuple(_FAMILIES)
 
 
 def identity_grid(name: str, gmax: int, nmax: int, bmax: int = 0):
-    """Admissible parameter tuples for one identity over the test grid."""
+    """Admissible parameter tuples for one identity over the test grid;
+    no admissible kappa(b) weighs more than 3 gmax + nmax."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown identity {name!r}")
-    return _FAMILIES[name][1](gmax, nmax, multiindices_up_to_weight(bmax))
+    bs = multiindices_up_to_weight(min(bmax, 3 * gmax + nmax))
+    return _FAMILIES[name][1](gmax, nmax, bs)
 
 
 def run_identity(name: str, params: dict,

@@ -728,10 +728,10 @@ def test_workers_match_serial_run(tmp_path, capsys):
         assert parallel.read_bytes() == serial.read_bytes()
 
 
-def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys):
-    """9 parameters cut for 4 workers give 3 chunks, so the pool is asked
-    for 3 processes; a serial stand-in for the pool prints what a serial
-    run prints.  An empty grid starts no pool."""
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap the process pool for a serial stand-in; return the list of
+    process counts that the pools were asked for."""
     import concurrent.futures
     asked = []
 
@@ -748,13 +748,62 @@ def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    serial = run_cli(capsys, "--workers", "1", *PROP11)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys,
+                                                       serial_pool):
+    """9 parameters cut for 4 workers on 4 CPUs give 3 chunks, so the pool
+    is asked for 3 processes; a serial stand-in for the pool prints what a
+    serial run prints.  An empty grid starts no pool."""
+    import taukappa.cli
+    monkeypatch.setattr(taukappa.cli, "_usable_cpus", lambda: 4)
+    serial = run_cli(capsys, "--workers", "1", *PROP11)
+    assert serial_pool == []
     assert run_cli(capsys, "--workers", "4", *PROP11) == serial
-    assert asked == [3]
+    assert serial_pool == [3]
     empty = ("verify", "thm8", "--gmax", "0", "--nmax", "0", "--bmax", "0")
     assert run_cli(capsys, "--workers", "4", *empty) == (2, "")
-    assert asked == [3]
+    assert serial_pool == [3]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_workers_ask_for_no_more_processes_than_cpus(monkeypatch, capsys,
+                                                     serial_pool, cpus):
+    """`--workers` is an upper bound: `--workers 64` on a 9-parameter grid
+    asks the pool for no more processes than there are usable CPUs, and
+    on one CPU it starts no pool; it prints what a serial run prints."""
+    import taukappa.cli
+    monkeypatch.setattr(taukappa.cli, "_usable_cpus", lambda: cpus)
+    serial = run_cli(capsys, "--workers", "1", *PROP11)
+    assert run_cli(capsys, "--workers", "64", *PROP11) == serial
+    assert serial_pool == ([cpus] if cpus > 1 else [])
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    """The CPU count is the process's affinity set where the platform
+    reports one, and the machine's count otherwise."""
+    import os
+
+    import taukappa.cli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert taukappa.cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert taukappa.cli._usable_cpus() == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert taukappa.cli._usable_cpus() == 1
+
+
+def test_grid_kappa_weight_past_its_cap_changes_nothing(capsys):
+    """No admissible kappa(b) weighs more than 3 gmax + nmax, so a larger
+    `--bmax` prints the same grid as the cap."""
+    grid = ("verify", "thm12", "--gmax", "1", "--nmax", "2", "--bmax")
+    capped = run_cli(capsys, *grid, "5")
+    assert capped[0] == 0 and "checked" in capped[1]
+    assert run_cli(capsys, *grid, "40") == capped
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -1316,6 +1365,23 @@ def test_exponent_tuple_kernels_live_in_core():
                   and node.name in kernels):
                 found.append(f"{path.name}:{node.lineno} def {node.name}")
     assert found == []
+
+
+def test_identity_split_sums_live_in_one_kernel():
+    """Every split side of the identity checks is one `_split_sum`: no
+    other code in `identities.py` reads `multiset_splits` or
+    `genus_for_dimension`, so no check grows a private split loop."""
+    names = {"multiset_splits", "genus_for_dimension"}
+    tree = ast.parse((ROOT / "src" / "taukappa" / "identities.py").read_text(
+        encoding="utf-8"))
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_split_sum"
+              for node in ast.walk(f)}
+    reads = [f"identities.py:{node.lineno} {node.id}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in names
+             and id(node) not in inside]
+    assert reads == [] and inside
 
 
 def test_cli_names_no_identity_family():

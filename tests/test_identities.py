@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from taukappa import identities
-from taukappa.core import EMPTY, MultiIndex, multiset_splits
+from taukappa.core import (EMPTY, MultiIndex, multiindices_up_to_weight,
+                           multiset_splits)
 from taukappa.identities import (check_conjecture13, check_proposition9,
                                  check_proposition11, check_theorem7,
                                  check_theorem8, check_theorem10,
@@ -159,3 +161,67 @@ def test_each_check_enumerates_splits_once(monkeypatch, check, args):
     monkeypatch.setattr(identities, "multiset_splits", counted)
     assert check(*args, RecursionEngine()).status == "holds"
     assert len(calls) == 1, check.__name__
+
+
+def test_grids_enumerate_no_kappa_weight_past_the_cap(monkeypatch):
+    """No admissible kappa(b) weighs more than 3 gmax + nmax, so no grid
+    at (gmax, nmax, bmax) = (1, 2, 40) asks for a multi-index above 5."""
+    asked = []
+
+    def spy(bmax):
+        asked.append(bmax)
+        return multiindices_up_to_weight(min(bmax, 5))
+
+    monkeypatch.setattr(identities, "multiindices_up_to_weight", spy)
+    for name in identities.IDENTITY_NAMES:
+        list(identity_grid(name, 1, 2, 40))
+    assert asked and max(asked) <= 5
+
+
+def _labeled_split_sum(eng, g, d, b, heads):
+    """`_split_sum` by brute force: d's insertions and b's kappa factors
+    each carry a label, and the sum runs over every subset of each and
+    every genus g' <= g that meets both factors' dimension constraints."""
+    kappas = [i for i, m in b.entries for _ in range(m)]
+    total = Fraction(0)
+    for sign, head1, head2 in heads:
+        for mask in range(2 ** len(d)):
+            d1 = head1 + tuple(x for i, x in enumerate(d) if mask >> i & 1)
+            d2 = head2 + tuple(x for i, x in enumerate(d)
+                               if not mask >> i & 1)
+            for kmask in range(2 ** len(kappas)):
+                b1 = MultiIndex(dict(Counter(
+                    x for i, x in enumerate(kappas) if kmask >> i & 1)))
+                b2 = MultiIndex(dict(Counter(
+                    x for i, x in enumerate(kappas) if not kmask >> i & 1)))
+                for gp in range(g + 1):
+                    if (sum(d1) + b1.weight == 3 * gp - 3 + len(d1)
+                            and sum(d2) + b2.weight
+                            == 3 * (g - gp) - 3 + len(d2)):
+                        total += (sign * eng.value(gp, d1, b1)
+                                  * eng.value(g - gp, d2, b2))
+    return total
+
+
+B3 = MultiIndex({1: 2, 2: 1})
+
+
+@pytest.mark.parametrize("g, d, b, heads", [
+    # thm7's heads at k = 2 and k = 4
+    (2, (2, 2, 1, 1), MultiIndex({1: 2}),
+     [((-1) ** j, (j, 0, 0), (2 - j, 0, 0)) for j in range(3)]),
+    (3, (2, 1, 1), B3,
+     [((-1) ** j, (j, 0, 0), (4 - j, 0, 0)) for j in range(5)]),
+    # the tau_M heads at M = 4
+    (4, (2, 2, 1, 1), B3, [((-1) ** j, (j,), (2 - j,)) for j in range(3)]),
+    # the ladder of prop9 and prop11 at 2g = 4
+    (3, (2, 1, 1), B3, identities._ladder_heads(2)),
+])
+def test_split_sum_matches_labeled_subsets(g, d, b, heads):
+    """The split kernel's multiset splits, `ways` and binom(b, L) count
+    what a sum over labeled subsets of d and of the kappa factors counts,
+    with each head pair's sign, on shapes with repeated entries."""
+    eng = RecursionEngine()
+    expected = _labeled_split_sum(eng, g, d, b, heads)
+    assert expected != 0
+    assert identities._split_sum(eng, g, d, b, heads) == expected
