@@ -3,9 +3,10 @@
 D(g, n) is the lcm of the reduced denominators of every pure-psi
 correlator on the genus-g n-point moduli space; script-D(g) is the same
 over all pure-kappa volumes of weight 3g-3 on the unmarked space.  The
-two are tied by divisibility (D(g, n) divides D(g, n+1)) and by the
-equality script-D(g) = D(g, 3g-3), which the analyzer recomputes from
-both definitions and refuses to report unless they agree.
+two are tied by divisibility (D(g, n) divides D(g, n+1), Prop. 17) and
+by script-D(g) = D(g, 3g-3), which the analyzer recomputes from both
+definitions (the latter over the core correlators, every d_j >= 2) and
+refuses to report unless they agree.
 """
 
 from __future__ import annotations
@@ -72,13 +73,21 @@ def compute_D(g: int, n: int, engine: RecursionEngine) -> DenominatorReport:
     return DenominatorReport(g, n, value, count, factorize(value))
 
 
+def _core_shapes(g: int) -> list[tuple]:
+    """Core d (every d_j >= 2): the partitions of 3g-3, parts raised by 1."""
+    return [tuple(x + 1 for x in p if x)
+            for p in partitions(3 * g - 3, 3 * g - 3)]
+
+
 def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
     """Pure-kappa denominator lcm at genus g >= 2, computed twice.
 
-    Both the kappa-volume definition (the volumes <kappa(b)>_g read by
-    `RecursionEngine.value`) and the equal psi-side invariant D(g, 3g-3)
-    are evaluated; a mismatch raises EngineDisagreement (it would falsify
-    the divisibility theory or expose an engine bug or a bad cache record).
+    The kappa side is the definition, the lcm over the volumes <kappa(b)>_g.
+    The psi side is D(g, 3g-3), read from the p(3g-3) core correlators: by
+    the integer string and dilaton equations every correlator at (g, n) is
+    an integer combination of core ones at (g, n' <= n), and Prop. 17's
+    ladder D(g, n') | D(g, n) gives the converse.  A mismatch (a false
+    theory, an engine bug or a bad cache record) raises EngineDisagreement.
     """
     if g < 2:
         raise ValueError("script-D needs g >= 2")
@@ -88,12 +97,13 @@ def compute_script_D(g: int, engine: RecursionEngine) -> DenominatorReport:
         val = engine.value(g, (), b)
         count += 1
         value = lcm(value, val.denominator)
-    psi_side = compute_D(g, 3 * g - 3, engine)
-    if psi_side.value != value:
+    shapes = _core_shapes(g)
+    psi_side = lcm(*(engine.value(g, d).denominator for d in shapes))
+    if psi_side != value:
         raise EngineDisagreement(
             f"script-D({g}) mismatch: kappa path {value}, "
-            f"psi path {psi_side.value}")
-    return DenominatorReport(g, None, value, count + psi_side.correlator_count,
+            f"psi path {psi_side}")
+    return DenominatorReport(g, None, value, count + len(shapes),
                              factorize(value))
 
 

@@ -338,7 +338,7 @@ _FAMILIES = {
     "prop11": (check_proposition11, lambda gmax, nmax, bs: (
         {"g": g, "d": d, "b": b} for g in range(gmax + 1)
         for n in range(nmax + 1) for b in bs
-        for d in partitions(g + n - 1 - b.weight, n))),
+        for d in partitions(g + n - b.weight, n))),
     "thm12": (check_theorem12, _tau_m_grid),
     "conj13": (check_conjecture13, lambda gmax, nmax, bs: (
         {"g": g, "d": tuple(x + 1 for x in e)} for g in range(2, gmax + 1)

@@ -588,7 +588,6 @@ def test_cached_volume_is_served_without_the_reduction(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("record,kappa,psi", [
-    ("3|12,0,0,0,0,0||1/11", 2903040, 31933440),   # moves the psi path
     ("3||1:6|1/11", 31933440, 2903040),            # moves the kappa path
 ])
 def test_script_d_mismatch_exit_code(tmp_path, capsys, record, kappa, psi):
@@ -605,6 +604,40 @@ def test_script_d_mismatch_exit_code(tmp_path, capsys, record, kappa, psi):
     assert cache.read_text() == record + "\n"
 
 
+def test_script_d_psi_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    """A psi side that lost its core correlators with n <= 2 no longer
+    reaches script-D(3): the same one-line exit 1, no stdout, and the
+    file as it was.  A cache record cannot do this: the kappa side of
+    script-D(3) reads every core correlator that the psi side reads."""
+    core = denominators._core_shapes
+    monkeypatch.setattr(denominators, "_core_shapes",
+                        lambda g: [d for d in core(g) if len(d) > 2])
+    cache = tmp_path / "good.cache"
+    cache.write_text("1|1||1/24\n")
+    code = main(["--cache", str(cache), "denom", "--genus", "3",
+                 "--script-d"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("engine disagreement: script-D(3) mismatch: "
+                            "kappa path 2903040, psi path 483840\n")
+    assert cache.read_text() == "1|1||1/24\n"
+
+
+def test_script_d_serves_no_unread_poisoned_record(tmp_path, capsys):
+    """<tau_12 tau_0^5>_3 = 1/11 is wrong, but no path of script-D(3)
+    reads it: exit 0 with the true value, the record left as it was, and
+    after it the segment an empty cache gets."""
+    record = b"3|12,0,0,0,0,0||1/11\n"
+    clean, cache = tmp_path / "clean.cache", tmp_path / "poisoned.cache"
+    cache.write_bytes(record)
+    argv = ("denom", "--genus", "3", "--script-d")
+    expected = (0, "script-D(3) = 2903040 (factorization {2: 10, 3: 4, "
+                   "5: 1, 7: 1}; psi and kappa paths agree)\n")
+    assert run_cli(capsys, "--cache", str(clean), *argv) == expected
+    assert run_cli(capsys, "--cache", str(cache), *argv) == expected
+    assert cache.read_bytes() == record + clean.read_bytes()
+
+
 def test_denom_cache_file_is_pinned(tmp_path, capsys):
     """The file script-D(3) writes from an empty cache: one segment
     header, then its records byte for byte.  Every key it shares with
@@ -616,17 +649,17 @@ def test_denom_cache_file_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     header, records = cache.read_bytes().split(b"\n", 1)
-    assert header == b"#seg v1 records=194 bytes=4108 crc32=49e68130"
+    assert header == b"#seg v1 records=69 bytes=1325 crc32=bb33341a"
     assert not records.startswith(b"#") and b"\n#" not in records
-    assert records.count(b"\n") == 194
+    assert records.count(b"\n") == 69
     assert hashlib.sha256(records).hexdigest() == \
-        "8109f3cf14806930a4d76d99aacff53416a4de31277ded8f3705f16630aeb075"
+        "cdad780401a9f1bfdb2ffa1be3c068e6d277a96c199fd1233b2c298065eae9fd"
     written, pinned = CorrelatorTable(), CorrelatorTable()
     written.load(str(cache))
     pinned.load(str(ROOT / "tests" / "data" / "script_d3_three_sums.cache"))
     new, old = written.values, pinned.values
     shared = new.keys() & old.keys()
-    assert len(shared) == 180
+    assert len(shared) == 55
     assert sum(1 for _, d, _ in shared if not d) == 11
     assert all(new[key] == old[key] for key in shared)
 
@@ -716,7 +749,7 @@ def test_workers_match_serial_run(tmp_path, capsys):
     a serial run: on a theorem grid and on the dilaton grid, whose checks
     also read the engine's n-point function."""
     for argv, summary, records in (
-            (PROP11, "# prop11: 9 checked, 9 hold", 20),
+            (PROP11, "# prop11: 13 checked, 13 hold", 41),
             (DILATON, "# dilaton: 5 checked, 5 hold", 9)):
         serial = tmp_path / f"{argv[1]}-serial.cache"
         parallel = tmp_path / f"{argv[1]}-parallel.cache"
@@ -754,18 +787,18 @@ def serial_pool(monkeypatch):
 
 def test_workers_ask_for_no_more_processes_than_chunks(monkeypatch, capsys,
                                                        serial_pool):
-    """9 parameters cut for 4 workers on 4 CPUs give 3 chunks, so the pool
-    is asked for 3 processes; a serial stand-in for the pool prints what a
+    """13 parameters cut for 6 workers on 6 CPUs give 5 chunks, so the pool
+    is asked for 5 processes; a serial stand-in for the pool prints what a
     serial run prints.  An empty grid starts no pool."""
     import taukappa.cli
-    monkeypatch.setattr(taukappa.cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(taukappa.cli, "_usable_cpus", lambda: 6)
     serial = run_cli(capsys, "--workers", "1", *PROP11)
     assert serial_pool == []
-    assert run_cli(capsys, "--workers", "4", *PROP11) == serial
-    assert serial_pool == [3]
+    assert run_cli(capsys, "--workers", "6", *PROP11) == serial
+    assert serial_pool == [5]
     empty = ("verify", "thm8", "--gmax", "0", "--nmax", "0", "--bmax", "0")
-    assert run_cli(capsys, "--workers", "4", *empty) == (2, "")
-    assert serial_pool == [3]
+    assert run_cli(capsys, "--workers", "6", *empty) == (2, "")
+    assert serial_pool == [5]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -1261,14 +1294,14 @@ GRID_DIGESTS = {
         "# thm10: 26 checked, 26 hold",
         "8ac6485e4672d126163acde43ff0297c80a2d487455663551612091c029d35a6"),
     "verify prop11 --gmax 3 --nmax 3 --bmax 2": (
-        "# prop11: 75 checked, 75 hold",
-        "8c163e70658ba5de764e8e65ea0083722f901ef5449bda998c83a2eeda027491"),
+        "# prop11: 101 checked, 101 hold",
+        "08ba3da370fc16f1e03d5bf97a3e91c032000b87cdcd9611539ca9fe3dac7085"),
     "verify thm12 --gmax 3 --nmax 3 --bmax 2": (
         "# thm12: 58 checked, 58 hold",
         "4f4dd5b46335f3f7782ca4990f39989f2af56af794021a1a065b179453376497"),
     "--format json verify prop11 --gmax 3 --nmax 3 --bmax 2": (
-        "# prop11: 75 checked, 75 hold",
-        "75a8e41d65ed8a653cbd1b833b7b49c9bd9654251715516be6faf67ed96ae1fd"),
+        "# prop11: 101 checked, 101 hold",
+        "d704404c6dca7a7e0d27fdb4a1fdafdcaefe73511822812b39b31da55b7bac77"),
 }
 
 
@@ -1278,6 +1311,18 @@ def test_identity_grid_digest(capsys, command):
     footer, digest = GRID_DIGESTS[command]
     assert code == 0 and out.splitlines()[-1] == footer
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_prop11_grid_checks_nonzero_sides(capsys):
+    """Each prop11 entry at (3,3,2) gives d the degree g + n - |b| that
+    the dimension of <tau_0 tau_1 tau_j tau_{2g-j} prod tau_d kappa(b)>_g
+    asks for, so no entry is the trivial 0 = 0."""
+    code, out = run_cli(capsys, "--format", "json", "verify", "prop11",
+                        "--gmax", "3", "--nmax", "3", "--bmax", "2")
+    rows = [json.loads(line) for line in out.splitlines()
+            if not line.startswith("#")]
+    assert code == 0 and len(rows) == 101
+    assert all(row["lhs"] != "0/1" for row in rows)
 
 
 def test_readme_library_block():

@@ -1,10 +1,11 @@
-from math import prod
+from math import lcm, prod
 
 import pytest
 
-from taukappa.denominators import (check_iz_fixture, check_lemma20,
-                                   check_proposition17, compute_D,
-                                   compute_script_D, factorize,
+from taukappa.core import partitions
+from taukappa.denominators import (_core_shapes, check_iz_fixture,
+                                   check_lemma20, check_proposition17,
+                                   compute_D, compute_script_D, factorize,
                                    load_fixture_orders)
 from taukappa.recursion import RecursionEngine
 
@@ -39,6 +40,7 @@ def test_script_D_two_paths_agree():
     rep = compute_script_D(2, eng)
     assert rep.value == compute_D(2, 3, eng).value
     assert rep.point_count is None
+    assert rep.correlator_count == 3 + 3      # volumes, then core shapes
     with pytest.raises(ValueError):
         compute_script_D(1, eng)
 
@@ -49,6 +51,29 @@ def test_script_D_five():
     rep = compute_script_D(5, RecursionEngine())
     assert rep.value == 367873228800
     assert rep.factorization == {2: 18, 3: 6, 5: 2, 7: 1, 11: 1}
+
+
+def test_core_lcm_is_the_full_psi_side():
+    """The lcm over the core correlators, script-D's psi side, equals
+    D(g, 3g-3) over every partition for g = 2..6."""
+    eng = RecursionEngine()
+    for g in range(2, 7):
+        core = lcm(*(eng.value(g, d).denominator for d in _core_shapes(g)))
+        assert core == compute_D(g, 3 * g - 3, eng).value, g
+
+
+def test_core_shapes_are_every_core_correlator():
+    """The core shapes are, once each, every d in partitions(3g-3+n, n)
+    with all d_j >= 2, over every n (none past n = 3g-3), for g <= 6: a
+    check the lcm alone cannot make, since dropping whole point counts
+    often leaves it unchanged."""
+    for g in range(2, 7):
+        shapes = _core_shapes(g)
+        assert len(set(shapes)) == len(shapes)
+        assert set(shapes) == {d for n in range(1, 3 * g - 1)
+                               for d in partitions(3 * g - 3 + n, n)
+                               if min(d) >= 2}, g
+    assert [len(_core_shapes(g)) for g in (4, 7)] == [30, 385]
 
 
 def test_script_D_volumes_never_run_the_three_sums_with_kappa():
