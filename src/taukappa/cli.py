@@ -11,11 +11,12 @@ invariants or none (it computes exactly one of `--n`, `--script-d`,
 `--lemma20`, `--prop17` and `--iz-fixture`) are rejected by the argument
 parser, an unreadable or malformed `--iz-fixture` file and a check with
 no rows (a `--prop17` ladder of one D(g, n), or an `--iz-fixture` file
-with no row of genus 1 < g' <= `--genus`) by `denom`, a grid that checks
-nothing by `verify`, and `--b` on `compute psi` by `compute`: all are
-usage errors, one line on stderr.  So is an input whose evaluation nests
-deeper than Python's recursion limit (some 600 insertions); nothing is
-printed on stdout or appended to the cache.
+with no row of genus 1 < g' <= `--genus`) by `denom`, a grid or a `--k`
+that checks nothing (one index for `verify commutators`) by `verify`, and
+`--b` on `compute psi` by `compute`: all are usage errors, one line on
+stderr.  So is an input whose evaluation nests deeper than Python's
+recursion limit (some 600 insertions); nothing is printed on stdout or
+appended to the cache.
 
 Every command handler prints nothing: it returns its results and an
 optional `#` footer line.  `main` prints each result in the `--format`
@@ -238,25 +239,29 @@ def _verify_substitution(args, eng):
 def _verify_commutators(args, eng):
     import random
     from .series import TruncatedSeries
+    ks = sorted(set(args.k))
+    pairs = [(n, m) for n in ks for m in ks if m < n]
+    if not pairs:
+        raise SystemExit2(f"verify commutators checks nothing with --k "
+                          f"{','.join(map(str, ks))}; name two indices")
     rng = random.Random(20240311)
     results = []
-    for n in range(-1, 4):
-        for m in range(-1, n):
-            terms = {}
-            for _ in range(5):
-                tpart = tuple(sorted(
-                    {i: rng.randint(1, 2)
-                     for i in rng.sample(range(5), rng.randint(0, 2))}.items()))
-                spart = tuple(sorted(
-                    {j: rng.randint(1, 2)
-                     for j in rng.sample([1, 2], rng.randint(0, 1))}.items()))
-                terms[(tpart, spart)] = Fraction(rng.randint(-4, 4),
-                                                 rng.randint(1, 5))
-            ok = not commutator_check(n, m, TruncatedSeries(terms)).terms
-            status = "holds" if ok else "fails"
-            results.append(Result(
-                {"identity": "commutators", "n": n, "m": m, "status": status},
-                f"[V_{n}, V_{m}] - ({n}-{m})V_{n+m}: {status}", not ok))
+    for n, m in pairs:
+        terms = {}
+        for _ in range(5):
+            tpart = tuple(sorted(
+                {i: rng.randint(1, 2)
+                 for i in rng.sample(range(5), rng.randint(0, 2))}.items()))
+            spart = tuple(sorted(
+                {j: rng.randint(1, 2)
+                 for j in rng.sample([1, 2], rng.randint(0, 1))}.items()))
+            terms[(tpart, spart)] = Fraction(rng.randint(-4, 4),
+                                             rng.randint(1, 5))
+        ok = not commutator_check(n, m, TruncatedSeries(terms)).terms
+        status = "holds" if ok else "fails"
+        results.append(Result(
+            {"identity": "commutators", "n": n, "m": m, "status": status},
+            f"[V_{n}, V_{m}] - ({n}-{m})V_{n+m}: {status}", not ok))
     return results, None
 
 

@@ -18,7 +18,10 @@ E(G) exp(G) gives, for Z = exp(G),
 
 Walking the output monomials in increasing degree, each coefficient needs
 only coefficients already computed at its divisors, so the output set must
-be divisor-closed; no product outside it is ever formed.  deg(d) G[d] and
+be divisor-closed; no product outside it is ever formed.  The closure pass
+buckets the admitted monomials by degree and, degree by degree, admits m
+once every m/v (v a variable of m) is in, stopping at the first that is
+not; by induction every divisor of m is then in.  deg(d) G[d] and
 the computed Z[q] are held by t-part, then s-part, so a split d = (dt, ds)
 is dropped when G has no term with t-part dt or Z none with t-part m/dt,
 before any s-part split is walked.  The sum for one Z[m] runs on
@@ -70,13 +73,27 @@ def _unit_quotients(m: Monomial):
             yield (lower, m[1]) if slot == 0 else (m[0], lower)
 
 
+def _divisor_closed(admitted) -> list:
+    """The monomials of `admitted` whose divisors are all in it, by
+    increasing degree: the closure pass of the module docstring."""
+    by_degree: dict[int, list] = {}
+    for m in admitted:
+        by_degree.setdefault(_degree(m), []).append(m)
+    order, closed = [], {EMPTY_MONO}
+    for degree in sorted(by_degree):
+        for m in by_degree[degree]:
+            for q in _unit_quotients(m):
+                if q not in closed:
+                    break
+            else:
+                order.append(m)
+                closed.add(m)
+    return order
+
+
 def format_monomial(m: Monomial) -> str:
-    bits = []
-    for i, e in m[0]:
-        bits.append(f"t{i}" + (f"^{e}" if e > 1 else ""))
-    for i, e in m[1]:
-        bits.append(f"s{i}" + (f"^{e}" if e > 1 else ""))
-    return "*".join(bits) if bits else "1"
+    return "*".join(f"{v}{i}" + (f"^{e}" if e > 1 else "")
+                    for v, part in zip("ts", m) for i, e in part) or "1"
 
 
 class TruncatedSeries:
@@ -104,11 +121,7 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            terms[m] = terms.get(m, 0) + c     # zero sums drop on construction
         return TruncatedSeries(terms, _intersect(self.admitted, other.admitted))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -116,8 +129,6 @@ class TruncatedSeries:
 
     def scaled(self, scalar) -> "TruncatedSeries":
         scalar = Fraction(scalar)
-        if not scalar:
-            return TruncatedSeries({}, self.admitted)
         return TruncatedSeries({m: c * scalar for m, c in self.terms.items()},
                                self.admitted)
 
@@ -146,24 +157,15 @@ class TruncatedSeries:
 
     def exp(self) -> "TruncatedSeries":
         """exp of a truncated series with no constant term, by the graded
-        recurrence of the module docstring.  It is computed and admitted
-        exactly on the admitted monomials whose divisors other than 1 are
-        all admitted (a divisor-closed set): every factorization of such a
-        monomial draws only on admitted input coefficients.  The sums skip
-        splits by t-part and run on integer buckets, as the module
-        docstring describes."""
+        recurrence of the module docstring, computed and admitted exactly
+        on the admitted monomials whose divisors other than 1 are all
+        admitted: every factorization of such a monomial draws only on
+        admitted input coefficients."""
         if EMPTY_MONO in self.terms:
             raise ValueError("exp needs a series with zero constant term")
         if self.admitted is None:
             raise ValueError("exp needs a truncated series")
-        # m joins once m/v has joined for every variable v of m; by
-        # induction on degree, all divisors of m have then joined
-        order = []
-        closed = {EMPTY_MONO}
-        for m in sorted(self.admitted, key=_degree):
-            if all(q in closed for q in _unit_quotients(m)):
-                order.append(m)
-                closed.add(m)
+        order = _divisor_closed(self.admitted)
         # deg(d) G[d] and the computed Z[q], as {t-part: {s-part: (n, k)}}
         # for the fraction n/k, so a split is skipped on its t-parts alone
         weighted: dict = {}
@@ -206,9 +208,9 @@ class TruncatedSeries:
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
-        """(monomial, coefficient) pairs that are admitted and nonzero."""
-        return [(m, c) for m, c in sorted(self.terms.items())
-                if c and self.is_admitted(m)]
+        """(monomial, coefficient) pairs that are admitted and nonzero,
+        sorted: the stored terms, which construction keeps to those."""
+        return sorted(self.terms.items())
 
     def __len__(self):
         return len(self.terms)

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
 from math import comb, prod
 
 from .core import (Memo, MultiIndex, bucket_sum, double_factorial,
-                   exponent_factorial, exponent_splits, genus_for_dimension,
-                   merge_exponents, multiindices_of_weight,
-                   multiindices_up_to_weight, runs)
+                   enumerate_sub_multiindices, exponent_factorial,
+                   genus_for_dimension, merge_exponents,
+                   multiindices_of_weight, multiindices_up_to_weight)
 from .recursion import RecursionEngine, gamma_constant
 from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
                      shifted_down)
@@ -47,108 +46,104 @@ class VirasoroOperator:
     (d) the constants t_0^2/4 at k = -1 and 1/16 at k = 0.
 
     The coefficient tables the action reads are filled on first use and
-    kept on the instance, so one operator applied to a long series builds
-    each gamma_L, each s-part product and each s-part split once.
+    kept on the instance, so one operator applied to a long series splits
+    each s-part and builds each gamma_L once.
     """
 
     def __init__(self, k: int):
         if k < -1:
             raise ValueError("Virasoro index starts at -1")
         self.k = k
-        # w -> [(L, gamma_L)] over |L| = w; a local, so that no fill
-        # refers back to the operator and it is freed by reference counting
-        gammas = Memo(lambda w: [(L, gamma_constant(L))
-                                 for L in multiindices_of_weight(w)])
-        # (s-part, i) -> [(s-part * s^L, group (a) coefficient of d/dt_i)]
-        self._raised = Memo(lambda key: [
-            (merge_exponents(key[0], L.entries),
-             Fraction(-double_factorial(2 * key[1] + 1), 2) * gamma)
-            for L, gamma in gammas[key[1] - k - 1]])
-        # i -> group (b) coefficient of t_{i-k} d/dt_i
+        # i -> group (b) coefficient of t_{i-k} d/dt_i; no fill refers to
+        # the operator, so it is freed by reference counting
         self._scale = Memo(lambda i: Fraction(
             double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
-        # s-part -> [(s-part / s^L, t-part delta t_{|L|+k+1})] over L <= s-part
+        # s-part -> [(s-part / s^L, i, group (a) coefficient of s^L d/dt_i)]
+        # over L <= s-part, with i = |L| + k + 1
         self._lowered = Memo(lambda s: [
-            (rest, ((sum(i * e for i, e in L) + k + 1, 1),))
-            for L, rest in exponent_splits(s)])
-        # group (c): (t-part delta 1/(t_d1 t_d2), coefficient)
-        self._pairs = [(((d1, -1), (k - 1 - d1, -1)),
+            (rest.entries, L.weight + k + 1,
+             Fraction(-double_factorial(2 * (L.weight + k) + 3), 2)
+             * gamma_constant(L))
+            for L, rest in enumerate_sub_multiindices(MultiIndex(s))])
+        self._pairs = [((d1, k - 1 - d1),     # group (c): ((d1, d2), coef)
                         Fraction(double_factorial(2 * d1 + 1)
                                  * double_factorial(2 * k - 2 * d1 - 1), 4))
                        for d1 in range(max(k, 0))]
 
-    # -- forward action ----------------------------------------------------
-
     def _images(self, m: Monomial):
-        """(output monomial, multiplicity, coefficient) for every term of
-        V_k acting on m; the term adds multiplicity * coefficient times m's
-        coefficient to the output."""
+        """Every output monomial that some term of V_k maps m onto."""
         k = self.k
         t, s = m
-        for i, e in t:
+        for i, _e in t:
             lowered = merge_exponents(t, ((i, -1),))
             if i > k:
-                # group (a): derivative at t_i, s^L with |L| = i - k - 1
-                for sp, coef in self._raised[(s, i)]:
-                    yield (lowered, sp), e, coef
+                for L in multiindices_of_weight(i - k - 1):
+                    yield lowered, merge_exponents(s, L.entries)
             if i >= k:
-                # group (b): t_{i-k} d/dt_i
-                yield ((merge_exponents(lowered, ((i - k, 1),)), s), e,
-                       self._scale[i])
+                yield merge_exponents(lowered, ((i - k, 1),)), s
         texp = dict(t)
-        for delta, coef in self._pairs:
-            (d1, _), (d2, _) = delta
-            fac = texp.get(d1, 0) * (texp.get(d2, 0) - (d1 == d2))
-            if fac > 0:
-                yield (merge_exponents(t, delta), s), fac, coef
+        for (d1, d2), _ in self._pairs:
+            if texp.get(d1, 0) * (texp.get(d2, 0) - (d1 == d2)) > 0:
+                yield merge_exponents(t, ((d1, -1), (d2, -1))), s
         if k == -1:
-            yield (merge_exponents(t, ((0, 2),)), s), 1, Fraction(1, 4)
-        if k == 0:
-            yield m, 1, V0_CONSTANT
-
-    def _preimages(self, m: Monomial):
-        """Every input monomial some term of V_k could map onto m."""
-        k = self.k
-        t, s = m
-        for sp, delta in self._lowered[s]:
-            yield (merge_exponents(t, delta), sp)
-        for j, _e in t:
-            if j + k >= 0:
-                yield (merge_exponents(t, ((j, -1), (j + k, 1))), s)
-        for delta, _ in self._pairs:
-            yield (merge_exponents(t, delta, -1), s)
-        if k == -1 and dict(t).get(0, 0) >= 2:
-            yield (merge_exponents(t, ((0, -2),)), s)
+            yield merge_exponents(t, ((0, 2),)), s
         if k == 0:
             yield m
 
+    def _sources(self, m: Monomial):
+        """(input, multiplicity, coefficient) for every term of V_k that
+        maps an input onto m, adding multiplicity * coefficient times the
+        input's coefficient to m's: the one place V_k's coefficients live."""
+        k = self.k
+        t, s = m
+        texp = dict(t)
+        for rest, i, coef in self._lowered[s]:
+            # (a): s^L d/dt_i maps m t_i / s^L onto m
+            yield ((merge_exponents(t, ((i, 1),)), rest),
+                   texp.get(i, 0) + 1, coef)
+        for j, e in t:
+            # (b): t_j d/dt_{j+k} maps m t_{j+k} / t_j onto m
+            if j + k >= 0:
+                yield ((merge_exponents(t, ((j, -1), (j + k, 1))), s),
+                       e if k == 0 else texp.get(j + k, 0) + 1,
+                       self._scale[j + k])
+        for (d1, d2), coef in self._pairs:
+            # (c): d^2/dt_{d1}dt_{d2} maps m t_{d1} t_{d2} onto m
+            inp = merge_exponents(t, ((d1, 1), (d2, 1)))
+            ein = dict(inp)
+            yield (inp, s), ein[d1] * (ein[d2] - (d1 == d2)), coef
+        if k == -1 and texp.get(0, 0) >= 2:     # (d): the constants
+            yield (merge_exponents(t, ((0, -2),)), s), 1, Fraction(1, 4)
+        if k == 0:
+            yield m, 1, V0_CONSTANT
+
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
-        """V_k applied to a series.  An output is admitted when it is the
-        image of an admitted monomial and every monomial that could feed it
-        is admitted.  Those outputs are the quotients m / t_{k+1} of
-        admitted m whose preimages are all admitted: m t_{k+1} is always a
-        preimage of m (the L = 0 entry of `_lowered`), and m is always an
-        image of m t_{k+1} (group (a) at i = k+1, L = 0).  So admission is
-        decided from those quotients first, and coefficients are summed
-        for the admitted images of the stored terms only.  Each admitted
-        output sums its contributions on integers, as numerators under
-        their denominators (`core.bucket_sum`), and forms one Fraction."""
-        adm = None
-        if series.admitted is not None:
-            admitted = series.admitted
-            adm = {m for m in shifted_down(admitted, self.k + 1)
-                   if all(p in admitted for p in self._preimages(m))}
-        # out -> {denominator: integer numerator}, one Fraction per output
-        buckets: dict[Monomial, dict[int, int]] = {}
-        for m, c in series.terms.items():
-            num, den = c.numerator, c.denominator
-            for out, mult, coef in self._images(m):
-                if adm is None or out in adm:
-                    acc = buckets.setdefault(out, {})
-                    k = den * coef.denominator
-                    acc[k] = acc.get(k, 0) + num * mult * coef.numerator
-        terms = {out: bucket_sum(acc) for out, acc in buckets.items()}
-        return TruncatedSeries(terms, adm)
+        """V_k applied to a series, each output's coefficient pulled from
+        its `_sources`.  The candidates are the `_images` of an exact
+        series' terms, or the quotients m / t_{k+1} of a truncated one's
+        admitted m: an output is admitted when all its sources are, and
+        m t_{k+1} is one (group (a), L = 0).  Each admitted output sums
+        its stored sources on integers, as numerators under their
+        denominators (`core.bucket_sum`), and forms one Fraction."""
+        admitted, stored = series.admitted, series.terms
+        candidates = ({out for m in stored for out in self._images(m)}
+                      if admitted is None
+                      else shifted_down(admitted, self.k + 1))
+        terms, adm = {}, []
+        for out in candidates:
+            acc: dict[int, int] = {}    # denominator -> integer numerator
+            for src, mult, coef in self._sources(out):
+                if admitted is not None and src not in admitted:
+                    break
+                c = stored.get(src)
+                if c is not None:
+                    den = c.denominator * coef.denominator
+                    acc[den] = (acc.get(den, 0)
+                                + c.numerator * mult * coef.numerator)
+            else:
+                adm.append(out)
+                terms[out] = bucket_sum(acc)
+        return TruncatedSeries(terms, None if admitted is None else adm)
 
 
 # -- generating series -------------------------------------------------------
@@ -164,10 +159,13 @@ def mixed_generating_series(gmax: int, nmax: int, bmax: int,
     sparts = multiindices_up_to_weight(bmax)
     terms: dict[Monomial, Fraction] = {}
     admitted = set()
+    level = [((), (), 0)]   # (t-part, descending d, degree) of n indices
     for n in range(nmax + 1):
-        for up in combinations_with_replacement(range(tmax + 1), n):
-            d, degree = up[::-1], sum(up)
-            tpart = runs(up)
+        if n:
+            level = [(merge_exponents(tpart, ((i, 1),)), (i,) + d, degree + i)
+                     for tpart, d, degree in level
+                     for i in range(d[0] if d else 0, tmax + 1)]
+        for tpart, d, degree in level:
             for b in sparts:
                 m = (tpart, b.entries)
                 g = genus_for_dimension(degree + b.weight, n)

@@ -175,6 +175,23 @@ def test_verify_grid_with_nothing_to_check_is_a_usage_error(capsys, argv):
         f"error: verify {target} checks nothing with --gmax "), argv
 
 
+def test_verify_commutators_checks_the_pairs_of_its_k(capsys):
+    """`--k 0..1` checks [V_1, V_0] alone."""
+    code, out = run_cli(capsys, "verify", "commutators", "--k", "0..1")
+    assert (code, out) == (0, "[V_1, V_0] - (1-0)V_1: holds\n")
+
+
+def test_verify_commutators_with_one_index_is_a_usage_error(capsys):
+    """A `--k` with one index makes no pair n > m: exit 2 with one line
+    on stderr, never an empty success."""
+    code = main(["verify", "commutators", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: verify commutators checks nothing with --k 2; "
+        "name two indices"]
+
+
 def _assert_argument_error(capsys, argv: str):
     """argv exits 2 with one error line after the usage, naming the
     argument, and runs nothing."""

@@ -10,10 +10,10 @@ each one's genus from the monomial; `ref_substitution` expands every F
 term forward through (t_k + p_k)^e and then admits a G monomial when all
 the pure-psi monomials that feed it are admitted in F.  They are kept
 here, test-only, as the independent references for the graded `exp`, the
-quotient-first `VirasoroOperator.apply`, the split-sum
-`TruncatedSeries.mul`, the shape-wise `mixed_generating_series` and the
-pulled `substitution_check`: outputs must agree exactly, terms and
-admission sets alike.
+`VirasoroOperator.apply` that pulls each admitted coefficient from its
+sources, the split-sum `TruncatedSeries.mul`, the level-walk
+`mixed_generating_series` and the pulled `substitution_check`: outputs
+must agree exactly, terms and admission sets alike.
 """
 
 import random
@@ -437,7 +437,7 @@ def truncated_series(draw):
 def test_graded_exp_and_apply_equal_references(drawn):
     G, keep = drawn
     assert_same(G.exp(), ref_exp(G, keep, G.admitted))
-    # admission sets that are not divisor-closed reach every preimage rule
+    # admission sets that are not divisor-closed reach every source rule
     for k in KS:
         assert_same(VirasoroOperator(k).apply(G), RefVirasoro(k).apply(G))
 
@@ -482,13 +482,31 @@ def monomials(draw):
 @settings(max_examples=200, deadline=None)
 @given(monomials())
 def test_quotient_by_t_k_plus_1_is_image_and_preimage(m):
-    """The lemma behind quotient-first admission in `apply`: m t_{k+1} is
-    a preimage of m, and m an image of m t_{k+1}, for every k."""
+    """The lemma behind the candidates of a truncated `apply`: m t_{k+1}
+    is a source of m, and m an image of m t_{k+1}, for every k."""
     for k in KS:
         op = VirasoroOperator(k)
         up = mono_mul(m, (((k + 1, 1),), ()))
-        assert up in set(op._preimages(m))
-        assert m in {out for out, _, _ in op._images(up)}
+        assert up in {src for src, _, _ in op._sources(m)}
+        assert m in set(op._images(up))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(), monomials())
+def test_images_and_sources_are_inverse_maps(m, other):
+    """out is among `_images(m)` exactly when m is an input among
+    `_sources(out)`, and every multiplicity a source carries is positive:
+    checked on m's images, on m itself and on an unrelated monomial, and
+    from the other side on that monomial's sources."""
+    for k in KS:
+        op = VirasoroOperator(k)
+        images = set(op._images(m))
+        for out in images | {m, other}:
+            sources = list(op._sources(out))
+            assert all(mult > 0 for _, mult, _ in sources)
+            assert (out in images) == (m in {src for src, _, _ in sources})
+        for src, _, _ in op._sources(other):
+            assert other in set(op._images(src))
 
 
 @st.composite
