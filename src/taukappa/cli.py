@@ -236,28 +236,34 @@ def _verify_substitution(args, eng):
         len(res.admitted))], None
 
 
-def _verify_commutators(args, eng):
+def _commutator_probe(n, m):
+    """Five random terms for the pair (n, m), drawn from a generator seeded
+    by the pair alone, so the probe does not depend on the other pairs."""
     import random
     from .series import TruncatedSeries
+    rng = random.Random(f"20240311:{n}:{m}")
+    terms = {}
+    for _ in range(5):
+        tpart = tuple(sorted(
+            {i: rng.randint(1, 2)
+             for i in rng.sample(range(5), rng.randint(0, 2))}.items()))
+        spart = tuple(sorted(
+            {j: rng.randint(1, 2)
+             for j in rng.sample([1, 2], rng.randint(0, 1))}.items()))
+        terms[(tpart, spart)] = Fraction(rng.randint(-4, 4),
+                                         rng.randint(1, 5))
+    return TruncatedSeries(terms)
+
+
+def _verify_commutators(args, eng):
     ks = sorted(set(args.k))
     pairs = [(n, m) for n in ks for m in ks if m < n]
     if not pairs:
         raise SystemExit2(f"verify commutators checks nothing with --k "
                           f"{','.join(map(str, ks))}; name two indices")
-    rng = random.Random(20240311)
     results = []
     for n, m in pairs:
-        terms = {}
-        for _ in range(5):
-            tpart = tuple(sorted(
-                {i: rng.randint(1, 2)
-                 for i in rng.sample(range(5), rng.randint(0, 2))}.items()))
-            spart = tuple(sorted(
-                {j: rng.randint(1, 2)
-                 for j in rng.sample([1, 2], rng.randint(0, 1))}.items()))
-            terms[(tpart, spart)] = Fraction(rng.randint(-4, 4),
-                                             rng.randint(1, 5))
-        ok = not commutator_check(n, m, TruncatedSeries(terms)).terms
+        ok = not commutator_check(n, m, _commutator_probe(n, m)).terms
         status = "holds" if ok else "fails"
         results.append(Result(
             {"identity": "commutators", "n": n, "m": m, "status": status},

@@ -14,8 +14,9 @@ Both agree coefficientwise; the second is used as a cross-check of the
 first.  Every product either route forms multiplies by a power of
 e1 = sum x or of p3 = sum x^3, or by Delta, one factor at a time as
 Delta f = (e1^3 f - p3 f)/3, so all of them run `poly.times_power_sum`'s
-integer pass.  The one- and two-point normalized functions x^-2
-and 1/(x+y) are not polynomials, and `component` refuses those two shapes.
+pass on the integers each `SymmetricPoly` stores over its denominator.
+The one- and two-point normalized functions x^-2 and 1/(x+y) are not
+polynomials, and `component` refuses those two shapes.
 They enter only through the certified products (sum_I x)^2 * x^-2 = 1 and
 (x+y)^2 * 1/(x+y) = x+y, and the two-point routes through (x+y) P_0 = 1,
 which keep every assembled numerator a genuine polynomial.
@@ -35,18 +36,17 @@ __all__ = ["NPointEngine"]
 
 def _times_delta(f: SymmetricPoly) -> SymmetricPoly:
     """f * Delta with Delta = ((sum x)^3 - sum x^3)/3: both power-sum
-    products are summed on f's integer form, and the division by 3, exact
-    since e1^3 - p3 = 3 (e1 e2 - e3), forms one `Fraction` per class."""
-    den, ints = f.integer_form()
-    acc = ints
+    products are summed on f's integers, and the division by 3 is exact
+    since e1^3 - p3 = 3 (e1 e2 - e3)."""
+    ints = acc = f.ints
     for _ in range(3):
         acc = _push_power_sum(acc, f.nvars, 1)
     for k, c in _push_power_sum(ints, f.nvars, 3).items():
         acc[k] = acc.get(k, 0) - c
     if any(c % 3 for c in acc.values()):
         raise ValueError("e1^3 f - p3 f is not divisible by 3")
-    return SymmetricPoly(f.nvars, f.degree + 3, {
-        k: Fraction(c // 3, den) for k, c in acc.items() if c})
+    return SymmetricPoly.from_ints(f.nvars, f.degree + 3, f.den,
+                                   {k: c // 3 for k, c in acc.items()})
 
 
 class NPointEngine:
@@ -160,13 +160,13 @@ class NPointEngine:
                 d_j = 3 * (r - r1) + n - m - 1
                 if (n - m) * (3 * r1 + m - 1) < d_j:
                     continue
-                den_i, a_i = self.a_factor(m, r1).integer_form()
-                if not a_i:
+                f_i = self.a_factor(m, r1)
+                if not f_i:
                     continue
-                den_j, a_j = self.a_factor(n - m, r - r1).integer_form()
-                a_j = [(q, runs(q), c) for q, c in sorted(a_j.items())]
-                bucket = acc.setdefault(den_i * den_j, {})
-                for p, c_p in a_i.items():
+                f_j = self.a_factor(n - m, r - r1)
+                a_j = [(q, runs(q), c) for q, c in sorted(f_j.ints.items())]
+                bucket = acc.setdefault(f_i.den * f_j.den, {})
+                for p, c_p in f_i.ints.items():
                     top = p[0]
                     for q, q_runs, c_q in a_j:     # sorted keys: tops ascend
                         if q and q[0] > top:
@@ -180,8 +180,8 @@ class NPointEngine:
         for den, bucket in acc.items():
             for ev, c in bucket.items():
                 num[ev] = num.get(ev, 0) + c * (common // den)
-        return divide_by_variable_sum(SymmetricPoly(n, 3 * r + n - 2, {
-            ev: Fraction(c, common) for ev, c in num.items() if c}))
+        return divide_by_variable_sum(
+            SymmetricPoly.from_ints(n, 3 * r + n - 2, common, num))
 
     # -- F-parts and correlators -----------------------------------------
 
@@ -220,16 +220,18 @@ class NPointEngine:
                           24 ** a * factorial(a) * 8 ** (g - a)
                           * (2 * (g - a) + 1) * factorial(g - a)))
                 for a in range(g + 1))))
-        return linear_combination(n, 3 * g + n - 3, self._direct_terms(n, g))
-
-    def _direct_terms(self, n: int, g: int):
-        # (24^a a!)^-1 (sum x)^(3a) * (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!)
-        for a in range(g + 1):
-            for r in range(g - a + 1):
-                s = g - a - r
-                yield (times_power_sum(self.p_delta(n, r, s), 1, 3 * a),
-                       Fraction((-1) ** s, 24 ** a * factorial(a) * 8 ** s
-                                * (2 * g - 2 * a + n - 1) * factorial(s)))
+        # X_0 + e1^3 (X_1 + e1^3 (X_2 + ...)), where X_a = (24^a a!)^-1 *
+        # sum_r (-1)^s P_r Delta^s / (8^s (2r+2s+n-1) s!) with s = g-a-r
+        acc = None
+        for a in range(g, -1, -1):
+            terms = [(self.p_delta(n, g - a - s, s),
+                      Fraction((-1) ** s, 24 ** a * factorial(a) * 8 ** s
+                               * (2 * g - 2 * a + n - 1) * factorial(s)))
+                     for s in range(g - a + 1)]
+            if acc is not None:
+                terms.append((times_power_sum(acc, 1, 3), 1))
+            acc = linear_combination(n, 3 * (g - a) + n - 3, terms)
+        return acc
 
     _ROUTES = {"normalized": _f_part_normalized, "direct": _f_part_direct}
 

@@ -13,12 +13,12 @@ the n-point engines use, and the exactness check of
 `divide_by_variable_sum` is its k = 1 pass.  `SymmetricPoly.mul` is the
 general product, a plain sum over exponent vectors.
 
-Coefficients are `Fraction`s at the boundary, but the inner sums of
-`times_power_sum`, `divide_by_variable_sum` and `linear_combination` run
-on integers: each operand is put over the lcm of its denominators
-(`SymmetricPoly.integer_form`, built on the spot and never stored), and one
-`Fraction` is formed per output class; runs of equal exponents come from
-`core.runs`.  `linear_combination` keeps a running lcm: closing a
+A polynomial is stored as integers over one denominator: `den > 0` and
+`ints = {class: int}`, with no zero entry and gcd(den, *ints) == 1, so
+the stored form is unique.  Every kernel reads and writes that form, and
+`Fraction`s are formed only at the boundary: by the constructor, which
+takes a `{class: Fraction}` dict, by `get`, and by the read-only
+`classes` view.  `linear_combination` keeps a running lcm: closing a
 `core.bucket_sum` bucket per class made `verify engines` about 4% slower.
 """
 
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .core import partitions, runs
 
@@ -40,31 +41,48 @@ def class_key(vec) -> tuple:
 
 
 class SymmetricPoly:
-    """Homogeneous symmetric polynomial stored by sorted-exponent class."""
+    """Homogeneous symmetric polynomial stored by sorted-exponent class,
+    as the integers `ints` over the denominator `den`."""
 
-    __slots__ = ("nvars", "degree", "classes")
+    __slots__ = ("nvars", "degree", "den", "ints")
 
     def __init__(self, nvars: int, degree: int, classes=None):
-        self.nvars = nvars
-        self.degree = degree
-        self.classes = dict(classes) if classes else {}
-        for k in self.classes:
-            if sum(k) != degree or len(k) > nvars:
-                raise ValueError(f"class {k} violates shape ({nvars}, {degree})")
+        fracs = {k: Fraction(c) for k, c in (classes or {}).items() if c}
+        for k in fracs:
+            if k != class_key(k) or sum(k) != degree or len(k) > nvars:
+                raise ValueError(f"class {k} is not a sorted class of shape "
+                                 f"({nvars}, {degree})")
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.nvars, self.degree, self.den = nvars, degree, den
+        self.ints = {k: c.numerator * (den // c.denominator)
+                     for k, c in fracs.items()}
+
+    @classmethod
+    def from_ints(cls, nvars: int, degree: int, den: int,
+                  ints: dict) -> "SymmetricPoly":
+        """ints[key] / den on trusted class keys, den > 0: zero entries are
+        dropped and the common factor of den and the entries divided out."""
+        ints = {k: c for k, c in ints.items() if c}
+        g = gcd(den, *ints.values()) if den != 1 else 1
+        if g != 1:
+            den //= g
+            ints = {k: c // g for k, c in ints.items()}
+        self = object.__new__(cls)
+        self.nvars, self.degree, self.den, self.ints = nvars, degree, den, ints
+        return self
+
+    @property
+    def classes(self):
+        """Read-only {class: Fraction} view, built on each access."""
+        return MappingProxyType({k: Fraction(c, self.den)
+                                 for k, c in self.ints.items()})
 
     def get(self, vec_or_key) -> Fraction:
         """Coefficient at an exponent vector (any order) or class key."""
-        return self.classes.get(class_key(vec_or_key), Fraction(0))
+        return Fraction(self.ints.get(class_key(vec_or_key), 0), self.den)
 
     def __bool__(self):
-        return bool(self.classes)
-
-    def integer_form(self) -> tuple[int, dict]:
-        """(den, {key: int}) with classes[key] == ints[key] / den, where den
-        is the lcm of the coefficients' denominators."""
-        den = lcm(*(c.denominator for c in self.classes.values()))
-        return den, {k: c.numerator * (den // c.denominator)
-                     for k, c in self.classes.items()}
+        return bool(self.ints)
 
     def mul(self, other: "SymmetricPoly") -> "SymmetricPoly":
         """Product: the coefficient at a sorted exponent vector ev is the
@@ -76,26 +94,26 @@ class SymmetricPoly:
         deg = self.degree + other.degree
         out = {}
         for ev in partitions(deg, self.nvars):
-            tot = sum(self.get(f) * other.get([e - x for e, x in zip(ev, f)])
-                      for f in product(*(range(e + 1) for e in ev))
-                      if sum(f) == self.degree)
-            if tot:
-                out[class_key(ev)] = tot
-        return SymmetricPoly(self.nvars, deg, out)
+            out[class_key(ev)] = sum(
+                self.ints.get(class_key(f), 0)
+                * other.ints.get(class_key([e - x for e, x in zip(ev, f)]), 0)
+                for f in product(*(range(e + 1) for e in ev))
+                if sum(f) == self.degree)
+        return SymmetricPoly.from_ints(self.nvars, deg, self.den * other.den,
+                                       out)
 
     def __repr__(self):
         return (f"SymmetricPoly(nvars={self.nvars}, degree={self.degree}, "
-                f"classes={len(self.classes)})")
+                f"classes={len(self.ints)})")
 
 
 def linear_combination(nvars: int, degree: int, terms) -> SymmetricPoly:
     """sum of scalar * poly over the (poly, scalar) terms, in nvars
     variables and of the given degree.
 
-    Each term enters through its integer form; the running sum keeps one
-    integer per class over the lcm of the denominators seen so far, and
-    one `Fraction` per class is formed at the end.  Terms are read one at
-    a time, so an iterator of products is never held all at once.
+    The running sum keeps one integer per class over the lcm of the
+    denominators seen so far.  Terms are read one at a time, so an
+    iterator of products is never held all at once.
     """
     den = 1
     acc = {}
@@ -103,13 +121,12 @@ def linear_combination(nvars: int, degree: int, terms) -> SymmetricPoly:
         if poly.nvars != nvars:
             raise ValueError(f"variable count mismatch: {nvars} vs "
                              f"{poly.nvars}")
-        if poly.classes and poly.degree != degree:
+        if poly.ints and poly.degree != degree:
             raise ValueError(f"degree mismatch: {degree} vs {poly.degree}")
         scalar = Fraction(scalar)
-        if not scalar or not poly.classes:
+        if not scalar or not poly.ints:
             continue
-        pden, ints = poly.integer_form()
-        tden = pden * scalar.denominator
+        tden = poly.den * scalar.denominator
         common = lcm(den, tden)
         if common != den:
             up = common // den
@@ -117,22 +134,20 @@ def linear_combination(nvars: int, degree: int, terms) -> SymmetricPoly:
                 acc[k] *= up
             den = common
         mult = scalar.numerator * (common // tden)
-        for k, c in ints.items():
+        for k, c in poly.ints.items():
             acc[k] = acc.get(k, 0) + mult * c
-    return SymmetricPoly(nvars, degree, {k: Fraction(c, den)
-                                         for k, c in acc.items() if c})
+    return SymmetricPoly.from_ints(nvars, degree, den, acc)
 
 
 def times_power_sum(poly: SymmetricPoly, k: int,
                     times: int = 1) -> SymmetricPoly:
     """poly * (x_1^k + ... + x_n^k)^times, one pass over the classes per
-    factor, on poly's integer form; k >= 1."""
-    den, ints = poly.integer_form()
+    factor; k >= 1."""
+    ints = poly.ints
     for _ in range(times):
         ints = _push_power_sum(ints, poly.nvars, k)
-    return SymmetricPoly(poly.nvars, poly.degree + k * times,
-                         {key: Fraction(c, den)
-                          for key, c in ints.items() if c})
+    return SymmetricPoly.from_ints(poly.nvars, poly.degree + k * times,
+                                   poly.den, ints)
 
 
 def _push_power_sum(ints: dict, nvars: int, k: int) -> dict:
@@ -143,22 +158,27 @@ def _push_power_sum(ints: dict, nvars: int, k: int) -> dict:
     has fewer than nvars entries.  In the target class t, each of the
     t.count(u + k) entries equal to u + k can be the raised one, and each
     choice lowers t back to key (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.2).
+    Polynomials, I.2).  The raised entry moves left past the smaller
+    entries; the equal entries it then meets are the other choices.
     """
     out = {}
     for key, c in ints.items():
         if not c:
             continue
         prev = None
-        for i, u in enumerate(key):
+        for i, u in enumerate(key + (0,) if len(key) < nvars else key):
             if u == prev:
                 continue
             prev = u
-            t = tuple(sorted(key[:i] + (u + k,) + key[i + 1:], reverse=True))
-            out[t] = out.get(t, 0) + c * t.count(u + k)
-        if len(key) < nvars:
-            t = tuple(sorted(key + (k,), reverse=True))
-            out[t] = out.get(t, 0) + c * t.count(k)
+            w = u + k
+            j = i
+            while j and key[j - 1] < w:
+                j -= 1
+            lo = j
+            while lo and key[lo - 1] == w:
+                lo -= 1
+            t = key[:j] + (w,) + key[j:i] + key[i + 1:]
+            out[t] = out.get(t, 0) + c * (j - lo + 1)
     return out
 
 
@@ -168,17 +188,17 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
     Solves the triangular system Q[f] = num[f + e_1] - (other unit moves),
     walking quotient classes in descending lex order, then checks that
     the quotient times the variable sum is num.  Raises ValueError if the
-    division is not exact.  Both passes run on num's integer form: by
+    division is not exact.  Both passes run on num's integers: by
     Gauss's lemma the quotient of an integer polynomial by the primitive
     x_1 + ... + x_n has integer coefficients.
     """
     n = num.nvars
     deg = num.degree
     if deg < 1:
-        if not num.classes:
+        if not num.ints:
             return SymmetricPoly(n, deg - 1)
         raise ValueError("nonzero polynomial of degree < 1 is not divisible")
-    den, ints = num.integer_form()
+    ints = num.ints
     out = {}
     for fv in partitions(deg - 1, n):     # descending lex order
         f = class_key(fv)
@@ -192,11 +212,9 @@ def divide_by_variable_sum(num: SymmetricPoly) -> SymmetricPoly:
             acc -= mult * out.get(kk, 0)
         out[f] = acc
     back = _push_power_sum(out, n, 1)
-    if ({k: v for k, v in back.items() if v}
-            != {k: v for k, v in ints.items() if v}):
+    if {k: v for k, v in back.items() if v} != ints:
         raise ValueError("polynomial is not divisible by the variable sum")
-    return SymmetricPoly(n, deg - 1, {k: Fraction(v, den)
-                                      for k, v in out.items() if v})
+    return SymmetricPoly.from_ints(n, deg - 1, num.den, out)
 
 
 def _unit_decrements(ev):

@@ -181,6 +181,28 @@ def test_verify_commutators_checks_the_pairs_of_its_k(capsys):
     assert (code, out) == (0, "[V_1, V_0] - (1-0)V_1: holds\n")
 
 
+def test_verify_commutators_probe_depends_on_its_pair_alone(capsys,
+                                                          monkeypatch):
+    """[V_1, V_0] is checked on the same probe whichever other pairs
+    `--k` names."""
+    from taukappa import cli
+    seen = []
+
+    def recording(n, m, probe):
+        seen.append(((n, m), dict(probe.terms)))
+        return commutator(n, m, probe)
+
+    commutator = cli.commutator_check
+    monkeypatch.setattr(cli, "commutator_check", recording)
+    probes = []
+    for argv in (["--k", "0..1"], []):
+        seen.clear()
+        assert run_cli(capsys, "verify", "commutators", *argv)[0] == 0
+        probes.append(dict(seen)[1, 0])
+    assert len(seen) == 10
+    assert probes[0] == probes[1] and probes[0]
+
+
 def test_verify_commutators_with_one_index_is_a_usage_error(capsys):
     """A `--k` with one index makes no pair n > m: exit 2 with one line
     on stderr, never an empty success."""
@@ -1426,6 +1448,31 @@ def test_exponent_tuple_kernels_live_in_core():
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.name in kernels):
                 found.append(f"{path.name}:{node.lineno} def {node.name}")
+    assert found == []
+
+
+def test_polynomial_kernels_stay_on_integers():
+    """Each `SymmetricPoly` stores its integers over one denominator, and
+    the kernels read and write that form: none of them calls `Fraction`,
+    and no `integer_form` rebuilds it from `Fraction`s."""
+    kernels = {"poly.py": {"times_power_sum", "_push_power_sum",
+                           "divide_by_variable_sum"},
+               "npoint.py": {"_times_delta", "_new_p_poly"}}
+    found = []
+    for path in sorted((ROOT / "src" / "taukappa").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in kernels.get(path.name, ())):
+                found += [f"{path.name}:{call.lineno} Fraction in {node.name}"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call)
+                          and "Fraction" in {getattr(call.func, "id", None),
+                                             getattr(call.func, "attr", None)}]
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else getattr(node, "attr", None))
+            if name == "integer_form":
+                found.append(f"{path.name}:{node.lineno} integer_form")
     assert found == []
 
 

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,27 +32,29 @@ def _shape(p):
     return p.nvars, p.degree, p.classes
 
 
-def _reference_add_into(self, other, scalar=1):
-    """self += scalar * other, one Fraction multiply and add per class: the
-    loop `SymmetricPoly.add_into` ran before `linear_combination`."""
-    if other.nvars != self.nvars:
-        raise ValueError(f"variable count mismatch: {self.nvars} vs "
-                         f"{other.nvars}")
-    if other.classes and other.degree != self.degree:
-        raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-    scalar = Fraction(scalar)
-    for k, c in other.classes.items():
-        s = self.classes.get(k, Fraction(0)) + c * scalar
-        if s:
-            self.classes[k] = s
-        else:
-            self.classes.pop(k, None)
+def _reference_combination(nvars, degree, terms):
+    """sum of scalar * poly over the (poly, scalar) terms, one Fraction
+    multiply and add per class into a {class: Fraction} dict: the loop
+    `SymmetricPoly.add_into` ran before `linear_combination`."""
+    classes = {}
+    for other, scalar in terms:
+        if other.nvars != nvars:
+            raise ValueError(f"variable count mismatch: {nvars} vs "
+                             f"{other.nvars}")
+        if other.classes and other.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {other.degree}")
+        scalar = Fraction(scalar)
+        for k, c in other.classes.items():
+            s = classes.get(k, Fraction(0)) + c * scalar
+            if s:
+                classes[k] = s
+            else:
+                classes.pop(k, None)
+    return SymmetricPoly(nvars, degree, classes)
 
 
 def _scaled(p, scalar):
-    out = SymmetricPoly(p.nvars, p.degree)
-    _reference_add_into(out, p, scalar)
-    return out
+    return _reference_combination(p.nvars, p.degree, [(p, scalar)])
 
 
 def test_delta_power_small():
@@ -330,7 +332,7 @@ class _PositionEngine(NPointEngine):
         if hit is not None:
             return hit
         deg_num = 3 * r + n - 2
-        num = SymmetricPoly(n, deg_num)
+        classes = {}
         rest = list(range(1, n))
         for ev in _partitions(deg_num, n):
             tot = Fraction(0)
@@ -353,7 +355,8 @@ class _PositionEngine(NPointEngine):
                 if a_j:
                     tot += a_i * a_j
             if tot:
-                num.classes[class_key(ev)] = 2 * tot
+                classes[class_key(ev)] = 2 * tot
+        num = SymmetricPoly(n, deg_num, classes)
         val = _scaled(divide_by_variable_sum(num), Fraction(1, 2))
         self._p[key] = val
         return val
@@ -472,6 +475,84 @@ def test_times_delta_rejects_a_remainder_mod_3(monkeypatch):
         NPointEngine().delta_power(3, 1)
 
 
+def test_constructor_rejects_unsorted_classes_and_drops_zeros():
+    """A class key must be its own `class_key`: an unsorted key or one with
+    a zero entry would never be found by `get`."""
+    for key in [(1, 2), (2, 1, 0)]:
+        with pytest.raises(ValueError, match="not a sorted class"):
+            SymmetricPoly(3, 3, {key: Fraction(1)})
+    zero = SymmetricPoly(2, 1, {(1,): Fraction(0)})
+    assert not zero
+    assert (zero.den, zero.ints, zero.classes) == (1, {}, {})
+
+
+@st.composite
+def class_dicts(draw):
+    """(nvars, degree, {class: Fraction}) with every class present, zeros
+    included."""
+    nvars, degree = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    return nvars, degree, {
+        class_key(ev): draw(st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=60))
+        for ev in _partitions(degree, nvars)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_dicts(), st.integers(-6, 6).filter(bool))
+def test_constructor_stores_reduced_integers(drawn, scale):
+    """The stored integers over `den` are the input without its zeros,
+    den is the lcm of the denominators and shares no factor with every
+    entry, and `from_ints` reduces a scaled copy to the same form."""
+    nvars, degree, classes = drawn
+    p = SymmetricPoly(nvars, degree, classes)
+    assert p.classes == {k: c for k, c in classes.items() if c}
+    assert p.den == lcm(*(c.denominator for c in classes.values()))
+    assert gcd(p.den, *p.ints.values()) == 1 and all(p.ints.values())
+    q = SymmetricPoly.from_ints(nvars, degree, abs(scale) * p.den, {
+        k: abs(scale) * c for k, c in p.ints.items()})
+    assert (q.den, q.ints) == (p.den, p.ints)
+
+
+def _full_sort_push_power_sum(ints, nvars, k):
+    """The power-sum pass that sorted each target key in full."""
+    out = {}
+    for key, c in ints.items():
+        if not c:
+            continue
+        prev = None
+        for i, u in enumerate(key):
+            if u == prev:
+                continue
+            prev = u
+            t = tuple(sorted(key[:i] + (u + k,) + key[i + 1:], reverse=True))
+            out[t] = out.get(t, 0) + c * t.count(u + k)
+        if len(key) < nvars:
+            t = tuple(sorted(key + (k,), reverse=True))
+            out[t] = out.get(t, 0) + c * t.count(k)
+    return out
+
+
+@st.composite
+def class_ints(draw):
+    """(nvars, {class: int}, k) on small entries, so that a raised entry
+    often lands on an equal neighbour; keys may be shorter than nvars."""
+    nvars = draw(st.integers(1, 6))
+    keys = st.lists(st.integers(1, 4), max_size=nvars).map(
+        lambda v: tuple(sorted(v, reverse=True)))
+    ints = draw(st.dictionaries(keys, st.integers(-5, 5), max_size=6))
+    return nvars, ints, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_ints())
+@example((2, {(3, 1): 1}, 2))
+@example((4, {(3, 1): 2, (2, 2): -1, (): 3}, 2))
+def test_push_power_sum_matches_full_sort(drawn):
+    nvars, ints, k = drawn
+    assert (npoint._push_power_sum(ints, nvars, k)
+            == _full_sort_push_power_sum(ints, nvars, k))
+
+
 def test_mul_rejects_mismatched_nvars():
     xyz = SymmetricPoly(3, 1, {(1,): Fraction(1)})
     xy = SymmetricPoly(2, 1, {(1,): Fraction(1)})
@@ -525,9 +606,7 @@ _Q = SymmetricPoly(3, 2, {(2,): Fraction(1, 10)})
 @example((3, 2, [(_P, Fraction(2, 3)), (_Q, 0), (_P, Fraction(-2, 3))]))
 def test_linear_combination_matches_fraction_reference(drawn):
     nvars, degree, terms = drawn
-    want = SymmetricPoly(nvars, degree)
-    for p, c in terms:
-        _reference_add_into(want, p, c)
+    want = _reference_combination(nvars, degree, terms)
     got = linear_combination(nvars, degree, iter(terms))
     assert _shape(got) == _shape(want)
     assert all(got.classes.values())
@@ -570,7 +649,7 @@ class _UnfilteredSplitEngine(NPointEngine):
         if hit is not None:
             return hit
         deg_num = 3 * r + n - 2
-        num = SymmetricPoly(n, deg_num)
+        classes = {}
         for ev in _partitions(deg_num, n):
             acc = {}
             for part, rest, ways in multiset_splits(ev[1:]):
@@ -591,8 +670,8 @@ class _UnfilteredSplitEngine(NPointEngine):
                                 + ways * a_i.numerator * a_j.numerator)
             tot = bucket_sum(acc)
             if tot:
-                num.classes[class_key(ev)] = tot
-        val = divide_by_variable_sum(num)
+                classes[class_key(ev)] = tot
+        val = divide_by_variable_sum(SymmetricPoly(n, deg_num, classes))
         self._p[key] = val
         return val
 
