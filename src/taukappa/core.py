@@ -23,6 +23,7 @@ __all__ = [
     "enumerate_sub_multiindices",
     "partitions",
     "multiset_splits",
+    "interned",
     "Memo",
     "bucket_sum",
     "merge_exponents",
@@ -218,16 +219,22 @@ def multiindex_binomial(b: MultiIndex, t: MultiIndex) -> int:
     return out
 
 
-# one shared object per distinct multi-index, EMPTY among them: equal keys
-# then match by identity in every table, and the split memo below costs
-# no more memory than the multi-indices it hands out
-_INTERNED = Memo(lambda m: m)
-_INTERNED[EMPTY] = EMPTY
+# one shared object per distinct multi-index, by its entries, EMPTY among
+# them: equal keys then match by identity in every table, and the split memo
+# below builds each multi-index it hands out once
+_INTERNED = Memo(MultiIndex)
+_INTERNED[()] = EMPTY
+
+
+def interned(entries: tuple) -> MultiIndex:
+    """The shared MultiIndex of a canonical entries tuple (sorted by index,
+    no zero exponent), built on its first request."""
+    return _INTERNED[entries]
 
 
 def _split_pairs(b: MultiIndex) -> tuple:
-    b = _INTERNED[b]
-    return tuple((_INTERNED[MultiIndex(left)], _INTERNED[MultiIndex(right)])
+    _INTERNED.setdefault(b.entries, b)
+    return tuple((_INTERNED[left], _INTERNED[right])
                  for left, right in exponent_splits(b.entries))
 
 

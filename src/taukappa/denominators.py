@@ -11,7 +11,7 @@ refuses to report unless they agree.
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, lcm, prod
 
 from .core import multiindices_of_weight, partitions, runs
 from .recursion import EngineDisagreement, RecursionEngine
@@ -19,7 +19,7 @@ from .recursion import EngineDisagreement, RecursionEngine
 __all__ = [
     "DenominatorReport", "compute_D", "compute_script_D",
     "check_proposition17", "check_lemma20", "check_iz_fixture",
-    "factorize", "load_fixture_orders",
+    "factorize", "load_fixture_orders", "iz_closed_form",
 ]
 
 
@@ -155,6 +155,17 @@ def _primes_up_to(n: int):
             for q in range(p * p, n + 1, p):
                 sieve[q] = False
     return ps
+
+
+def iz_closed_form(g: int) -> int:
+    """IZ(g) = lcm(24^g g!, prod over primes p <= 2g+1 of p^floor(2g/(p-1))),
+    the closed form that every computed script-D(g) has matched so far
+    (g = 2..12, an observed fit, not a theorem of this package).  Reads no
+    engine."""
+    if g < 0:
+        raise ValueError(f"IZ(g) needs g >= 0, got {g}")
+    return lcm(24 ** g * factorial(g),
+               prod(p ** (2 * g // (p - 1)) for p in _primes_up_to(2 * g + 1)))
 
 
 def check_iz_fixture(orders, value: int):

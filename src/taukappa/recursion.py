@@ -34,11 +34,19 @@ coefficients and sums into a bucket map the same way.
 The reduction oracle trades one kappa index at a time for a psi power at
 a new point (inclusion-exclusion over sub-multi-indices) and ends in the
 pure-psi recursion, so it never runs the three sums with kappa classes.
+Its weights (-1)^||L|| binom(b, L) are integers, so each trade sums on a
+{denominator: numerator} bucket map too.
 `RecursionEngine.value` serves every correlator: a pure kappa volume
 <kappa(b)>_g missing from the table comes from the oracle.  The oracle
 is also the independent check of the three sums on mixed correlators;
 the string and dilaton checks in `identities` read it and the engine's
 n-point function, never the step above with kappa classes.
+
+Only the public reads, `value` and `reduction_oracle`, sort d and apply
+the zero conventions.  The three sums, the string/dilaton step and the
+reduction build every key they read already canonical (d descending,
+the dimension constraint met) and read through `_read` and `_reduce`,
+which check stability and the table or the oracle's memo alone.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import zlib
 from fractions import Fraction
 
 from .core import (EMPTY, Memo, MultiIndex, bucket_sum, double_factorial,
-                   enumerate_sub_multiindices, multiindex_binomial,
+                   enumerate_sub_multiindices, interned, multiindex_binomial,
                    multiset_splits, runs)
 from .npoint import NPointEngine
 
@@ -137,7 +145,8 @@ class CorrelatorTable:
     Every entry carries a provenance tag naming the engine that produced
     it.  Engines insert through `record`, and `merge` records every entry
     of another table: recording a key twice with the same value is a no-op
-    (the first tag wins); recording a different value raises
+    (the first tag wins, and both calls return the table's object);
+    recording a different value raises
     EngineDisagreement.  Persists to a line-oriented text cache, one
     `g|d,...|i:b,...|num/den` record per line.  New keys that did not come
     from a file are listed, so `append_new` writes them without rescanning
@@ -225,7 +234,7 @@ class CorrelatorTable:
             raise EngineDisagreement(
                 f"{key}: {self._tags[key]} computed {old}, "
                 f"{engine} computed {value}")
-        return value
+        return old
 
     # -- persistence -------------------------------------------------------
 
@@ -399,15 +408,32 @@ def inserted_sum(read, g: int, d, b: MultiIndex, s: int) -> Fraction:
     each value from `read(g, d, b)`: one step of the reduction (s = a + 1
     for the traded kappa_a), the side of the string (s = 0) or dilaton
     (s = 1) equation that carries the new insertion, and the left side of
-    the tau_M recursion (s = M)."""
-    total = Fraction(0)
+    the tau_M recursion (s = M).
+
+    `read` gets its insertions sorted descending.  The signed binomials
+    are integers, so the terms sum on a {denominator: numerator} bucket
+    map."""
+    acc = {}
     for left, right in enumerate_sub_multiindices(b):
-        total += ((-1) ** left.size * multiindex_binomial(b, left)
-                  * read(g, d + (left.weight + s,), right))
-    return total
+        val = read(g, tuple(sorted(d + (left.weight + s,), reverse=True)),
+                   right)
+        if val:
+            coef = multiindex_binomial(b, left) * val.numerator
+            den = val.denominator
+            acc[den] = acc.get(den, 0) + (-coef if left.size % 2 else coef)
+    return bucket_sum(acc)
 
 
 _ZERO = Fraction(0)
+
+
+def _canonical_d(g: int, d, b: MultiIndex):
+    """d sorted descending, or None where the zero conventions make the
+    correlator 0: a negative genus or entry, or a dimension off 3g-3+n."""
+    d = tuple(sorted(d, reverse=True))
+    if g < 0 or (d and d[-1] < 0) or sum(d) + b.weight != 3 * g - 3 + len(d):
+        return None
+    return d
 
 
 class RecursionEngine:
@@ -427,13 +453,16 @@ class RecursionEngine:
     def value(self, g: int, d, b: MultiIndex = EMPTY) -> Fraction:
         """<kappa(b) prod tau_d>_g, d empty or not, with the zero conventions
         applied.  A table record is served as it stands, and a pure kappa
-        volume missing from it comes from `reduction_oracle`."""
-        d = tuple(sorted(d, reverse=True))
+        volume missing from it comes from the reduction."""
+        d = _canonical_d(g, d, b)
+        return _ZERO if d is None else self._read(g, d, b)
+
+    def _read(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
+        # `value` on a canonical key: g >= 0, d sorted descending with no
+        # negative entry, and sum(d) + |b| = 3g - 3 + len(d).  The three
+        # sums, the string/dilaton step and the reduction build only such
+        # keys, so they call this instead of `value`
         n = len(d)
-        if g < 0 or (d and d[-1] < 0):
-            return _ZERO
-        if sum(d) + b.weight != 3 * g - 3 + n:
-            return _ZERO
         if 2 * g - 2 + n <= 0:
             return _ZERO
         # base cases go through record() first, so a wrong cached value
@@ -442,13 +471,12 @@ class RecursionEngine:
             return self.table.record(g, d, b, Fraction(1), "wk")
         if g == 1 and d == (1,) and not b:
             return self.table.record(g, d, b, Fraction(1, 24), "wk")
-        # d is sorted already, so (g, d, b) is the corr_key; misses still
-        # record() under it
+        # (g, d, b) is the corr_key; misses still record() under it
         hit = self.table.lookup((g, d, b))
         if hit is not None:
             return hit
         if not d:
-            return self.reduction_oracle(g, d, b)
+            return self._reduce(g, d, b)
         if d[-1] == 0 or (d[-1] == 1 and n >= 2):
             val = self._pre_reduce(g, d, b)
         else:
@@ -458,6 +486,8 @@ class RecursionEngine:
 
     def _pre_reduce(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
         # one string (s = 0) or dilaton (s = 1) step, see the module docstring
+        # every key below is canonical: the lowered d_j is the last of its
+        # run, and a new insertion is sorted in
         s, rest = d[-1], d[:-1]
         if s:
             terms = [(2 * g - 2 + len(rest), rest, b)]
@@ -465,18 +495,20 @@ class RecursionEngine:
             terms = []
             for v in dict.fromkeys(rest):   # distinct d_j, each once
                 if v:
-                    i = rest.index(v)
-                    terms.append((rest.count(v),
-                                  rest[:i] + (v - 1,) + rest[i + 1:], b))
+                    mult = rest.count(v)
+                    i = rest.index(v) + mult
+                    terms.append((mult, rest[:i - 1] + (v - 1,) + rest[i:], b))
         # minus (-1)^||L|| binom(b, L) <tau_{|L|+s} kappa(b-L) X>_g, L != 0
         for left, right in enumerate_sub_multiindices(b):
             if left:
                 sign = 1 if left.size % 2 else -1
-                terms.append((sign * multiindex_binomial(b, left),
-                              rest + (left.weight + s,), right))
+                newd = tuple(sorted(rest + (left.weight + s,), reverse=True))
+                terms.append((sign * multiindex_binomial(b, left), newd,
+                              right))
         acc = {}
+        read = self._read
         for coef, newd, newb in terms:
-            val = self.value(g, newd, newb)
+            val = read(g, newd, newb)
             if val:
                 den = val.denominator
                 acc[den] = acc.get(den, 0) + coef * val.numerator
@@ -485,7 +517,8 @@ class RecursionEngine:
     def _three_sums(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
         d1 = d[0]
         rest = d[1:]
-        value = self.value
+        # every read below hands `_read` a canonical key
+        read = self._read
         # {denominator: integer numerator} over every term of every L; with
         # 1/2 pulled out each coefficient is an integer times alpha_L, whose
         # numerator joins the coefficient and whose denominator the key
@@ -513,9 +546,10 @@ class RecursionEngine:
 
             # pair merge: pivot absorbs one other insertion
             for v, mult, others in merges:
-                # top >= 2: the three sums run only with every d_j >= 2
+                # top >= 2: the three sums run only with every d_j >= 2;
+                # top - 1 > d1 >= every other entry, so it leads the key
                 top = w + d1 + v
-                val = value(g, others + (top - 1,), right)
+                val = read(g, (top - 1,) + others, right)
                 if val:
                     # (2 top - 1)!!/(2v - 1)!! is an integer since top >= v
                     coef = 2 * mult * coef_l * (half[top] // half[v])
@@ -529,7 +563,8 @@ class RecursionEngine:
             if g >= 1:
                 for r in range(m + 1):
                     s = m - r
-                    val = value(g - 1, rest + (r, s), right)
+                    newd = tuple(sorted(rest + (r, s), reverse=True))
+                    val = read(g - 1, newd, right)
                     if val:
                         coef = coef_l * odd[r] * odd[s]
                         den = val.denominator * a_den
@@ -546,10 +581,12 @@ class RecursionEngine:
                         if gp < 0 or gp > g:
                             continue
                         s = m - r
-                        v1 = value(gp, part + (r,), e)
+                        d1r = tuple(sorted(part + (r,), reverse=True))
+                        v1 = read(gp, d1r, e)
                         if not v1:
                             continue
-                        v2 = value(g - gp, other + (s,), f)
+                        d2s = tuple(sorted(other + (s,), reverse=True))
+                        v2 = read(g - gp, d2s, f)
                         if not v2:
                             continue
                         coef = tri * ways * odd[r] * odd[s]
@@ -566,24 +603,25 @@ class RecursionEngine:
           = sum_{S <= b0} (-1)^||S|| binom(b0, S)
             <tau_{a+1+|S|} kappa(b0-S) prod tau_d>_{g,n+1},
         `inserted_sum` at s = a + 1, down to the pure-psi recursion once b
-        is exhausted.  `value` calls it for a pure kappa volume missing
+        is exhausted.  `value` runs it for a pure kappa volume missing
         from the table; it is also the independent check of the three sums
         on mixed correlators, and reads no table record of its own keys.
         """
-        d = tuple(sorted(d, reverse=True))
-        if g < 0 or (d and d[-1] < 0):
-            return Fraction(0)
-        if sum(d) + b.weight != 3 * g - 3 + len(d):
-            return Fraction(0)
+        d = _canonical_d(g, d, b)
+        return _ZERO if d is None else self._reduce(g, d, b)
+
+    def _reduce(self, g: int, d: tuple, b: MultiIndex) -> Fraction:
+        # `reduction_oracle` on a canonical key, as `_read` takes it
         if not b:
-            return self.value(g, d, EMPTY)
+            return self._read(g, d, EMPTY)
         key = (g, d, b)
         hit = self._oracle_cache.get(key)
         if hit is not None:
             return hit
-        a = b.entries[-1][0]            # largest kappa index
-        acc = inserted_sum(self.reduction_oracle, g, d,
-                           b - MultiIndex({a: 1}), a + 1)
+        # trade one kappa_a, a the largest kappa index
+        head, (a, m) = b.entries[:-1], b.entries[-1]
+        rest = interned(head + ((a, m - 1),) if m > 1 else head)
+        acc = inserted_sum(self._reduce, g, d, rest, a + 1)
         self._oracle_cache[key] = acc
         # cross-record: write-once semantics force agreement with the
         # recursion engine wherever both visit the same key

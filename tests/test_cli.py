@@ -17,7 +17,7 @@ import pytest
 
 from taukappa import denominators, virasoro
 from taukappa.cli import VERIFIERS, main
-from taukappa.core import EMPTY
+from taukappa.core import EMPTY, MultiIndex
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import CorrelatorTable, RecursionEngine
 
@@ -348,36 +348,47 @@ def test_verify_dilaton_catches_a_wrong_dilaton_step(monkeypatch, capsys):
     """verify dilaton reads pure psi values from the n-point function and
     kappa values from the reduction oracle: with the recursion's dilaton
     factor 2g - 2 + |X| off by one, the oracle's values break the identity
-    and the run exits 3."""
+    and the run exits 3.  The patched step must be the one the engine
+    takes: it has to run on a dilaton shape."""
     step = RecursionEngine._pre_reduce
+    dilaton_steps = []
 
     def off_by_one(self, g, d, b):
         val = step(self, g, d, b)
         if d[-1] == 1:
+            dilaton_steps.append((g, d, b))
             val += self.value(g, d[:-1], b)
         return val
 
     monkeypatch.setattr(RecursionEngine, "_pre_reduce", off_by_one)
     code, out = run_cli(capsys, "verify", "dilaton", "--gmax", "1",
                         "--nmax", "2", "--bmax", "1")
+    assert dilaton_steps
     assert code == 3 and ": fails" in out
 
 
 def test_verify_string_dilaton_skip_the_mixed_step(monkeypatch, capsys):
     """Neither check takes the recursion's string/dilaton step with kappa
-    classes, so they cannot hold merely because that step restates them."""
+    classes, so they cannot hold merely because that step restates them.
+    The patched step must be the one the engine takes: each run reaches it
+    on pure psi shapes, and a mixed shape there trips it."""
     step = RecursionEngine._pre_reduce
+    taken = []
 
     def pure_psi_only(self, g, d, b):
         assert not b, (g, d, b)
+        taken.append((g, d))
         return step(self, g, d, b)
 
     monkeypatch.setattr(RecursionEngine, "_pre_reduce", pure_psi_only)
     for target, count in (("string", 65), ("dilaton", 49)):
+        taken.clear()
         code, out = run_cli(capsys, "verify", target, "--gmax", "2",
                             "--nmax", "3", "--bmax", "2")
-        assert code == 0
+        assert code == 0 and taken
         assert out.endswith(f"# {target}: {count} checked, {count} hold\n")
+    with pytest.raises(AssertionError):
+        RecursionEngine().value(1, (0,), MultiIndex({1: 1}))
 
 
 def test_verify_virasoro_with_range(capsys):
@@ -614,16 +625,31 @@ def test_poisoned_base_case_exit_code(tmp_path, capsys, record, d):
 def test_cached_volume_is_served_without_the_reduction(tmp_path, capsys,
                                                        monkeypatch):
     """A pure kappa volume that the cache holds is served like every other
-    cached record: the reduction does not run, and nothing is appended."""
-    def never(*args):
-        raise AssertionError("the reduction ran")
+    cached record: the reduction does not run, and nothing is appended.
+    Both the public oracle and the engine's own reduction step are
+    watched, and without the cache the same query reaches them, so the
+    patch sits on the path that `value` takes."""
+    ran = []
 
-    monkeypatch.setattr(RecursionEngine, "reduction_oracle", never)
+    def watch(name):
+        step = getattr(RecursionEngine, name)
+
+        def watched(self, g, d, b):
+            ran.append((name, g, tuple(d), b))
+            return step(self, g, d, b)
+        monkeypatch.setattr(RecursionEngine, name, watched)
+
+    watch("reduction_oracle")
+    watch("_reduce")
     cache = tmp_path / "volume.cache"
     cache.write_text("2||1:3|43/2880\n")
     assert run_cli(capsys, "--cache", str(cache), "compute", "kappa",
                    "--genus", "2", "--b", "1:3") == (0, "43/2880\n")
+    assert ran == []
     assert cache.read_text() == "2||1:3|43/2880\n"
+    assert run_cli(capsys, "compute", "kappa", "--genus", "2",
+                   "--b", "1:3") == (0, "43/2880\n")
+    assert ran
 
 
 @pytest.mark.parametrize("record,kappa,psi", [
@@ -1577,6 +1603,9 @@ def test_imports_are_used_and_exports_resolve():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
         trees[module.__name__] = tree
-    # kdv_residual waits for `verify kdv`, the gated check that replaces it
-    assert _unread_definitions(trees) == [("taukappa.virasoro",
-                                           "kdv_residual")]
+    # kdv_residual waits for `verify kdv`, the gated check that replaces it;
+    # iz_closed_form waits for `verify iz` and the loaded-record filter,
+    # and tier-1 reads it meanwhile (tests/test_denominators.py)
+    assert _unread_definitions(trees) == [
+        ("taukappa.denominators", "iz_closed_form"),
+        ("taukappa.virasoro", "kdv_residual")]

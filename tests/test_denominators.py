@@ -6,7 +6,7 @@ from taukappa.core import partitions
 from taukappa.denominators import (_core_shapes, check_iz_fixture,
                                    check_lemma20, check_proposition17,
                                    compute_D, compute_script_D, factorize,
-                                   load_fixture_orders)
+                                   iz_closed_form, load_fixture_orders)
 from taukappa.recursion import RecursionEngine
 
 
@@ -127,3 +127,35 @@ def test_packaged_fixture_has_acceptance_orders():
     rows = load_fixture_orders(str(path))
     pairs = {(o, g) for o, g, _ in rows}
     assert (48, 2) in pairs and (168, 3) in pairs
+
+
+def test_iz_closed_form_reads_no_engine():
+    """IZ(g) = lcm(24^g g!, prod_{p <= 2g+1} p^floor(2g/(p-1))) is integer
+    arithmetic over the primes alone."""
+    assert [iz_closed_form(g) for g in range(5)] == [1, 24, 5760, 2903040,
+                                                     1393459200]
+    assert set(iz_closed_form.__code__.co_names) <= {
+        "ValueError", "lcm", "factorial", "prod", "_primes_up_to"}
+    with pytest.raises(ValueError):
+        iz_closed_form(-1)
+
+
+def test_script_D_equals_the_iz_closed_form():
+    """script-D(g), computed on both of its paths, equals IZ(g) for
+    g = 2..7."""
+    eng = RecursionEngine()
+    for g in range(2, 8):
+        assert compute_script_D(g, eng).value == iz_closed_form(g), g
+
+
+def test_D_ladder_reaches_iz_at_half_the_genus():
+    """D(g, n) first equals IZ(g) at n = floor(g/2) + 1 for g <= 8, and
+    each earlier D(g, n) is a proper divisor of it."""
+    eng = RecursionEngine()
+    for g in range(1, 9):
+        iz = iz_closed_form(g)
+        stable = g // 2 + 1
+        for n in range(1, stable):
+            value = compute_D(g, n, eng).value
+            assert iz % value == 0 and value < iz, (g, n)
+        assert compute_D(g, stable, eng).value == iz, g

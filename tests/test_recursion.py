@@ -13,11 +13,12 @@ from taukappa.core import (EMPTY, Memo, MultiIndex, double_factorial,
                            enumerate_sub_multiindices, genus_for_dimension,
                            multiindex_binomial, multiindices_of_weight,
                            multiindices_up_to_weight)
+from taukappa.denominators import compute_script_D
 from taukappa.identities import check_dilaton, check_string
 from taukappa.npoint import NPointEngine
 from taukappa.recursion import (CorrelatorTable, EngineDisagreement,
                                 RecursionEngine, _has_line_over,
-                                alpha_constant, corr_key)
+                                alpha_constant, corr_key, inserted_sum)
 
 K1 = MultiIndex({1: 1})
 
@@ -139,6 +140,32 @@ def test_zero_conventions():
     assert eng.value(1, [2]) == 0         # dimension violation
     assert eng.value(0, [5, 0, 0]) == 0
     assert eng.value(2, [-1, 7]) == 0
+
+
+def test_public_reads_keep_their_conventions():
+    """Only `value` and `reduction_oracle` sort d and apply the zero
+    conventions, and both still do: a shuffled d reads the table's own
+    object for every key of a script-D(5) engine, and a negative entry,
+    a negative genus, a wrong dimension or an unstable shape reads 0 and
+    records nothing."""
+    eng = RecursionEngine()
+    compute_script_D(5, eng)
+    values = dict(eng.table.values)
+    assert set(eng.table.provenance.values()) == {"wk", "oracle"}
+    rng = random.Random(36)
+    for (g, d, b), val in values.items():
+        shuffled = list(d)
+        rng.shuffle(shuffled)
+        assert eng.value(g, shuffled, b) is val, (g, d, b)
+        assert eng.reduction_oracle(g, shuffled, b) is val, (g, d, b)
+    for g, d, b in ((1, [3, -1], EMPTY), (1, [-1, 2], K1),     # negative
+                    (0, [0, -1], EMPTY), (-1, [], MultiIndex({3: 1})),
+                    (-1, [0, 0], EMPTY),
+                    (1, [2], EMPTY), (2, [], K1), (3, [4, 0], K1),  # dimension
+                    (1, [], EMPTY), (1, (), EMPTY)):                 # unstable
+        assert eng.value(g, d, b) == 0, (g, d, b)
+        assert eng.reduction_oracle(g, d, b) == 0, (g, d, b)
+    assert eng.table.values == values
 
 
 def test_symmetry_under_permutation():
@@ -385,6 +412,60 @@ def _reference_dilaton_sum(eng, g, b):
         acc += ((-1) ** left.size * multiindex_binomial(b, left)
                 * eng.value(g, (left.weight + 1,), right))
     return acc
+
+
+def _reference_inserted_sum(read, g, d, b, s):
+    """The inserted sum added term by term in Fractions, the new insertion
+    appended to d."""
+    total = Fraction(0)
+    for left, right in enumerate_sub_multiindices(b):
+        total += ((-1) ** left.size * multiindex_binomial(b, left)
+                  * read(g, d + (left.weight + s,), right))
+    return total
+
+
+def _stub_reader(seed):
+    """A reader of arbitrary signed values, zeros among them, that depends
+    on the multiset d and not on its order."""
+    def read(g, d, b):
+        rng = random.Random(hash((seed, g, tuple(sorted(d)), b.entries)))
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 3 ** 6))
+    return read
+
+
+_READ_ENGINE = RecursionEngine()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inserted_sum_matches_fraction_reference(data):
+    """The integer-bucket inserted sum equals the term-by-term Fraction
+    sum at s = 0, 1, a + 1 (a the largest kappa index) and M, for a real
+    engine's `value` at shapes that meet the dimension constraint and for
+    a stub of arbitrary signed values, with d sorted or not."""
+    g = data.draw(st.integers(0, 3), label="g")
+    n = data.draw(st.integers(0, 3), label="n")
+    b = data.draw(st.sampled_from(multiindices_up_to_weight(5)), label="b")
+    a = b.entries[-1][0] if b else 0
+    s = data.draw(st.sampled_from((0, 1, a + 1, data.draw(
+        st.integers(2, 6), label="M"))), label="s")
+    # the inserted correlators have n + 1 points: sum(d) + s + |b| = 3g - 2 + n
+    dim = 3 * g - 2 + n - s - b.weight
+    if dim >= 0 and (n or not dim):
+        size = max(n - 1, 0)
+        cuts = sorted(data.draw(st.lists(st.integers(0, dim), min_size=size,
+                                         max_size=size), label="cuts"))
+        d = tuple(y - x for x, y in zip([0] + cuts, cuts + [dim]))[:n]
+    else:
+        d = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n,
+                                     max_size=n), label="d"))
+    if data.draw(st.booleans(), label="sorted"):
+        d = tuple(sorted(d, reverse=True))
+    stub = _stub_reader(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    for read in (_READ_ENGINE.value, stub):
+        got = inserted_sum(read, g, d, b, s)
+        assert type(got) is Fraction
+        assert got == _reference_inserted_sum(read, g, d, b, s), (g, d, b, s)
 
 
 def test_volumes_agree_with_three_sums():
