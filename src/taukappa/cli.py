@@ -206,8 +206,9 @@ def _verify_identities(args, eng):
 def _series_result(head: str, payload: dict, nonzero: list,
                    checked: int) -> Result:
     """The result of a series identity: the (monomial text, coefficient)
-    pairs among its `checked` admitted coefficients that do not vanish."""
-    status = "fails" if nonzero else "holds"
+    pairs among its `checked` admitted coefficients that do not vanish.
+    With no admitted coefficient it checks nothing, and says so."""
+    status = "fails" if nonzero else "holds" if checked else "checks nothing"
     return Result(
         {**payload, "checked": checked, "status": status,
          "nonzero": [[m, f"{c.numerator}/{c.denominator}"]

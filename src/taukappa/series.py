@@ -21,23 +21,29 @@ only coefficients already computed at its divisors, so the output set must
 be divisor-closed; no product outside it is ever formed.  The closure pass
 buckets the admitted monomials by degree and, degree by degree, admits m
 once every m/v (v a variable of m) is in, stopping at the first that is
-not; by induction every divisor of m is then in.  deg(d) G[d] and
+not; by induction every divisor of m is then in.  It sums each degree
+and forms each m/v in its own loop.  deg(d) G[d] and
 the computed Z[q] are held by t-part, then s-part, so a split d = (dt, ds)
 is dropped when G has no term with t-part dt or Z none with t-part m/dt,
 before any s-part split is walked.  The sum for one Z[m] runs on
 integers: each product adds its numerator under its denominator, and
 `core.bucket_sum` forms one Fraction at the end.
+
+`PackedSeries` codes a series' monomials as ints, one bit field per
+variable, so that a product of monomials is an add; a series builds it on
+first use (`TruncatedSeries.packed`), and `V_k` runs on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Memo, bucket_sum, exponent_splits, merge_exponents
 
 __all__ = [
     "Monomial", "merge_exponents", "mono_mul", "mono_splits",
-    "format_monomial", "shifted_down", "TruncatedSeries",
+    "format_monomial", "PackedSeries", "TruncatedSeries",
 ]
 
 Monomial = tuple   # ((t_idx, exp), ...), ((s_idx, exp), ...)
@@ -64,36 +70,73 @@ def _degree(m: Monomial) -> int:
     return sum(e for _, e in m[0]) + sum(e for _, e in m[1])
 
 
-def _unit_quotients(m: Monomial):
-    """m divided by each of its variables once."""
-    for slot in (0, 1):
-        part = m[slot]
-        for k, (i, e) in enumerate(part):
-            lower = part[:k] + (((i, e - 1),) if e > 1 else ()) + part[k + 1:]
-            yield (lower, m[1]) if slot == 0 else (m[0], lower)
-
-
 def _divisor_closed(admitted) -> list:
     """The monomials of `admitted` whose divisors are all in it, by
     increasing degree: the closure pass of the module docstring."""
     by_degree: dict[int, list] = {}
     for m in admitted:
-        by_degree.setdefault(_degree(m), []).append(m)
+        degree = 0
+        for part in m:
+            for _, e in part:
+                degree += e
+        by_degree.setdefault(degree, []).append(m)
     order, closed = [], {EMPTY_MONO}
     for degree in sorted(by_degree):
         for m in by_degree[degree]:
-            for q in _unit_quotients(m):
-                if q not in closed:
+            t, s = m
+            for k, (i, e) in enumerate(t):
+                lower = ((i, e - 1),) if e > 1 else ()
+                if (t[:k] + lower + t[k + 1:], s) not in closed:
                     break
             else:
-                order.append(m)
-                closed.add(m)
+                for k, (i, e) in enumerate(s):
+                    lower = ((i, e - 1),) if e > 1 else ()
+                    if (t, s[:k] + lower + s[k + 1:]) not in closed:
+                        break
+                else:
+                    order.append(m)
+                    closed.add(m)
     return order
 
 
 def format_monomial(m: Monomial) -> str:
     return "*".join(f"{v}{i}" + (f"^{e}" if e > 1 else "")
                     for v, part in zip("ts", m) for i, e in part) or "1"
+
+
+class PackedSeries:
+    """The admitted monomials (an exact series' terms and `cover`) as ints:
+    t_0..t_tmax, then s_1..s_smax, each exponent in a `width`-bit field
+    from the low bits up.  A field holds the largest exponent plus 2, the
+    most a V_k input adds, so an input coded by an add carries nowhere.
+    `monomials` maps each int to its monomial, `coded` to its coefficient
+    as (numerator, denominator), or () for a zero."""
+
+    def __init__(self, terms, admitted, cover=()):
+        every = [*(terms if admitted is None else admitted), *cover]
+        self.tmax = max([i for t, _ in every for i, _ in t] + [0])
+        smax = max([j for _, s in every for j, _ in s] + [0])
+        top = max([e for m in every for part in m for _, e in part] + [0])
+        self.width = (top + 2).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.outside = -1 << (self.tmax + 1 + smax) * self.width
+        self.monomials = {self.pack(m): m for m in every}
+        self.coded = {p: (c.numerator, c.denominator)
+                      if (c := terms.get(m)) else ()
+                      for p, m in self.monomials.items()}
+
+    def pack(self, m: Monomial) -> int:
+        w, p = self.width, 0
+        for i, e in m[0]:
+            p += e << i * w
+        for j, e in m[1]:
+            p += e << (self.tmax + j) * w
+        return p
+
+    def unit(self, i: int) -> int:
+        """t_i; past tmax `outside`, below 0, where nothing coded lies,
+        so an input that adds it is neither stored nor admitted."""
+        return 1 << i * self.width if i <= self.tmax else self.outside
 
 
 class TruncatedSeries:
@@ -111,6 +154,11 @@ class TruncatedSeries:
             for m, c in terms.items():
                 if c and (self.admitted is None or m in self.admitted):
                     self.terms[m] = Fraction(c)
+
+    @cached_property
+    def packed(self) -> PackedSeries:
+        """The integer coding of this series, built on first use."""
+        return PackedSeries(self.terms, self.admitted)
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
@@ -203,8 +251,9 @@ class TruncatedSeries:
             if e:
                 mm = mono_mul(m, unit, -1)
                 terms[mm] = terms.get(mm, Fraction(0)) + c * e
-        adm = (None if self.admitted is None
-               else set(shifted_down(self.admitted, idx)))
+        adm = (None if self.admitted is None else
+               {mono_mul(m, unit, -1) for m in self.admitted
+                if any(i == idx for i, _ in m[0])})
         return TruncatedSeries(terms, adm)
 
     def nonzero_admitted(self):
@@ -226,12 +275,3 @@ def _intersect(a, b):
     if b is None:
         return a
     return frozenset(a) & frozenset(b)
-
-
-def shifted_down(admitted, idx: int):
-    """m / t_idx for every m in `admitted` that t_idx divides."""
-    for t, s in admitted:
-        for i, _ in t:
-            if i == idx:
-                yield merge_exponents(t, ((idx, -1),)), s
-                break

@@ -25,8 +25,8 @@ from .core import (Memo, MultiIndex, bucket_sum, double_factorial,
                    genus_for_dimension, merge_exponents,
                    multiindices_of_weight, multiindices_up_to_weight)
 from .recursion import RecursionEngine, gamma_constant
-from .series import (EMPTY_MONO, Monomial, TruncatedSeries, format_monomial,
-                     shifted_down)
+from .series import (EMPTY_MONO, Monomial, PackedSeries, TruncatedSeries,
+                     format_monomial)
 
 __all__ = [
     "VirasoroOperator", "mixed_generating_series",
@@ -44,27 +44,12 @@ class VirasoroOperator:
     (b) 1/2 (2(j+k)+1)!!/(2j-1)!! t_j d/dt_{j+k}; (c) for k >= 1,
     1/4 (2d1+1)!!(2d2+1)!! d^2/dt_{d1}dt_{d2} over d1+d2 = k-1;
     (d) the constants t_0^2/4 at k = -1 and 1/16 at k = 0.
-
-    The coefficient tables the action reads are filled on first use and
-    kept on the instance, so one operator applied to a long series splits
-    each s-part and builds each gamma_L once.
     """
 
     def __init__(self, k: int):
         if k < -1:
             raise ValueError("Virasoro index starts at -1")
         self.k = k
-        # i -> group (b) coefficient of t_{i-k} d/dt_i; no fill refers to
-        # the operator, so it is freed by reference counting
-        self._scale = Memo(lambda i: Fraction(
-            double_factorial(2 * i + 1), 2 * double_factorial(2 * (i - k) - 1)))
-        # s-part -> [(s-part / s^L, i, group (a) coefficient of s^L d/dt_i)]
-        # over L <= s-part, with i = |L| + k + 1
-        self._lowered = Memo(lambda s: [
-            (rest.entries, L.weight + k + 1,
-             Fraction(-double_factorial(2 * (L.weight + k) + 3), 2)
-             * gamma_constant(L))
-            for L, rest in enumerate_sub_multiindices(MultiIndex(s))])
         self._pairs = [((d1, k - 1 - d1),     # group (c): ((d1, d2), coef)
                         Fraction(double_factorial(2 * d1 + 1)
                                  * double_factorial(2 * k - 2 * d1 - 1), 4))
@@ -90,60 +75,95 @@ class VirasoroOperator:
         if k == 0:
             yield m
 
-    def _sources(self, m: Monomial):
+    def _rules(self, code: PackedSeries):
+        """Each term of V_k on the coding `code`: the delta from an output
+        to its input, the offset of the field that gives the multiplicity,
+        and the coefficient.  Group (a) is listed by the output's s-part."""
+        k, w, unit = self.k, code.width, code.unit
+        lowered = Memo(lambda s: [      # (a), i = |L| + k + 1
+            (unit(L.weight + k + 1) - code.pack(((), L.entries)),
+             (L.weight + k + 1) * w, gamma_constant(L)
+             * Fraction(-double_factorial(2 * (L.weight + k) + 3), 2))
+            for L, _ in enumerate_sub_multiindices(MultiIndex(s))])
+        shifts = [j + k >= 0 and (      # (b), by j
+            j * w, unit(j + k) - unit(j), (j + k) * w,
+            Fraction(double_factorial(2 * (j + k) + 1),
+                     2 * double_factorial(2 * j - 1)))
+            for j in range(code.tmax + 1)]
+        pairs = [(unit(d1) + unit(d2), d1 * w, d2 * w, d1 == d2, coef)
+                 for (d1, d2), coef in self._pairs]         # (c)
+        return k, code.mask, lowered, shifts, pairs
+
+    def _sources(self, rules, p: int, t, s):
         """(input, multiplicity, coefficient) for every term of V_k that
-        maps an input onto m, adding multiplicity * coefficient times the
-        input's coefficient to m's: the one place V_k's coefficients live."""
-        k = self.k
-        t, s = m
-        texp = dict(t)
-        for rest, i, coef in self._lowered[s]:
+        maps an input onto the output p, adding multiplicity * coefficient
+        times the input's coefficient to p's: the one place V_k's rules
+        live.  p and the inputs are ints of the coding of `rules`; t holds
+        p's t-indices (maybe more, at exponent 0), s its s-part.  An input
+        past the coding is below 0 (`PackedSeries.unit`)."""
+        k, mask, lowered, shifts, pairs = rules
+        for delta, off, coef in lowered[s]:
             # (a): s^L d/dt_i maps m t_i / s^L onto m
-            yield ((merge_exponents(t, ((i, 1),)), rest),
-                   texp.get(i, 0) + 1, coef)
-        for j, e in t:
-            # (b): t_j d/dt_{j+k} maps m t_{j+k} / t_j onto m
-            if j + k >= 0:
-                yield ((merge_exponents(t, ((j, -1), (j + k, 1))), s),
-                       e if k == 0 else texp.get(j + k, 0) + 1,
-                       self._scale[j + k])
-        for (d1, d2), coef in self._pairs:
+            src = p + delta
+            yield src, src >> off & mask, coef
+        for j, _ in t:
+            # (b): t_j d/dt_{j+k} maps m t_{j+k} / t_j onto m, for j + k >= 0
+            rule = shifts[j]
+            if rule and p >> rule[0] & mask:
+                _, delta, off, coef = rule
+                src = p + delta
+                yield src, src >> off & mask, coef
+        for delta, off1, off2, same, coef in pairs:
             # (c): d^2/dt_{d1}dt_{d2} maps m t_{d1} t_{d2} onto m
-            inp = merge_exponents(t, ((d1, 1), (d2, 1)))
-            ein = dict(inp)
-            yield (inp, s), ein[d1] * (ein[d2] - (d1 == d2)), coef
-        if k == -1 and texp.get(0, 0) >= 2:     # (d): the constants
-            yield (merge_exponents(t, ((0, -2),)), s), 1, Fraction(1, 4)
+            src = p + delta
+            yield src, (src >> off1 & mask) * ((src >> off2 & mask) - same), coef
+        if k == -1 and p & mask >= 2:   # (d): the constants; t_0 is lowest
+            yield p - 2, 1, Fraction(1, 4)
         if k == 0:
-            yield m, 1, V0_CONSTANT
+            yield p, 1, V0_CONSTANT
 
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
         """V_k applied to a series, each output's coefficient pulled from
-        its `_sources`.  The candidates are the `_images` of an exact
-        series' terms, or the quotients m / t_{k+1} of a truncated one's
-        admitted m: an output is admitted when all its sources are, and
-        m t_{k+1} is one (group (a), L = 0).  Each admitted output sums
-        its stored sources on integers, as numerators under their
-        denominators (`core.bucket_sum`), and forms one Fraction."""
-        admitted, stored = series.admitted, series.terms
-        candidates = ({out for m in stored for out in self._images(m)}
-                      if admitted is None
-                      else shifted_down(admitted, self.k + 1))
+        its `_sources` on the series' integer coding (`series.packed`): an
+        input is the output's int plus a delta, found by one dict probe.
+        The candidates are the quotients m / t_{k+1} of a truncated
+        series' admitted m, or the `_images` of an exact series' terms,
+        which its coding then also covers.  An output is admitted when all
+        its sources are, and m t_{k+1} is one (group (a), L = 0); an input
+        with a t-index past the coding is neither stored nor admitted.
+        Each admitted output sums its stored sources on integers, as
+        numerators under their denominators, into one Fraction."""
+        k, exact = self.k, series.admitted is None
+        if exact:
+            outs = {out for m in series.terms for out in self._images(m)}
+            code = PackedSeries(series.terms, None, outs)
+            candidates = [(code.pack(out), out) for out in outs]
+        else:
+            code = series.packed
+            up, off = code.unit(k + 1), (k + 1) * code.width
+            candidates = ([(p - up, m) for p, m in code.monomials.items()
+                           if p >> off & code.mask]
+                          if k + 1 <= code.tmax else [])
+        rules, coded, monomials = self._rules(code), code.coded, code.monomials
         terms, adm = {}, []
-        for out in candidates:
+        for p, m in candidates:
             acc: dict[int, int] = {}    # denominator -> integer numerator
-            for src, mult, coef in self._sources(out):
-                if admitted is not None and src not in admitted:
+            for src, mult, coef in self._sources(rules, p, *m):
+                c = coded.get(src)
+                if c is None:   # not admitted, or an exact series' zero
+                    if exact:
+                        continue
                     break
-                c = stored.get(src)
-                if c is not None:
-                    den = c.denominator * coef.denominator
-                    acc[den] = (acc.get(den, 0)
-                                + c.numerator * mult * coef.numerator)
+                if c:
+                    den = c[1] * coef.denominator
+                    acc[den] = acc.get(den, 0) + c[0] * mult * coef.numerator
             else:
+                out = (monomials.get(p)
+                       or (merge_exponents(m[0], ((k + 1, -1),)), m[1]))
                 adm.append(out)
-                terms[out] = bucket_sum(acc)
-        return TruncatedSeries(terms, None if admitted is None else adm)
+                if acc:     # construction drops the zeros anyway
+                    terms[out] = bucket_sum(acc)
+        return TruncatedSeries(terms, None if exact else adm)
 
 
 # -- generating series -------------------------------------------------------

@@ -398,6 +398,31 @@ def test_verify_virasoro_with_range(capsys):
     assert out.count("holds") == 3
 
 
+def test_verify_virasoro_names_each_k_that_checks_nothing(capsys):
+    """At (1,2,0) only k = 0 and 1 admit a coefficient: every other k says
+    it checks nothing, in each format, and the run still exits 0; a run
+    where no k checks anything exits 2."""
+    bounds = ["--gmax", "1", "--nmax", "2", "--bmax", "0"]
+    code, out = run_cli(capsys, "verify", "virasoro", "--k", "0..9", *bounds)
+    assert code == 0
+    assert out.splitlines() == [
+        "virasoro k=0: 4 admitted coefficients, holds",
+        "virasoro k=1: 1 admitted coefficients, holds",
+        *(f"virasoro k={k}: 0 admitted coefficients, checks nothing"
+          for k in range(2, 10))]
+    code, out = run_cli(capsys, "--format", "json", "verify", "virasoro",
+                        "--k", "1..2", *bounds)
+    assert code == 0 and [json.loads(line)["status"]
+                          for line in out.splitlines()] == [
+        "holds", "checks nothing"]
+    code, out = run_cli(capsys, "--format", "csv", "verify", "virasoro",
+                        "--k", "1..2", *bounds)
+    assert (code, out) == (0, "1,virasoro,1,[],holds\n"
+                              "0,virasoro,2,[],checks nothing\n")
+    assert main(["verify", "virasoro", "--k", "2..9", *bounds]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_engines(capsys):
     """Every stable (g, d) with dim = 3g - 3 + n <= dmax, for dmax 0 to 7."""
     for dmax, count in enumerate((1, 3, 7, 13, 24, 41, 70, 112)):

@@ -29,8 +29,8 @@ from taukappa.core import (MultiIndex, double_factorial,
                            enumerate_sub_multiindices, multiindices_of_weight,
                            multiindices_up_to_weight)
 from taukappa.recursion import RecursionEngine, gamma_constant
-from taukappa.series import (EMPTY_MONO, TruncatedSeries, merge_exponents,
-                             mono_mul)
+from taukappa.series import (EMPTY_MONO, PackedSeries, TruncatedSeries,
+                             merge_exponents, mono_mul, mono_splits)
 from taukappa.virasoro import (VirasoroOperator, build_partition_function,
                                mixed_generating_series, p_polynomial,
                                substitution_check)
@@ -309,6 +309,27 @@ def ref_substitution(gmax, nmax, bmax, engine):
     return TruncatedSeries(sub, admitted) - direct
 
 
+def tuple_sources(op, m):
+    """`op._sources` of one monomial m, inputs as monomials: run on a
+    coding of m that reaches every t-index an input of m can carry, and
+    decoded field by field."""
+    t, s = m
+    reach = (max([i for i, _ in t] + [0]) + sum(i * e for i, e in s)
+             + abs(op.k) + 1)
+    code = PackedSeries({}, [m, (((reach, 1),), ())])
+    for src, mult, coef in op._sources(op._rules(code), code.pack(m), t, s):
+        assert src >= 0, "an input left a coding that reaches all of them"
+        parts, field = ([], []), 0
+        while src:
+            if src & code.mask:
+                slot = field > code.tmax
+                parts[slot].append((field - slot * code.tmax,
+                                    src & code.mask))
+            src >>= code.width
+            field += 1
+        yield (tuple(parts[0]), tuple(parts[1])), mult, coef
+
+
 def assert_same(new, ref):
     assert new.terms == ref.terms
     assert new.admitted == ref.admitted
@@ -371,6 +392,50 @@ def test_apply_matches_reference_on_exact_probes():
             for n in KS:
                 assert_same(new.apply(VirasoroOperator(n).apply(probe)),
                             ref.apply(RefVirasoro(n).apply(probe)))
+
+
+# a peak's exponent `top` fills its coded field (top + 2 = 2^width - 1 at
+# 1, 5, 13) or leaves one value of it unused (2, 6, 14).  The first peak
+# admits t_0^top and its V_1 sources but t_0^(top+2): a field that held
+# only top + 1 would carry that input onto t_1, which is admitted.  The
+# t-indices stop at 7, so for k up to 6 inputs of groups (a), (b) and (c)
+# pass t_7
+@pytest.mark.parametrize("top", [1, 2, 5, 6, 13, 14])
+def test_apply_matches_reference_at_the_edges_of_the_coding(top):
+    peaks = [(((0, top), (1, 1), (2, 1)), ((1, 1),)),
+             (((1, 1), (3, top), (6, 1)), ((2, 1),)),
+             (((2, 2), (4, 1), (7, top)), ((1, 2),))]
+    admitted = {d for m in peaks for d, _ in mono_splits(m)}
+    rng = random.Random(top)
+    terms = {m: Fraction(rng.randint(1, 5), rng.randint(1, 4))
+             for m in rng.sample(sorted(admitted), 40)}
+    # the peaks' divisors, and the same set with some of them removed,
+    # so that not every quotient m / t_{k+1} is itself coded
+    holed = admitted - set(rng.sample(sorted(admitted), 30))
+    checked = 0
+    for series in (TruncatedSeries(terms, admitted),
+                   TruncatedSeries(terms, holed), TruncatedSeries(terms)):
+        for k in range(-1, 7):
+            image = VirasoroOperator(k).apply(series)
+            assert_same(image, RefVirasoro(k).apply(series))
+            checked += len(image.admitted or image.terms)
+    assert checked
+
+
+def test_an_input_past_the_coding_is_not_admitted():
+    """t_7 is the last coded t-index, so V_1's group (b) input t_8 of t_7
+    is neither stored nor admitted, and t_7 is not admitted, though its
+    other inputs t_2 t_7 and t_0^2 t_7 are.  Exact and truncated alike
+    agree with the reference for k up to 6."""
+    peak = (((0, 2), (2, 1), (7, 1)), ((1, 1),))
+    admitted = {d for d, _ in mono_splits(peak)}
+    terms = {m: Fraction(len(m[0]) + 1, 1 + len(m[1])) for m in admitted}
+    for series in (TruncatedSeries(terms, admitted), TruncatedSeries(terms)):
+        for k in range(-1, 7):
+            assert_same(VirasoroOperator(k).apply(series),
+                        RefVirasoro(k).apply(series))
+    image = VirasoroOperator(1).apply(TruncatedSeries(terms, admitted))
+    assert image.admitted and not image.is_admitted((((7, 1),), ()))
 
 
 @pytest.mark.parametrize("caps", TRUNCATIONS + [(2, 6, 0)])
@@ -442,6 +507,25 @@ def test_graded_exp_and_apply_equal_references(drawn):
         assert_same(VirasoroOperator(k).apply(G), RefVirasoro(k).apply(G))
 
 
+@settings(max_examples=100, deadline=None)
+@given(truncated_series())
+def test_admission_keeps_every_source_and_divisor(drawn):
+    """Admission is monotone: every monomial that `apply` admits has all
+    its `_sources` admitted in the input, and every monomial that `exp`
+    admits has all its divisors other than 1 admitted, in the input and
+    in the output."""
+    G, _ = drawn
+    Z = G.exp()
+    for m in Z.admitted:
+        for d, _ in mono_splits(m):
+            assert d == EMPTY_MONO or d in G.admitted and d in Z.admitted
+    for k in KS:
+        op = VirasoroOperator(k)
+        for out in op.apply(G).admitted:
+            assert all(src in G.admitted
+                       for src, _, _ in tuple_sources(op, out))
+
+
 @st.composite
 def series_pairs(draw):
     """Two factors from `truncated_series`, either of them possibly made
@@ -487,7 +571,7 @@ def test_quotient_by_t_k_plus_1_is_image_and_preimage(m):
     for k in KS:
         op = VirasoroOperator(k)
         up = mono_mul(m, (((k + 1, 1),), ()))
-        assert up in {src for src, _, _ in op._sources(m)}
+        assert up in {src for src, _, _ in tuple_sources(op, m)}
         assert m in set(op._images(up))
 
 
@@ -502,10 +586,10 @@ def test_images_and_sources_are_inverse_maps(m, other):
         op = VirasoroOperator(k)
         images = set(op._images(m))
         for out in images | {m, other}:
-            sources = list(op._sources(out))
+            sources = list(tuple_sources(op, out))
             assert all(mult > 0 for _, mult, _ in sources)
             assert (out in images) == (m in {src for src, _, _ in sources})
-        for src, _, _ in op._sources(other):
+        for src, _, _ in tuple_sources(op, other):
             assert other in set(op._images(src))
 
 
