@@ -21,8 +21,8 @@ only coefficients already computed at its divisors, so the output set must
 be divisor-closed; no product outside it is ever formed.  The closure pass
 buckets the admitted monomials by degree and, degree by degree, admits m
 once every m/v (v a variable of m) is in, stopping at the first that is
-not; by induction every divisor of m is then in.  It sums each degree
-and forms each m/v in its own loop.  deg(d) G[d] and
+not; by induction every divisor of m is then in.  It sums degrees and
+splices each m/v inline, with no call per monomial.  deg(d) G[d] and
 the computed Z[q] are held by t-part, then s-part, so a split d = (dt, ds)
 is dropped when G has no term with t-part dt or Z none with t-part m/dt,
 before any s-part split is walked.  The sum for one Z[m] runs on
